@@ -126,33 +126,43 @@ def classify(
             cause="no_resolvable_fields",
         )
 
+    # Each (citation, record) pair is profiled once; every check below reads
+    # these lists. Found identifier records come first, in lookup order.
+    identifier_profiles = [
+        (label, outcome.record, profile_match(citation, outcome.record, thresholds))
+        for label, outcome in bundle.identifier_outcomes
+        if outcome.status is LookupStatus.FOUND and outcome.record is not None
+    ]
+
     # Verification gate: author, title, and year must all agree with some
     # resolved record.
-    for _, outcome in bundle.identifier_outcomes:
-        if outcome.status is LookupStatus.FOUND and outcome.record is not None:
-            profile = profile_match(citation, outcome.record, thresholds)
-            if profile.core_all_match():
-                return Verdict(
-                    status=VerdictStatus.VERIFIED,
-                    citation_key=key,
-                    matched_record=outcome.record,
-                )
-    search_best = best_candidate(citation, bundle.search_candidates, thresholds)
+    for _, record, profile in identifier_profiles:
+        if profile.core_all_match():
+            return Verdict(
+                status=VerdictStatus.VERIFIED,
+                citation_key=key,
+                matched_record=record,
+            )
+    search_profiles = [
+        (record, profile_match(citation, record, thresholds))
+        for record in bundle.search_candidates
+    ]
+    search_best = best_candidate(search_profiles)
     if search_best is not None and search_best[1].core_all_match():
         return Verdict(
             status=VerdictStatus.VERIFIED,
             citation_key=key,
             matched_record=search_best[0],
         )
+    all_profiles = [
+        (record, profile) for _, record, profile in identifier_profiles
+    ] + search_profiles
 
     evidence: list[EvidenceItem] = list(placeholder_evidence)
 
     # Identifier hijacking: the claimed identifier exists but belongs to a
     # different work.
-    for label, outcome in bundle.identifier_outcomes:
-        if outcome.status is not LookupStatus.FOUND or outcome.record is None:
-            continue
-        profile = profile_match(citation, outcome.record, thresholds)
+    for label, record, profile in identifier_profiles:
         if (
             profile.title_match is FieldMatch.MISMATCH
             or profile.author_match is FieldMatch.MISMATCH
@@ -161,10 +171,10 @@ def classify(
                 EvidenceItem(
                     mode=FailureMode.IH,
                     detail=(
-                        f"{label} resolves to {outcome.record.title!r}"
+                        f"{label} resolves to {record.title!r}"
                         f" by different authors"
                         if profile.author_match is FieldMatch.MISMATCH
-                        else f"{label} resolves to {outcome.record.title!r}"
+                        else f"{label} resolves to {record.title!r}"
                     ),
                     field="identifiers",
                     score=round(profile.title_similarity, 4),
@@ -173,8 +183,7 @@ def classify(
 
     # Partial attribute corruption: a close relative exists but at least one
     # claimed field disagrees with it.
-    overall_best = best_candidate(citation, bundle.all_candidates, thresholds)
-    strong_match_exists = False
+    overall_best = best_candidate(all_profiles)
     if overall_best is not None:
         record, profile = overall_best
         strong = (
@@ -203,21 +212,17 @@ def classify(
                     score=round(profile.title_similarity, 4),
                 )
             )
-    for record in bundle.all_candidates:
-        profile = profile_match(citation, record, thresholds)
-        if (
-            profile.title_match is FieldMatch.MATCH
-            or profile.author_match is FieldMatch.MATCH
-        ):
-            strong_match_exists = True
-            break
+    strong_match_exists = any(
+        profile.title_match is FieldMatch.MATCH
+        or profile.author_match is FieldMatch.MATCH
+        for _, profile in all_profiles
+    )
 
     # Semantic hallucination: the title reads like a real paper but no
     # source knows it.
     plausibility = _sh_plausibility(citation, config)
     title_found_anywhere = any(
-        profile_match(citation, r, thresholds).title_match is FieldMatch.MATCH
-        for r in bundle.all_candidates
+        profile.title_match is FieldMatch.MATCH for _, profile in all_profiles
     )
     if (
         citation.title.strip()

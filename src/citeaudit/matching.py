@@ -8,6 +8,7 @@ disagreements count against a citation.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .model import (
@@ -48,28 +49,50 @@ def content_tokens(title: str) -> list[str]:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Edit distance, unit costs, two-row iteration."""
+    """Edit distance, unit costs, bit-parallel over arbitrary-width ints.
+
+    The bit-vector algorithm of Myers (1999, "A fast bit-vector algorithm
+    for approximate string matching based on dynamic programming", JACM
+    46(3)) in the global-distance form of Hyyrö (2001, "Explaining and
+    extending the bit-parallel approximate string matching algorithm of
+    Myers"). Bit i of pv / mv says the DP column steps up / down by one at
+    row i of the shorter string; each character of the longer string
+    updates the whole column in a constant number of integer operations.
+    Python ints grow as needed, so there is no word-length limit.
+    """
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            current.append(
-                min(
-                    previous[j] + 1,
-                    current[j - 1] + 1,
-                    previous[j - 1] + (ca != cb),
-                )
-            )
-        previous = current
-    return previous[len(b)]
+    m = len(b)
+    if not m:
+        return len(a)
+    peq: dict[str, int] = {}
+    bit = 1
+    for ch in b:
+        peq[ch] = peq.get(ch, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    high = 1 << (m - 1)
+    pv = mask
+    mv = 0
+    score = m
+    for ch in a:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & mask)
+        mh = pv & xh
+        if ph & high:
+            score += 1
+        elif mh & high:
+            score -= 1
+        # Row 0 of the DP grows by one per column: carry a +1 into the shift.
+        ph = ((ph << 1) | 1) & mask
+        mh = (mh << 1) & mask
+        pv = mh | (~(xv | ph) & mask)
+        mv = ph & xv
+    return score
 
 
 def title_similarity(a: str, b: str) -> float:
@@ -260,23 +283,17 @@ def profile_match(
 
 
 def best_candidate(
-    citation: ParsedCitation,
-    candidates: list[ResolvedRecord] | tuple[ResolvedRecord, ...],
-    thresholds: MatchThresholds,
+    scored: Sequence[tuple[ResolvedRecord, FieldMatchProfile]],
 ) -> tuple[ResolvedRecord, FieldMatchProfile] | None:
-    """Pick the candidate with the highest title similarity, breaking ties by
-    author similarity and then provider order. Returns None when the list is
-    empty."""
-    if not candidates:
+    """Pick the (record, profile) pair with the highest title similarity,
+    breaking ties by author similarity and then by position (provider
+    order). Returns None when there are no pairs."""
+    if not scored:
         return None
-    scored = [
-        (record, profile_match(citation, record, thresholds))
-        for record in candidates
-    ]
-    scored.sort(
-        key=lambda pair: (-pair[1].title_similarity, -pair[1].author_similarity)
+    return min(
+        scored,
+        key=lambda pair: (-pair[1].title_similarity, -pair[1].author_similarity),
     )
-    return scored[0]
 
 
 def title_plausibility(title: str, vocab: frozenset[str]) -> float:

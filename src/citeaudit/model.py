@@ -71,6 +71,8 @@ _LATIN_FOLD = {
 
 def fold_diacritics(text: str) -> str:
     """Fold accented letters to their base form ("é" -> "e", "ö" -> "o")."""
+    if text.isascii():
+        return text
     out = []
     for ch in text:
         if ch in _LATIN_FOLD:

@@ -13,10 +13,12 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import TYPE_CHECKING
 from urllib.parse import quote
 from xml.etree import ElementTree
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 from .identifiers import check_identifier, IdentifierSyntax, make_identifier
 from .matching import MatchThresholds, normalize_title, profile_match
@@ -225,6 +227,14 @@ class FixtureProvider:
         return self._search(f"author:{surname.lower()}:{year}")
 
 
+def _new_session() -> requests.Session:
+    # requests is imported on first use: it is a large import that offline
+    # runs, which never build an HTTP client, would otherwise pay at start-up.
+    import requests
+
+    return requests.Session()
+
+
 def _http_failure_cause(resp: requests.Response) -> str:
     if resp.status_code == 429:
         return "rate_limited"
@@ -239,9 +249,11 @@ class CrossrefClient:
     def __init__(self, config: ProviderConfig, session: requests.Session | None = None):
         self.name = config.name
         self.config = config
-        self._session = session or requests.Session()
+        self._session = session or _new_session()
 
     def lookup_doi(self, doi: str) -> LookupOutcome:
+        import requests
+
         url = f"{self.config.base_endpoint.rstrip('/')}/works/{quote(doi, safe='')}"
         try:
             resp = self._session.get(url, timeout=self.config.timeout)
@@ -294,9 +306,11 @@ class ArxivClient:
     def __init__(self, config: ProviderConfig, session: requests.Session | None = None):
         self.name = config.name
         self.config = config
-        self._session = session or requests.Session()
+        self._session = session or _new_session()
 
     def lookup_arxiv(self, arxiv_id: str) -> LookupOutcome:
+        import requests
+
         url = self.config.base_endpoint
         try:
             resp = self._session.get(
@@ -351,9 +365,11 @@ class OpenAlexClient:
     def __init__(self, config: ProviderConfig, session: requests.Session | None = None):
         self.name = config.name
         self.config = config
-        self._session = session or requests.Session()
+        self._session = session or _new_session()
 
     def _get(self, params: dict) -> tuple[list[dict] | None, str | None]:
+        import requests
+
         url = f"{self.config.base_endpoint.rstrip('/')}/works"
         try:
             resp = self._session.get(url, params=params, timeout=self.config.timeout)

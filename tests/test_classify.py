@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,10 @@ from citeaudit.resolve import (
     SearchOutcome,
 )
 from tests.conftest import make_citation, make_record
+
+# The package re-exports the classify() function under the submodule's name,
+# so reach the module itself through the import system.
+classify_module = importlib.import_module("citeaudit.classify")
 
 TF = FailureMode.TF
 PAC = FailureMode.PAC
@@ -138,6 +144,63 @@ class TestVerifiedPaths:
         )
         v = classify_citation(c, resolver, config)
         assert v.status is not VerdictStatus.VERIFIED
+
+
+class TestProfileOnce:
+    """classify() profiles each (citation, record) pair exactly once."""
+
+    @pytest.fixture()
+    def profile_calls(self, monkeypatch):
+        calls = []
+        original = classify_module.profile_match
+
+        def counting(citation, record, thresholds):
+            calls.append(record)
+            return original(citation, record, thresholds)
+
+        monkeypatch.setattr(classify_module, "profile_match", counting)
+        return calls
+
+    def test_hallucinated_citation_profiles_each_record_once(self, config, profile_calls):
+        c = make_citation(
+            key="c1",
+            authors=("Ada Lovelace",),
+            title="Notes on the analytical engine",
+            year=2020,
+        )
+        found = [
+            make_record(title="A different work", authors=("Charles Babbage",)),
+            make_record(title="Yet another work", authors=("Mary Somerville",)),
+        ]
+        searched = [
+            make_record(title=f"Unrelated search hit {i}", authors=("Alan Turing",))
+            for i in range(5)
+        ]
+        bundle = ResolutionBundle(
+            citation_key="c1",
+            identifier_outcomes=(
+                ("doi:10.1/a", LookupOutcome.found(found[0])),
+                ("doi:10.1/missing", LookupOutcome.not_found()),
+                ("arxiv:2001.00001", LookupOutcome.found(found[1])),
+                ("doi:10.1/down", LookupOutcome.unavailable("timeout")),
+            ),
+            title_search=SearchOutcome(records=tuple(searched[:3])),
+            author_search=SearchOutcome(records=tuple(searched[3:])),
+        )
+        v = classify(c, bundle, config)
+        assert v.status is VerdictStatus.HALLUCINATED
+        assert len(profile_calls) == len(found) + len(searched)
+        assert {id(r) for r in profile_calls} == {id(r) for r in found + searched}
+
+    def test_exemplars_profile_each_candidate_once(
+        self, exemplar_citations, resolver, config, profile_calls
+    ):
+        for citation in exemplar_citations:
+            bundle = resolver.resolve_citation(citation)
+            profile_calls.clear()
+            v = classify(citation, bundle, config)
+            assert v.status is VerdictStatus.HALLUCINATED
+            assert len(profile_calls) == len(bundle.all_candidates)
 
 
 class TestOutageSafety:

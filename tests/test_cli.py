@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -287,6 +290,25 @@ class TestUsageErrors:
         out = capsys.readouterr().out
         assert "citeaudit" in out
         assert citeaudit.__version__ in out
+
+
+class TestStartup:
+    def test_import_does_not_load_requests(self):
+        # Offline runs never build an HTTP client, so they should not pay
+        # for importing requests.
+        src = str(Path(citeaudit.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = "import sys, citeaudit.cli; print('requests' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert result.stdout.strip() == "False"
 
 
 class TestClassifyCommand:

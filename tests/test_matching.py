@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -53,6 +54,48 @@ class TestLevenshtein:
     @given(a=short_text, b=short_text)
     def test_symmetry(self, a, b):
         assert levenshtein(a, b) == levenshtein(b, a)
+
+    # Lengths on both sides of 32, 64, 128 and 256 bits: a bit-vector column
+    # cut to a fixed width first goes wrong there.
+    WORD_EDGES = (0, 1, 2, 31, 32, 63, 64, 65, 127, 128, 129, 255, 256, 300)
+    ALPHABETS = (
+        "ab",
+        "abcdefghijklmnopqrstuvwxyz0123456789 ",
+        "aeiouéèêëåäöøßæœ ",
+        "a\u0301\u00e9\u4e2d\u6587\U0001d49c\U0001f600 ",
+    )
+
+    def _long_pairs(self):
+        rng = random.Random(20011999)
+        pairs = []
+        for alphabet in self.ALPHABETS:
+            for length in self.WORD_EDGES:
+                a = "".join(rng.choice(alphabet) for _ in range(length))
+                # One unrelated partner and one a few edits away, so both
+                # large and small distances are covered.
+                other = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 300)))
+                edited = list(a)
+                for _ in range(rng.randint(0, 8)):
+                    op = rng.randrange(3)
+                    pos = rng.randint(0, len(edited))
+                    if op == 0:
+                        edited.insert(pos, rng.choice(alphabet))
+                    elif edited and pos < len(edited):
+                        if op == 1:
+                            del edited[pos]
+                        else:
+                            edited[pos] = rng.choice(alphabet)
+                pairs.append((a, other))
+                pairs.append((a, "".join(edited)))
+        return pairs
+
+    def test_long_and_non_ascii_match_full_matrix_oracle(self):
+        for a, b in self._long_pairs():
+            assert levenshtein(a, b) == edit_distance_matrix(a, b), (a, b)
+
+    def test_long_and_non_ascii_symmetric(self):
+        for a, b in self._long_pairs():
+            assert levenshtein(a, b) == levenshtein(b, a)
 
 
 class TestTitleSimilarity:
@@ -227,14 +270,18 @@ class TestProfileMatch:
 
 
 class TestBestCandidate:
+    @staticmethod
+    def _scored(c, records):
+        return [(r, profile_match(c, r, MatchThresholds())) for r in records]
+
     def test_empty_pool_is_none(self):
-        assert best_candidate(make_citation(), (), MatchThresholds()) is None
+        assert best_candidate([]) is None
 
     def test_picks_highest_title_similarity(self):
         c = make_citation(title="Deep learning for tabular data")
         far = make_record(title="Unrelated topic entirely elsewhere")
         near = make_record(title="Deep learning for tabular data analysis")
-        record, profile = best_candidate(c, (far, near), MatchThresholds())
+        record, profile = best_candidate(self._scored(c, (far, near)))
         assert record is near
         assert profile.title_similarity > 0.5
 
@@ -242,8 +289,16 @@ class TestBestCandidate:
         c = make_citation(title="Same title", authors=("Ada Lovelace",))
         other = make_record(title="Same title", authors=("Charles Babbage",))
         same = make_record(title="Same title", authors=("Ada Lovelace",))
-        record, _ = best_candidate(c, (other, same), MatchThresholds())
+        record, _ = best_candidate(self._scored(c, (other, same)))
         assert record is same
+
+    def test_full_tie_keeps_provider_order(self):
+        c = make_citation(title="Same title", authors=("Ada Lovelace",))
+        first = make_record(title="Same title", authors=("Ada Lovelace",))
+        second = make_record(title="Same title", authors=("Ada Lovelace",))
+        scored = self._scored(c, (first, second))
+        assert best_candidate(scored)[0] is first
+        assert best_candidate(scored[::-1])[0] is second
 
 
 class TestVocab:

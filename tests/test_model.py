@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import string
+import unicodedata
 
 import pytest
 from hypothesis import given
@@ -14,8 +16,10 @@ from citeaudit.model import (
     Span,
     Verdict,
     VerdictStatus,
+    _LATIN_FOLD,
     author_from_dict,
     author_to_dict,
+    fold_diacritics,
     identifier_from_dict,
     identifier_to_dict,
     normalize_name,
@@ -58,6 +62,40 @@ class TestNormalizeName:
         a = normalize_name("Nanda")
         assert a.surname == "nanda"
         assert a.given_tokens == ()
+
+
+def _fold_per_character(text: str) -> str:
+    """fold_diacritics without its ASCII shortcut: every character goes
+    through the _LATIN_FOLD table or NFKD minus combining marks."""
+    out = []
+    for ch in text:
+        if ch in _LATIN_FOLD:
+            out.append(_LATIN_FOLD[ch])
+        else:
+            decomposed = unicodedata.normalize("NFKD", ch)
+            out.append("".join(c for c in decomposed if not unicodedata.combining(c)))
+    return "".join(out)
+
+
+class TestFoldDiacritics:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            string.printable,
+            "Attention is all you need",
+            "José García, Łukasz Kaiser and Søren Ærø",
+            "Straße, þorn, ðe, ı, œuvre, Œ, đ, Đ",
+            "".join(_LATIN_FOLD),
+            "ﬁne ½ x² 中文 😀 a\u0301",
+        ],
+    )
+    def test_same_as_per_character_path(self, text):
+        assert fold_diacritics(text) == _fold_per_character(text)
+
+    @given(st.text(max_size=60))
+    def test_same_as_per_character_path_on_any_text(self, text):
+        assert fold_diacritics(text) == _fold_per_character(text)
 
 
 class TestVerdictContract:
