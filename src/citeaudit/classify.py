@@ -330,10 +330,18 @@ def classify_batch(
     config: ClassifierConfig,
     jobs: int = 4,
 ) -> list[Verdict]:
-    """Classify citations concurrently, preserving input order."""
+    """Classify citations concurrently, preserving input order.
+
+    A resolver with a ``prefetch`` method gets the whole list first, on this
+    thread, so its batched requests go out in a fixed order before the
+    per-citation lookups start.
+    """
     citations = list(citations)
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    prefetch = getattr(resolver, "prefetch", None)
+    if prefetch is not None:
+        prefetch(citations)
     if jobs == 1 or len(citations) <= 1:
         return [_safe_classify(c, resolver, config) for c in citations]
     with ThreadPoolExecutor(max_workers=jobs) as pool:

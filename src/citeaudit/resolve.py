@@ -8,8 +8,10 @@ must never be conflated or a provider outage would look like fabrication.
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -106,24 +108,12 @@ class ResolutionBundle:
     short_circuit: bool = False
 
     @property
-    def identifier_records(self) -> tuple[ResolvedRecord, ...]:
-        return tuple(
-            o.record
-            for _, o in self.identifier_outcomes
-            if o.status is LookupStatus.FOUND and o.record is not None
-        )
-
-    @property
     def search_candidates(self) -> tuple[ResolvedRecord, ...]:
         records: list[ResolvedRecord] = []
         for outcome in (self.title_search, self.author_search):
             if outcome is not None:
                 records.extend(outcome.records)
         return tuple(records)
-
-    @property
-    def all_candidates(self) -> tuple[ResolvedRecord, ...]:
-        return self.identifier_records + self.search_candidates
 
     def attempts(self) -> list[tuple[str, bool, str | None]]:
         """(label, was_unavailable, cause) per sub-lookup actually tried."""
@@ -235,6 +225,24 @@ def _new_session() -> requests.Session:
     return requests.Session()
 
 
+class _BadPayload(ValueError):
+    """A reply that parsed but does not have the shape the provider documents."""
+
+
+_REQUIRED = object()
+
+
+def _typed(value, kind, default=_REQUIRED):
+    """value when it is an instance of kind; default when value is None and a
+    default is given. Anything else is a malformed reply. bool never passes
+    for int, since JSON true is not a year or a page."""
+    if value is None and default is not _REQUIRED:
+        return default
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise _BadPayload(f"expected {kind}, got {type(value).__name__}")
+    return value
+
+
 def _http_failure_cause(resp: requests.Response) -> str:
     if resp.status_code == 429:
         return "rate_limited"
@@ -266,38 +274,50 @@ class CrossrefClient:
         if resp.status_code != 200:
             return LookupOutcome.unavailable(_http_failure_cause(resp))
         try:
-            message = resp.json().get("message", {})
-        except ValueError:
+            return LookupOutcome.found(self._record(resp.json(), doi))
+        except ValueError:  # undecodable JSON, or _BadPayload
             return LookupOutcome.unavailable("bad_response")
-        return LookupOutcome.found(self._record(message, doi))
 
-    def _record(self, message: dict, doi: str) -> ResolvedRecord:
-        titles = message.get("title") or [""]
-        container = message.get("container-title") or [""]
+    def _record(self, body, doi: str) -> ResolvedRecord:
+        message = _typed(_typed(body, dict).get("message"), dict)
+        titles = _typed(message.get("title"), list, [])
+        container = _typed(message.get("container-title"), list, [])
         authors = []
-        for a in message.get("author", []):
-            text = f"{a.get('given', '')} {a.get('family', '')}".strip()
+        for a in _typed(message.get("author"), list, []):
+            a = _typed(a, dict)
+            given = _typed(a.get("given"), str, "")
+            family = _typed(a.get("family"), str, "")
+            text = f"{given} {family}".strip()
             if text:
                 authors.append(normalize_name(text))
-        year = None
-        issued = message.get("issued", {}).get("date-parts", [[]])
-        if issued and issued[0] and isinstance(issued[0][0], int):
-            year = issued[0][0]
+        issued = _typed(message.get("issued"), dict, {})
+        parts = _typed(issued.get("date-parts"), list, [])
+        first = _typed(parts[0] if parts else None, list, [])
+        year = _typed(first[0] if first else None, int, None)
         return ResolvedRecord(
             provider=self.name,
-            title=titles[0],
+            title=_typed(titles[0] if titles else None, str, ""),
             authors=tuple(authors),
-            venue=container[0],
+            venue=_typed(container[0] if container else None, str, ""),
             year=year,
-            pages=message.get("page"),
+            pages=_typed(message.get("page"), str, None),
             identifiers=(
-                make_identifier(IdentifierKind.DOI, message.get("DOI", doi)),
+                make_identifier(IdentifierKind.DOI, _typed(message.get("DOI"), str, doi)),
             ),
             provenance_query=f"doi:{doi}",
         )
 
 
 _ATOM_NS = {"atom": "http://www.w3.org/2005/Atom"}
+
+
+_ARXIV_VERSION_RE = re.compile(r"v\d+$")
+
+
+def _arxiv_match_key(arxiv_id: str) -> str:
+    """The form in which a requested id and an Atom entry's id are compared:
+    lowercased, without a version suffix."""
+    return _ARXIV_VERSION_RE.sub("", arxiv_id.lower())
 
 
 class ArxivClient:
@@ -309,35 +329,60 @@ class ArxivClient:
         self._session = session or _new_session()
 
     def lookup_arxiv(self, arxiv_id: str) -> LookupOutcome:
+        return self.lookup_arxiv_ids([arxiv_id])[arxiv_id]
+
+    def lookup_arxiv_ids(self, arxiv_ids: Sequence[str]) -> dict[str, LookupOutcome]:
+        """Look up several ids in one request (``id_list=a,b,c``).
+
+        Each Atom entry is matched to a requested id through its ``<id>``
+        URL. A requested id with no entry is NotFound. A failed request, or a
+        reply whose entries cannot all be matched, makes every id Unavailable,
+        since such a reply says nothing about any one id. A lone id takes the
+        first entry, whatever its ``<id>``, and an error pseudo-entry for it is
+        NotFound: the API reports a malformed id that way.
+        """
         import requests
 
-        url = self.config.base_endpoint
+        ids = list(arxiv_ids)
+
+        def unavailable(cause: str) -> dict[str, LookupOutcome]:
+            return {i: LookupOutcome.unavailable(cause) for i in ids}
+
         try:
             resp = self._session.get(
-                url,
-                params={"id_list": arxiv_id, "max_results": 1},
+                self.config.base_endpoint,
+                params={"id_list": ",".join(ids), "max_results": len(ids)},
                 timeout=self.config.timeout,
             )
         except requests.Timeout:
-            return LookupOutcome.unavailable("timeout")
+            return unavailable("timeout")
         except requests.ConnectionError:
-            return LookupOutcome.unavailable("connection")
+            return unavailable("connection")
         if resp.status_code != 200:
-            return LookupOutcome.unavailable(_http_failure_cause(resp))
+            return unavailable(_http_failure_cause(resp))
         try:
-            root = ElementTree.fromstring(resp.text)
+            entries = ElementTree.fromstring(resp.text).findall("atom:entry", _ATOM_NS)
         except ElementTree.ParseError:
-            return LookupOutcome.unavailable("bad_response")
-        entries = root.findall("atom:entry", _ATOM_NS)
-        if not entries:
-            return LookupOutcome.not_found()
-        entry = entries[0]
-        entry_id = entry.findtext("atom:id", default="", namespaces=_ATOM_NS)
-        title = " ".join(
-            entry.findtext("atom:title", default="", namespaces=_ATOM_NS).split()
-        )
-        # The API reports bad ids as a pseudo-entry under api/errors.
-        if "api/errors" in entry_id or title.lower() == "error":
+            return unavailable("bad_response")
+        if len(ids) == 1:
+            return {ids[0]: self._entry_outcome(entries[0] if entries else None, ids[0])}
+        wanted = {_arxiv_match_key(i) for i in ids}
+        by_key: dict[str, ElementTree.Element] = {}
+        for entry in entries:
+            if _is_error_entry(entry):
+                return unavailable("bad_response")
+            entry_id = entry.findtext("atom:id", default="", namespaces=_ATOM_NS)
+            _, sep, tail = entry_id.partition("/abs/")
+            key = _arxiv_match_key(tail)
+            if not sep or key not in wanted:
+                return unavailable("bad_response")
+            by_key.setdefault(key, entry)
+        return {i: self._entry_outcome(by_key.get(_arxiv_match_key(i)), i) for i in ids}
+
+    def _entry_outcome(
+        self, entry: ElementTree.Element | None, arxiv_id: str
+    ) -> LookupOutcome:
+        if entry is None or _is_error_entry(entry):
             return LookupOutcome.not_found()
         authors = tuple(
             normalize_name(name_el.text.strip())
@@ -349,7 +394,7 @@ class ArxivClient:
         return LookupOutcome.found(
             ResolvedRecord(
                 provider=self.name,
-                title=title,
+                title=_entry_title(entry),
                 authors=authors,
                 venue="arXiv",
                 year=year,
@@ -357,6 +402,16 @@ class ArxivClient:
                 provenance_query=f"arxiv:{arxiv_id}",
             )
         )
+
+
+def _entry_title(entry: ElementTree.Element) -> str:
+    return " ".join(entry.findtext("atom:title", default="", namespaces=_ATOM_NS).split())
+
+
+def _is_error_entry(entry: ElementTree.Element) -> bool:
+    # The API reports bad ids as a pseudo-entry under api/errors.
+    entry_id = entry.findtext("atom:id", default="", namespaces=_ATOM_NS)
+    return "api/errors" in entry_id or _entry_title(entry).lower() == "error"
 
 
 class OpenAlexClient:
@@ -367,76 +422,74 @@ class OpenAlexClient:
         self.config = config
         self._session = session or _new_session()
 
-    def _get(self, params: dict) -> tuple[list[dict] | None, str | None]:
+    def _search(self, params: dict, query: str) -> SearchOutcome:
         import requests
 
         url = f"{self.config.base_endpoint.rstrip('/')}/works"
         try:
             resp = self._session.get(url, params=params, timeout=self.config.timeout)
         except requests.Timeout:
-            return None, "timeout"
+            return SearchOutcome(cause="timeout")
         except requests.ConnectionError:
-            return None, "connection"
+            return SearchOutcome(cause="connection")
         if resp.status_code != 200:
-            return None, _http_failure_cause(resp)
+            return SearchOutcome(cause=_http_failure_cause(resp))
         try:
-            return resp.json().get("results", []), None
-        except ValueError:
-            return None, "bad_response"
+            results = _typed(_typed(resp.json(), dict).get("results"), list)
+            return SearchOutcome(records=tuple(self._record(w, query) for w in results))
+        except ValueError:  # undecodable JSON, or _BadPayload
+            return SearchOutcome(cause="bad_response")
 
-    def _record(self, work: dict, query: str) -> ResolvedRecord:
+    def _record(self, work, query: str) -> ResolvedRecord:
+        work = _typed(work, dict)
         authors = []
-        for authorship in work.get("authorships", []):
-            name = (authorship.get("author") or {}).get("display_name", "")
+        for authorship in _typed(work.get("authorships"), list, []):
+            author = _typed(_typed(authorship, dict).get("author"), dict, {})
+            name = _typed(author.get("display_name"), str, "")
             if name:
                 authors.append(normalize_name(name))
-        venue = ""
-        location = work.get("primary_location") or {}
-        source = location.get("source") or {}
-        if source.get("display_name"):
-            venue = source["display_name"]
+        location = _typed(work.get("primary_location"), dict, {})
+        source = _typed(location.get("source"), dict, {})
+        venue = _typed(source.get("display_name"), str, "")
         identifiers = []
-        doi = (work.get("ids") or {}).get("doi") or work.get("doi")
+        ids = _typed(work.get("ids"), dict, {})
+        doi = _typed(ids.get("doi"), str, "") or _typed(work.get("doi"), str, "")
         if doi:
             identifiers.append(make_identifier(IdentifierKind.DOI, doi))
-        biblio = work.get("biblio") or {}
+        biblio = _typed(work.get("biblio"), dict, {})
+        first_page = _typed(biblio.get("first_page"), (str, int), None)
+        last_page = _typed(biblio.get("last_page"), (str, int), None)
         pages = None
-        if biblio.get("first_page"):
-            pages = str(biblio["first_page"])
-            if biblio.get("last_page") and biblio["last_page"] != biblio["first_page"]:
-                pages = f"{pages}-{biblio['last_page']}"
+        if first_page:
+            pages = str(first_page)
+            if last_page and last_page != first_page:
+                pages = f"{pages}-{last_page}"
+        title = _typed(work.get("display_name"), str, "") or _typed(
+            work.get("title"), str, ""
+        )
         return ResolvedRecord(
             provider=self.name,
-            title=work.get("display_name") or work.get("title") or "",
+            title=title,
             authors=tuple(authors),
             venue=venue,
-            year=work.get("publication_year"),
+            year=_typed(work.get("publication_year"), int, None),
             pages=pages,
             identifiers=tuple(identifiers),
             provenance_query=query,
         )
 
     def search_title(self, title: str) -> SearchOutcome:
-        results, cause = self._get({"search": title, "per-page": 5})
-        if cause is not None:
-            return SearchOutcome(cause=cause)
-        query = f"title:{normalize_title(title)}"
-        return SearchOutcome(
-            records=tuple(self._record(w, query) for w in results)
+        return self._search(
+            {"search": title, "per-page": 5}, f"title:{normalize_title(title)}"
         )
 
     def search_author_year(self, surname: str, year: int) -> SearchOutcome:
-        results, cause = self._get(
+        return self._search(
             {
                 "filter": f"raw_author_name.search:{surname},publication_year:{year}",
                 "per-page": 10,
-            }
-        )
-        if cause is not None:
-            return SearchOutcome(cause=cause)
-        query = f"author:{surname.lower()}:{year}"
-        return SearchOutcome(
-            records=tuple(self._record(w, query) for w in results)
+            },
+            f"author:{surname.lower()}:{year}",
         )
 
 
@@ -526,12 +579,32 @@ def _payload_search(payload: dict) -> SearchOutcome:
     )
 
 
+# Most arXiv ids Resolver.prefetch puts in one request.
+ARXIV_BATCH_SIZE = 100
+
+
+def _lookup_ids(citation: ParsedCitation):
+    """(kind, normalized value) of each DOI and arXiv id worth looking up."""
+    for ident in citation.identifiers:
+        if ident.kind is IdentifierKind.URL:
+            continue
+        check = check_identifier(ident)
+        if check.syntax is IdentifierSyntax.VALID and check.normalized is not None:
+            yield ident.kind, check.normalized
+
+
+def _arxiv_key(arxiv_id: str) -> str:
+    return f"arxiv:{arxiv_id.lower()}"
+
+
 class Resolver:
     """Routes lookups to providers with rate limiting and caching.
 
     Providers are consulted in list order; the first enabled provider that
-    implements an operation owns it. Thread-safe: one instance may serve a
-    whole worker pool.
+    implements an operation owns it. Found and NotFound outcomes and
+    successful searches are kept for the life of the resolver, so a key
+    repeated within one run goes to the network once, with or without a
+    cache. Thread-safe: one instance may serve a whole worker pool.
     """
 
     def __init__(
@@ -553,6 +626,11 @@ class Resolver:
                 self._buckets[id(provider)] = TokenBucket(rate=rate, capacity=1.0)
         self._ops_lock = threading.Lock()
         self._network_ops = 0
+        # Settled outcomes by cache key; never an Unavailable one.
+        self._known: dict[str, LookupOutcome | SearchOutcome] = {}
+        # One lock per key, so concurrent lookups of a key send one request.
+        self._key_locks: dict[str, threading.Lock] = {}
+        self._key_locks_guard = threading.Lock()
 
     @property
     def network_ops(self) -> int:
@@ -578,45 +656,60 @@ class Resolver:
             return True
         return bucket.acquire(timeout=self.max_rate_wait)
 
-    def _cached_lookup(self, key: str, op: str, value) -> LookupOutcome:
+    def _key_lock(self, key: str) -> threading.Lock:
+        with self._key_locks_guard:
+            return self._key_locks.setdefault(key, threading.Lock())
+
+    def _remember(self, key: str, outcome, payload: dict) -> None:
+        self._known[key] = outcome
         if self.cache is not None:
-            payload = self.cache.get(key)
-            if payload is not None:
-                return _payload_outcome(payload)
-        provider = self._provider_for(op)
-        if provider is None:
-            return LookupOutcome.unavailable("no_provider")
-        if not self._acquire(provider):
-            return LookupOutcome.unavailable("rate_limited")
-        self._count_op()
-        outcome: LookupOutcome = getattr(provider, op)(value)
-        if outcome.status is not LookupStatus.UNAVAILABLE and self.cache is not None:
-            self.cache.put(key, _outcome_payload(outcome))
-        return outcome
+            self.cache.put(key, payload)
+
+    def _cached_lookup(self, key: str, op: str, value) -> LookupOutcome:
+        with self._key_lock(key):
+            known = self._known.get(key)
+            if known is not None:
+                return known
+            if self.cache is not None:
+                payload = self.cache.get(key)
+                if payload is not None:
+                    return _payload_outcome(payload)
+            provider = self._provider_for(op)
+            if provider is None:
+                return LookupOutcome.unavailable("no_provider")
+            if not self._acquire(provider):
+                return LookupOutcome.unavailable("rate_limited")
+            self._count_op()
+            outcome: LookupOutcome = getattr(provider, op)(value)
+            if outcome.status is not LookupStatus.UNAVAILABLE:
+                self._remember(key, outcome, _outcome_payload(outcome))
+            return outcome
 
     def lookup_doi(self, doi: str) -> LookupOutcome:
         return self._cached_lookup(f"doi:{doi.lower()}", "lookup_doi", doi)
 
     def lookup_arxiv(self, arxiv_id: str) -> LookupOutcome:
-        return self._cached_lookup(
-            f"arxiv:{arxiv_id.lower()}", "lookup_arxiv", arxiv_id
-        )
+        return self._cached_lookup(_arxiv_key(arxiv_id), "lookup_arxiv", arxiv_id)
 
     def _cached_search(self, key: str, op: str, *args) -> SearchOutcome:
-        if self.cache is not None:
-            payload = self.cache.get(key)
-            if payload is not None:
-                return _payload_search(payload)
-        provider = self._provider_for(op)
-        if provider is None:
-            return SearchOutcome(cause="no_provider")
-        if not self._acquire(provider):
-            return SearchOutcome(cause="rate_limited")
-        self._count_op()
-        outcome: SearchOutcome = getattr(provider, op)(*args)
-        if not outcome.failed and self.cache is not None:
-            self.cache.put(key, _search_payload(outcome))
-        return outcome
+        with self._key_lock(key):
+            known = self._known.get(key)
+            if known is not None:
+                return known
+            if self.cache is not None:
+                payload = self.cache.get(key)
+                if payload is not None:
+                    return _payload_search(payload)
+            provider = self._provider_for(op)
+            if provider is None:
+                return SearchOutcome(cause="no_provider")
+            if not self._acquire(provider):
+                return SearchOutcome(cause="rate_limited")
+            self._count_op()
+            outcome: SearchOutcome = getattr(provider, op)(*args)
+            if not outcome.failed:
+                self._remember(key, outcome, _search_payload(outcome))
+            return outcome
 
     def search_title(self, title: str) -> SearchOutcome:
         key = f"title:{normalize_title(title)}"
@@ -625,6 +718,55 @@ class Resolver:
     def search_author_year(self, surname: str, year: int) -> SearchOutcome:
         key = f"author:{surname.lower()}:{year}"
         return self._cached_search(key, "search_author_year", surname, year)
+
+    def prefetch(self, citations) -> None:
+        """Settle the arXiv ids of a whole bibliography in batched requests.
+
+        Runs only when the provider that owns lookup_arxiv also has
+        lookup_arxiv_ids. Ids already settled or cached are skipped; the rest
+        go out in first-appearance order, ARXIV_BATCH_SIZE per request, each
+        request taking one rate-limit token. What a batch settles is kept as
+        a lookup would keep it; an id left unsettled is looked up on its own
+        later by resolve_citation, as it would be without this pass.
+        """
+        provider = self._provider_for("lookup_arxiv")
+        if provider is None or not hasattr(provider, "lookup_arxiv_ids"):
+            return
+        pending: dict[str, str] = {}
+        for citation in citations:
+            for kind, value in _lookup_ids(citation):
+                if kind is not IdentifierKind.ARXIV:
+                    continue
+                key = _arxiv_key(value)
+                if key in pending or key in self._known:
+                    continue
+                if self.cache is not None and self.cache.get(key) is not None:
+                    continue
+                pending[key] = value
+        ids = list(pending.values())
+        for start in range(0, len(ids), ARXIV_BATCH_SIZE):
+            self._fetch_arxiv_batch(provider, ids[start : start + ARXIV_BATCH_SIZE])
+
+    def _fetch_arxiv_batch(self, provider, ids: list[str]) -> None:
+        # A failed batch is fetched again in halves, so one failing id
+        # cannot take the others down with it: an id ends up unsettled only
+        # when a request for it alone failed.
+        if not self._acquire(provider):
+            return
+        self._count_op()
+        outcomes = provider.lookup_arxiv_ids(ids)
+        unsettled = []
+        for arxiv_id in ids:
+            outcome = outcomes[arxiv_id]
+            if outcome.status is LookupStatus.UNAVAILABLE:
+                unsettled.append(arxiv_id)
+            else:
+                self._remember(_arxiv_key(arxiv_id), outcome, _outcome_payload(outcome))
+        if len(ids) > 1 and unsettled:
+            half = (len(unsettled) + 1) // 2
+            for part in (unsettled[:half], unsettled[half:]):
+                if part:
+                    self._fetch_arxiv_batch(provider, part)
 
     def resolve_citation(self, citation: ParsedCitation) -> ResolutionBundle:
         """Run the lookup ladder for one citation.
@@ -637,17 +779,12 @@ class Resolver:
         id_outcomes: list[tuple[str, LookupOutcome]] = []
         short = False
 
-        for ident in citation.identifiers:
-            if ident.kind is IdentifierKind.URL:
-                continue
-            check = check_identifier(ident)
-            if check.syntax is not IdentifierSyntax.VALID or check.normalized is None:
-                continue
-            if ident.kind is IdentifierKind.DOI:
-                outcome = self.lookup_doi(check.normalized)
+        for kind, value in _lookup_ids(citation):
+            if kind is IdentifierKind.DOI:
+                outcome = self.lookup_doi(value)
             else:
-                outcome = self.lookup_arxiv(check.normalized)
-            id_outcomes.append((f"{ident.kind.value}:{check.normalized}", outcome))
+                outcome = self.lookup_arxiv(value)
+            id_outcomes.append((f"{kind.value}:{value}", outcome))
             if outcome.status is LookupStatus.FOUND and outcome.record is not None:
                 profile = profile_match(citation, outcome.record, self.thresholds)
                 if profile.core_all_match():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import importlib
+import json
+from importlib.resources import files
 
 import pytest
 from hypothesis import given, settings
@@ -20,13 +22,16 @@ from citeaudit.model import (
     VerdictStatus,
 )
 from citeaudit.resolve import (
+    ArxivClient,
     FixtureProvider,
     LookupOutcome,
+    ProviderConfig,
     ResolutionBundle,
     Resolver,
     SearchOutcome,
 )
-from tests.conftest import make_citation, make_record
+from tests.conftest import all_candidates, make_citation, make_record
+from tests.http_fakes import FakeArxivSession, Paper
 
 # The package re-exports the classify() function under the submodule's name,
 # so reach the module itself through the import system.
@@ -200,7 +205,7 @@ class TestProfileOnce:
             profile_calls.clear()
             v = classify(citation, bundle, config)
             assert v.status is VerdictStatus.HALLUCINATED
-            assert len(profile_calls) == len(bundle.all_candidates)
+            assert len(profile_calls) == len(all_candidates(bundle))
 
 
 class TestOutageSafety:
@@ -344,6 +349,16 @@ class TestPlaceholderDominance:
         assert classify(with_ph, bundle, config).primary is PH
 
 
+class _ResolveOnly:
+    """A resolver that offers resolve_citation and nothing else."""
+
+    def __init__(self, resolver):
+        self._resolver = resolver
+
+    def resolve_citation(self, citation):
+        return self._resolver.resolve_citation(citation)
+
+
 class TestBatch:
     def test_parallel_matches_sequential(self, exemplar_citations, config):
         sequential = classify_batch(
@@ -362,6 +377,66 @@ class TestBatch:
         assert [v.citation_key for v in parallel] == [
             c.source_key for c in exemplar_citations
         ]
+
+    def test_prefetch_leaves_verdicts_unchanged(self, exemplar_citations, config):
+        # arXiv lookups go to a batching client serving the packaged
+        # fixture's arXiv records; every other op to the fixture itself.
+        fixture = packaged_fixture_provider()
+        papers = {}
+        for key, entry in json.loads(
+            (files("citeaudit") / "data" / "fixtures.json").read_text("utf-8")
+        )["outcomes"].items():
+            if key.startswith("arxiv:") and entry.get("status") == "found":
+                record = entry["record"]
+                papers[key[len("arxiv:"):]] = Paper(
+                    record["title"], tuple(record["authors"]), record["year"]
+                )
+
+        # Beside the exemplars: a true citation, a hijacked id and a missing id.
+        extra = [
+            make_citation(
+                key="attention",
+                authors=(
+                    "Ashish Vaswani", "Noam Shazeer", "Niki Parmar", "Jakob Uszkoreit",
+                    "Llion Jones", "Aidan N. Gomez", "Lukasz Kaiser", "Illia Polosukhin",
+                ),
+                title="Attention Is All You Need",
+                year=2017,
+                identifiers=(make_identifier(IdentifierKind.ARXIV, "1706.03762"),),
+            ),
+            make_citation(
+                key="hijacked",
+                identifiers=(make_identifier(IdentifierKind.ARXIV, "arXiv:1412.6980v2"),),
+            ),
+            make_citation(
+                key="missing",
+                identifiers=(make_identifier(IdentifierKind.ARXIV, "9999.99999"),),
+            ),
+        ]
+        citations = list(exemplar_citations) + extra
+
+        def run(wrap):
+            session = FakeArxivSession(papers)
+            arxiv = ArxivClient(
+                ProviderConfig(name="arxiv", base_endpoint="http://stub"), session=session
+            )
+            resolver = Resolver(providers=[arxiv, fixture])
+            return classify_batch(citations, wrap(resolver), config, jobs=2), session
+
+        with_prefetch, batched = run(lambda r: r)
+        # classify_batch also takes a resolver that has no prefetch.
+        without_prefetch, single = run(_ResolveOnly)
+        assert with_prefetch == without_prefetch
+        ids = ["2107.13586", "1706.03762", "1412.6980", "9999.99999"]
+        assert batched.requests == [{"id_list": ",".join(ids), "max_results": 4}]
+        assert sorted(r["id_list"] for r in single.requests) == sorted(ids)
+        assert [v.status for v in with_prefetch] == [VerdictStatus.HALLUCINATED] * 5 + [
+            VerdictStatus.VERIFIED,
+            VerdictStatus.HALLUCINATED,
+            VerdictStatus.HALLUCINATED,
+        ]
+        assert IH in (with_prefetch[2].primary, with_prefetch[2].secondary)
+        assert IH in (with_prefetch[6].primary, with_prefetch[6].secondary)
 
     def test_internal_error_becomes_unverifiable(self, exemplar_citations, config):
         class ExplodingResolver:

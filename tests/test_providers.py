@@ -1,0 +1,240 @@
+"""The HTTP clients against canned replies: reply shapes and batched arXiv lookups."""
+from __future__ import annotations
+
+import pytest
+import requests
+
+from citeaudit.classify import ClassifierConfig, classify_citation
+from citeaudit.identifiers import make_identifier
+from citeaudit.model import IdentifierKind, VerdictStatus
+from citeaudit.resolve import (
+    ArxivClient,
+    CrossrefClient,
+    LookupOutcome,
+    LookupStatus,
+    OpenAlexClient,
+    ProviderConfig,
+    Resolver,
+    SearchOutcome,
+)
+from tests.conftest import make_citation
+from tests.http_fakes import (
+    ERROR_ENTRY,
+    FakeArxivSession,
+    FakeResponse,
+    Paper,
+    ReplySession,
+    atom_entry,
+    atom_feed,
+    json_response,
+)
+
+FOUND = LookupStatus.FOUND
+NOT_FOUND = LookupStatus.NOT_FOUND
+
+
+def _client(klass, reply):
+    config = ProviderConfig(name=klass.__name__.lower(), base_endpoint="http://stub")
+    return klass(config, session=ReplySession(reply))
+
+
+_CROSSREF_OK = {
+    "title": ["Deep learning"],
+    "container-title": ["Nature"],
+    "author": [{"given": "Yann", "family": "LeCun"}],
+    "issued": {"date-parts": [[2015, 5, 28]]},
+    "page": "436-444",
+    "DOI": "10.1038/nature14539",
+}
+
+
+class TestCrossrefShapes:
+    def test_well_formed_reply(self):
+        client = _client(CrossrefClient, json_response({"message": _CROSSREF_OK}))
+        outcome = client.lookup_doi("10.1038/nature14539")
+        assert outcome.status is FOUND
+        record = outcome.record
+        assert (record.title, record.venue, record.year, record.pages) == (
+            "Deep learning",
+            "Nature",
+            2015,
+            "436-444",
+        )
+        assert [a.surname for a in record.authors] == ["lecun"]
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            [],
+            [_CROSSREF_OK],
+            {},
+            {"message": None},
+            {"message": [_CROSSREF_OK]},
+            {"message": {**_CROSSREF_OK, "title": "Deep learning"}},
+            {"message": {**_CROSSREF_OK, "title": [["Deep learning"]]}},
+            {"message": {**_CROSSREF_OK, "container-title": "Nature"}},
+            {"message": {**_CROSSREF_OK, "author": "Yann LeCun"}},
+            {"message": {**_CROSSREF_OK, "author": [None]}},
+            {"message": {**_CROSSREF_OK, "author": [{"family": 7}]}},
+            {"message": {**_CROSSREF_OK, "issued": [[2015]]}},
+            {"message": {**_CROSSREF_OK, "issued": {"date-parts": [2015]}}},
+            {"message": {**_CROSSREF_OK, "issued": {"date-parts": [["2015"]]}}},
+            {"message": {**_CROSSREF_OK, "page": 436}},
+            {"message": {**_CROSSREF_OK, "DOI": ["10.1038/nature14539"]}},
+        ],
+    )
+    def test_malformed_reply_is_bad_response(self, body):
+        client = _client(CrossrefClient, json_response(body))
+        assert client.lookup_doi("10.1038/nature14539") == LookupOutcome.unavailable(
+            "bad_response"
+        )
+
+    def test_undecodable_reply_is_bad_response(self):
+        client = _client(CrossrefClient, FakeResponse(200, "<html>"))
+        assert client.lookup_doi("10.1/x").cause == "bad_response"
+
+    def test_malformed_reply_is_no_internal_error(self):
+        client = _client(CrossrefClient, json_response({"message": None}))
+        citation = make_citation(
+            identifiers=(make_identifier(IdentifierKind.DOI, "10.1038/nature14539"),),
+        )
+        verdict = classify_citation(
+            citation, Resolver(providers=[client]), ClassifierConfig()
+        )
+        assert verdict.status is VerdictStatus.UNVERIFIABLE
+        assert verdict.cause == "provider_unavailable"
+
+
+_WORK_OK = {
+    "display_name": "Deep learning",
+    "publication_year": 2015,
+    "authorships": [{"author": {"display_name": "Yann LeCun"}}],
+    "primary_location": {"source": {"display_name": "Nature"}},
+    "ids": {"doi": "https://doi.org/10.1038/nature14539"},
+    "biblio": {"first_page": "436", "last_page": "444"},
+}
+
+
+class TestOpenAlexShapes:
+    def test_well_formed_reply(self):
+        client = _client(OpenAlexClient, json_response({"results": [_WORK_OK]}))
+        outcome = client.search_title("Deep learning")
+        assert not outcome.failed
+        (record,) = outcome.records
+        assert (record.title, record.venue, record.year, record.pages) == (
+            "Deep learning",
+            "Nature",
+            2015,
+            "436-444",
+        )
+        assert record.provenance_query == "title:deep learning"
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            [],
+            [_WORK_OK],
+            {},
+            {"results": None},
+            {"results": {"0": _WORK_OK}},
+            {"results": [None]},
+            {"results": ["Deep learning"]},
+            {"results": [{**_WORK_OK, "publication_year": "2015"}]},
+            {"results": [{**_WORK_OK, "publication_year": True}]},
+            {"results": [{**_WORK_OK, "display_name": ["Deep learning"]}]},
+            {"results": [{**_WORK_OK, "authorships": {"author": "Yann LeCun"}}]},
+            {"results": [{**_WORK_OK, "authorships": ["Yann LeCun"]}]},
+            {"results": [{**_WORK_OK, "authorships": [{"author": "Yann LeCun"}]}]},
+            {"results": [{**_WORK_OK, "primary_location": "Nature"}]},
+            {"results": [{**_WORK_OK, "ids": {"doi": 10}}]},
+            {"results": [{**_WORK_OK, "biblio": {"first_page": ["436"]}}]},
+        ],
+    )
+    @pytest.mark.parametrize("op", ["title", "author_year"])
+    def test_malformed_reply_is_bad_response(self, body, op):
+        client = _client(OpenAlexClient, json_response(body))
+        if op == "title":
+            outcome = client.search_title("Deep learning")
+        else:
+            outcome = client.search_author_year("LeCun", 2015)
+        assert outcome == SearchOutcome(cause="bad_response")
+
+
+_PAPERS = {
+    "2101.00001": Paper("Sparse spectral methods", ("Ada Lovelace",), 2021),
+    "2102.00002": Paper("Robust graph learning", ("Charles Babbage", "Mary Somerville"), 2021),
+    "hep-th/9901001": Paper("Strings on branes", ("Alan Turing",), 1999),
+}
+_ARXIV = ProviderConfig(name="arxiv", base_endpoint="http://stub/api/query")
+
+
+class TestArxivBatch:
+    def test_batch_equals_single_lookups(self):
+        ids = ["2101.00001", "2102.00002v2", "hep-th/9901001", "2103.99999"]
+        session = FakeArxivSession(_PAPERS)
+        client = ArxivClient(_ARXIV, session=session)
+        batched = client.lookup_arxiv_ids(ids)
+        assert session.requests == [{"id_list": ",".join(ids), "max_results": 4}]
+        assert batched == {i: client.lookup_arxiv(i) for i in ids}
+        assert [batched[i].status for i in ids] == [FOUND, FOUND, FOUND, NOT_FOUND]
+        old_style = batched["hep-th/9901001"].record
+        assert old_style.title == "Strings on branes"
+        assert old_style.year == 1999
+        assert old_style.provenance_query == "arxiv:hep-th/9901001"
+        versioned = batched["2102.00002v2"].record
+        assert [a.surname for a in versioned.authors] == ["babbage", "somerville"]
+        assert versioned.identifiers == (
+            make_identifier(IdentifierKind.ARXIV, "2102.00002v2"),
+        )
+
+    def test_entries_matched_by_id_not_position(self):
+        reply = atom_feed(
+            atom_entry("http://arxiv.org/abs/2102.00002v3", "Second"),
+            atom_entry("http://arxiv.org/abs/2101.00001V1", "First"),
+        )
+        outcomes = _client(ArxivClient, reply).lookup_arxiv_ids(
+            ["2101.00001", "2102.00002", "2103.00003"]
+        )
+        assert outcomes["2101.00001"].record.title == "First"
+        assert outcomes["2102.00002"].record.title == "Second"
+        assert outcomes["2103.00003"] == LookupOutcome.not_found()
+
+    @pytest.mark.parametrize(
+        "reply, cause",
+        [
+            (FakeResponse(503), "http_5xx"),
+            (FakeResponse(429), "rate_limited"),
+            (FakeResponse(400), "http_400"),
+            (requests.Timeout(), "timeout"),
+            (requests.ConnectionError(), "connection"),
+            (FakeResponse(200, "<feed"), "bad_response"),
+            (atom_feed(ERROR_ENTRY), "bad_response"),
+            (
+                atom_feed(
+                    atom_entry("http://arxiv.org/abs/2101.00001v1", "First"),
+                    atom_entry("http://arxiv.org/abs/2109.99999v1", "Unasked"),
+                ),
+                "bad_response",
+            ),
+            (atom_feed(atom_entry("2101.00001v1", "No abs URL")), "bad_response"),
+            (atom_feed("<entry><title>No id</title></entry>"), "bad_response"),
+        ],
+    )
+    def test_failed_batch_makes_every_id_unavailable(self, reply, cause):
+        ids = ["2101.00001", "2102.00002"]
+        outcomes = _client(ArxivClient, reply).lookup_arxiv_ids(ids)
+        assert outcomes == {i: LookupOutcome.unavailable(cause) for i in ids}
+
+    def test_lone_id_keeps_the_single_lookup_meaning(self):
+        # A batch of one takes the first entry whatever its <id>, and reads
+        # an error pseudo-entry as NotFound.
+        other = atom_feed(atom_entry("http://arxiv.org/abs/1999.00001v1", "Whatever"))
+        outcome = _client(ArxivClient, other).lookup_arxiv("2101.00001")
+        assert outcome.status is FOUND
+        assert outcome.record.title == "Whatever"
+        assert _client(ArxivClient, atom_feed(ERROR_ENTRY)).lookup_arxiv(
+            "2101.00001"
+        ) == LookupOutcome.not_found()
+        assert _client(ArxivClient, atom_feed()).lookup_arxiv(
+            "2101.00001"
+        ) == LookupOutcome.not_found()

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import math
+import sys
 import threading
+import time
 
 import pytest
 
@@ -11,6 +14,7 @@ from citeaudit.identifiers import make_identifier
 from citeaudit.model import IdentifierKind
 from citeaudit.ratelimit import TokenBucket
 from citeaudit.resolve import (
+    ArxivClient,
     FixtureProvider,
     LookupCache,
     LookupOutcome,
@@ -20,7 +24,13 @@ from citeaudit.resolve import (
     Resolver,
     SearchOutcome,
 )
-from tests.conftest import make_citation, make_record
+from tests.conftest import (
+    all_candidates,
+    identifier_records,
+    make_citation,
+    make_record,
+)
+from tests.http_fakes import FakeArxivSession, Paper
 
 
 class FakeClock:
@@ -239,6 +249,50 @@ class TestResolver:
         assert len(flaky.calls) == 2
         assert len(cache) == 0
 
+    def test_repeated_lookup_memoized_without_cache(self):
+        provider = CountingProvider(
+            outcomes={"title:some title": {"records": [{"title": "Some Title"}]}}
+        )
+        resolver = Resolver(providers=[provider])
+        first = resolver.lookup_doi("10.1/x")
+        assert resolver.lookup_doi("10.1/X") == first
+        resolver.search_title("Some Title")
+        resolver.search_title("Some Title")
+        resolver.search_author_year("Lovelace", 2020)
+        resolver.search_author_year("Lovelace", 2020)
+        assert provider.calls == ["doi:10.1/x", "title", "author"]
+        assert resolver.network_ops == 3
+
+    def test_concurrent_lookups_of_one_key_send_one_request(self):
+        provider = CountingProvider()
+        original = provider.lookup_doi
+
+        def slow_lookup(doi):
+            time.sleep(0.01)
+            return original(doi)
+
+        provider.lookup_doi = slow_lookup
+        resolver = Resolver(providers=[provider])
+        outcomes = []
+
+        def worker():
+            for i in range(20):
+                outcomes.append(resolver.lookup_doi(f"10.1/{i % 4}"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(outcomes) == 160
+        assert sorted(provider.calls) == [f"doi:10.1/{i}" for i in range(4)]
+
     def test_search_results_cached(self, tmp_path):
         provider = CountingProvider(
             outcomes={"title:some title": {"records": [{"title": "Some Title"}]}}
@@ -332,6 +386,88 @@ class TestResolver:
         assert first == second
 
 
+_ARXIV = ProviderConfig(name="arxiv", base_endpoint="http://stub/api/query")
+
+
+def _papers(n: int) -> dict[str, Paper]:
+    return {
+        f"2101.{i:05d}": Paper(f"Paper number {i}", ("Ada Lovelace",), 2021)
+        for i in range(n)
+    }
+
+
+def _arxiv_citations(ids) -> list:
+    return [
+        make_citation(key=f"c{n}", identifiers=(make_identifier(IdentifierKind.ARXIV, i),))
+        for n, i in enumerate(ids)
+    ]
+
+
+class TestPrefetch:
+    @pytest.mark.parametrize("n, sizes", [(1, [1]), (100, [100]), (101, [100, 1])])
+    def test_clean_ids_take_one_request_per_hundred(self, n, sizes):
+        papers = _papers(n)
+        ids = list(papers)
+        session = FakeArxivSession(papers)
+        resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session)])
+        # Each id is cited twice and goes out once, in first-appearance order.
+        resolver.prefetch(_arxiv_citations(ids + ids))
+        assert session.requests == [
+            {"id_list": ",".join(ids[start : start + size]), "max_results": size}
+            for start, size in zip((0, 100), sizes)
+        ]
+        assert resolver.network_ops == len(sizes)
+        assert all(resolver.lookup_arxiv(i).status is LookupStatus.FOUND for i in ids)
+        assert len(session.requests) == len(sizes)
+
+    def test_failing_id_alone_is_unavailable(self, tmp_path):
+        papers = _papers(10)
+        ids = list(papers)
+        bad = ids[6]
+        session = FakeArxivSession(papers, failing={bad})
+        cache = LookupCache(tmp_path / "c.jsonl")
+        resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session)], cache=cache)
+        resolver.prefetch(_arxiv_citations(ids))
+        # Halving a failed batch isolates the failing id in a request of its own.
+        assert session.requests[0]["max_results"] == 10
+        assert {"id_list": bad, "max_results": 1} in session.requests
+        assert len(session.requests) <= 1 + 2 * math.ceil(math.log2(len(ids)))
+        assert len(cache) == 9
+        sent = len(session.requests)
+
+        single = ArxivClient(_ARXIV, session=FakeArxivSession(papers, failing={bad}))
+        got = {i: resolver.lookup_arxiv(i) for i in ids}
+        assert got == {i: single.lookup_arxiv(i) for i in ids}
+        assert got[bad] == LookupOutcome.unavailable("http_5xx")
+        assert all(got[i].status is LookupStatus.FOUND for i in ids if i != bad)
+        # Only the unsettled id goes out again, on the per-id path.
+        assert session.requests[sent:] == [{"id_list": bad, "max_results": 1}]
+
+    def test_skips_settled_and_cached_ids(self, tmp_path):
+        papers = _papers(3)
+        ids = list(papers)
+        session = FakeArxivSession(papers)
+        cache = LookupCache(tmp_path / "c.jsonl")
+        cache.put(f"arxiv:{ids[0]}", {"kind": "lookup", "status": "not_found", "record": None})
+        resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session)], cache=cache)
+        resolver.lookup_arxiv(ids[1])
+        resolver.prefetch(_arxiv_citations(ids))
+        assert session.requests == [
+            {"id_list": ids[1], "max_results": 1},
+            {"id_list": ids[2], "max_results": 1},
+        ]
+        assert resolver.lookup_arxiv(ids[0]).status is LookupStatus.NOT_FOUND
+
+    def test_needs_a_batching_arxiv_owner(self):
+        session = FakeArxivSession(_papers(3))
+        resolver = Resolver(
+            providers=[CountingProvider(), ArxivClient(_ARXIV, session=session)]
+        )
+        resolver.prefetch(_arxiv_citations(_papers(3)))
+        assert session.requests == []
+        assert resolver.network_ops == 0
+
+
 class TestResolutionBundle:
     def test_attempts_lists_every_lookup(self):
         bundle = ResolutionBundle(
@@ -355,6 +491,6 @@ class TestResolutionBundle:
             identifier_outcomes=(("doi:x", LookupOutcome.found(found)),),
             title_search=SearchOutcome(records=(searched,)),
         )
-        assert bundle.identifier_records == (found,)
+        assert identifier_records(bundle) == (found,)
         assert bundle.search_candidates == (searched,)
-        assert bundle.all_candidates == (found, searched)
+        assert all_candidates(bundle) == (found, searched)
