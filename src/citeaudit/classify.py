@@ -334,14 +334,19 @@ def classify_batch(
 
     A resolver with a ``prefetch`` method gets the whole list first, on this
     thread, so its batched requests go out in a fixed order before the
-    per-citation lookups start.
+    per-citation lookups start. The pre-pass only saves requests: if it
+    fails, whatever it did not settle is looked up per citation, where a
+    failure costs one verdict, not the batch.
     """
     citations = list(citations)
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     prefetch = getattr(resolver, "prefetch", None)
     if prefetch is not None:
-        prefetch(citations)
+        try:
+            prefetch(citations)
+        except Exception:
+            pass
     if jobs == 1 or len(citations) <= 1:
         return [_safe_classify(c, resolver, config) for c in citations]
     with ThreadPoolExecutor(max_workers=jobs) as pool:

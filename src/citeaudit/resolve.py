@@ -499,20 +499,25 @@ class LookupCache:
     Unavailable outcomes are never written: an outage is a statement about
     the moment, not about the work, and must not poison later runs. On read,
     the newest entry per key wins and entries older than the TTL are
-    ignored.
+    ignored. Without a path the cache lives in memory only, for the life of
+    the object.
     """
 
-    def __init__(self, path: str | Path, ttl_seconds: float = DEFAULT_CACHE_TTL_SECONDS):
+    def __init__(
+        self,
+        path: str | Path | None = None,
+        ttl_seconds: float = DEFAULT_CACHE_TTL_SECONDS,
+    ):
         if ttl_seconds <= 0:
             raise ValueError("ttl_seconds must be positive")
-        self.path = Path(path)
+        self.path = None if path is None else Path(path)
         self.ttl_seconds = ttl_seconds
         self._lock = threading.Lock()
         self._entries: dict[str, tuple[float, dict]] = {}
         self._load()
 
     def _load(self) -> None:
-        if not self.path.exists():
+        if self.path is None or not self.path.exists():
             return
         with self.path.open("r", encoding="utf-8") as fh:
             for line in fh:
@@ -541,11 +546,13 @@ class LookupCache:
 
     def put(self, key: str, payload: dict, now: float | None = None) -> None:
         now = time.time() if now is None else now
-        row = json.dumps(
-            {"key": key, "stored_at": now, "payload": payload}, ensure_ascii=False
-        )
         with self._lock:
             self._entries[key] = (now, payload)
+            if self.path is None:
+                return
+            row = json.dumps(
+                {"key": key, "stored_at": now, "payload": payload}, ensure_ascii=False
+            )
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a", encoding="utf-8") as fh:
                 fh.write(row + "\n")
@@ -602,9 +609,10 @@ class Resolver:
 
     Providers are consulted in list order; the first enabled provider that
     implements an operation owns it. Found and NotFound outcomes and
-    successful searches are kept for the life of the resolver, so a key
-    repeated within one run goes to the network once, with or without a
-    cache. Thread-safe: one instance may serve a whole worker pool.
+    successful searches go into the cache; without a configured one the
+    resolver keeps an in-memory LookupCache, so a key repeated within one
+    run goes to the network once either way. Thread-safe: one instance may
+    serve a whole worker pool.
     """
 
     def __init__(
@@ -616,7 +624,7 @@ class Resolver:
     ):
         self._providers = list(providers)
         self.thresholds = thresholds or MatchThresholds()
-        self.cache = cache
+        self.cache = cache if cache is not None else LookupCache()
         self.max_rate_wait = max_rate_wait
         self._buckets: dict[int, TokenBucket] = {}
         for provider in self._providers:
@@ -626,11 +634,9 @@ class Resolver:
                 self._buckets[id(provider)] = TokenBucket(rate=rate, capacity=1.0)
         self._ops_lock = threading.Lock()
         self._network_ops = 0
-        # Settled outcomes by cache key; never an Unavailable one.
-        self._known: dict[str, LookupOutcome | SearchOutcome] = {}
-        # One lock per key, so concurrent lookups of a key send one request.
-        self._key_locks: dict[str, threading.Lock] = {}
-        self._key_locks_guard = threading.Lock()
+        # arXiv ids whose own request failed in the last prefetch, by cache
+        # key, so the per-id path does not send them again that run.
+        self._arxiv_failed: dict[str, LookupOutcome] = {}
 
     @property
     def network_ops(self) -> int:
@@ -656,60 +662,45 @@ class Resolver:
             return True
         return bucket.acquire(timeout=self.max_rate_wait)
 
-    def _key_lock(self, key: str) -> threading.Lock:
-        with self._key_locks_guard:
-            return self._key_locks.setdefault(key, threading.Lock())
-
-    def _remember(self, key: str, outcome, payload: dict) -> None:
-        self._known[key] = outcome
-        if self.cache is not None:
-            self.cache.put(key, payload)
-
     def _cached_lookup(self, key: str, op: str, value) -> LookupOutcome:
-        with self._key_lock(key):
-            known = self._known.get(key)
-            if known is not None:
-                return known
-            if self.cache is not None:
-                payload = self.cache.get(key)
-                if payload is not None:
-                    return _payload_outcome(payload)
-            provider = self._provider_for(op)
-            if provider is None:
-                return LookupOutcome.unavailable("no_provider")
-            if not self._acquire(provider):
-                return LookupOutcome.unavailable("rate_limited")
-            self._count_op()
-            outcome: LookupOutcome = getattr(provider, op)(value)
-            if outcome.status is not LookupStatus.UNAVAILABLE:
-                self._remember(key, outcome, _outcome_payload(outcome))
-            return outcome
+        payload = self.cache.get(key)
+        if payload is not None:
+            return _payload_outcome(payload)
+        provider = self._provider_for(op)
+        if provider is None:
+            return LookupOutcome.unavailable("no_provider")
+        if not self._acquire(provider):
+            return LookupOutcome.unavailable("rate_limited")
+        self._count_op()
+        outcome: LookupOutcome = getattr(provider, op)(value)
+        if outcome.status is not LookupStatus.UNAVAILABLE:
+            self.cache.put(key, _outcome_payload(outcome))
+        return outcome
 
     def lookup_doi(self, doi: str) -> LookupOutcome:
         return self._cached_lookup(f"doi:{doi.lower()}", "lookup_doi", doi)
 
     def lookup_arxiv(self, arxiv_id: str) -> LookupOutcome:
-        return self._cached_lookup(_arxiv_key(arxiv_id), "lookup_arxiv", arxiv_id)
+        key = _arxiv_key(arxiv_id)
+        failed = self._arxiv_failed.get(key)
+        if failed is not None:
+            return failed
+        return self._cached_lookup(key, "lookup_arxiv", arxiv_id)
 
     def _cached_search(self, key: str, op: str, *args) -> SearchOutcome:
-        with self._key_lock(key):
-            known = self._known.get(key)
-            if known is not None:
-                return known
-            if self.cache is not None:
-                payload = self.cache.get(key)
-                if payload is not None:
-                    return _payload_search(payload)
-            provider = self._provider_for(op)
-            if provider is None:
-                return SearchOutcome(cause="no_provider")
-            if not self._acquire(provider):
-                return SearchOutcome(cause="rate_limited")
-            self._count_op()
-            outcome: SearchOutcome = getattr(provider, op)(*args)
-            if not outcome.failed:
-                self._remember(key, outcome, _search_payload(outcome))
-            return outcome
+        payload = self.cache.get(key)
+        if payload is not None:
+            return _payload_search(payload)
+        provider = self._provider_for(op)
+        if provider is None:
+            return SearchOutcome(cause="no_provider")
+        if not self._acquire(provider):
+            return SearchOutcome(cause="rate_limited")
+        self._count_op()
+        outcome: SearchOutcome = getattr(provider, op)(*args)
+        if not outcome.failed:
+            self.cache.put(key, _search_payload(outcome))
+        return outcome
 
     def search_title(self, title: str) -> SearchOutcome:
         key = f"title:{normalize_title(title)}"
@@ -723,12 +714,16 @@ class Resolver:
         """Settle the arXiv ids of a whole bibliography in batched requests.
 
         Runs only when the provider that owns lookup_arxiv also has
-        lookup_arxiv_ids. Ids already settled or cached are skipped; the rest
-        go out in first-appearance order, ARXIV_BATCH_SIZE per request, each
-        request taking one rate-limit token. What a batch settles is kept as
-        a lookup would keep it; an id left unsettled is looked up on its own
-        later by resolve_citation, as it would be without this pass.
+        lookup_arxiv_ids. Ids already cached are skipped; the rest go out in
+        first-appearance order, ARXIV_BATCH_SIZE per request, each request
+        taking one rate-limit token. A batch refused with a 429 is sent once
+        more; a batch that failed otherwise is split in halves. What a batch
+        settles is cached as a lookup would cache it. An id whose request
+        failed on its own answers that Unavailable outcome until the next
+        prefetch; any other id left unsettled is looked up on its own later
+        by resolve_citation, as it would be without this pass.
         """
+        self._arxiv_failed = {}
         provider = self._provider_for("lookup_arxiv")
         if provider is None or not hasattr(provider, "lookup_arxiv_ids"):
             return
@@ -738,35 +733,57 @@ class Resolver:
                 if kind is not IdentifierKind.ARXIV:
                     continue
                 key = _arxiv_key(value)
-                if key in pending or key in self._known:
-                    continue
-                if self.cache is not None and self.cache.get(key) is not None:
-                    continue
-                pending[key] = value
+                if key not in pending and self.cache.get(key) is None:
+                    pending[key] = value
         ids = list(pending.values())
         for start in range(0, len(ids), ARXIV_BATCH_SIZE):
-            self._fetch_arxiv_batch(provider, ids[start : start + ARXIV_BATCH_SIZE])
+            batch = ids[start : start + ARXIV_BATCH_SIZE]
+            unsettled, cause = self._request_arxiv(provider, batch)
+            if cause == "rate_limited" and len(batch) > 1:
+                # A 429 asks the client to slow down, not to send more
+                # requests: the batch goes once more, whole, on its next token.
+                unsettled, cause = self._request_arxiv(provider, unsettled)
+            self._split_failed(provider, unsettled, cause)
 
-    def _fetch_arxiv_batch(self, provider, ids: list[str]) -> None:
-        # A failed batch is fetched again in halves, so one failing id
-        # cannot take the others down with it: an id ends up unsettled only
-        # when a request for it alone failed.
+    def _request_arxiv(self, provider, ids: list[str]) -> tuple[list[str], str | None]:
+        """Send one batch request and cache what it settles. Returns the ids
+        left unsettled and the cause of their failure."""
         if not self._acquire(provider):
-            return
+            return ids, "rate_limited"
         self._count_op()
         outcomes = provider.lookup_arxiv_ids(ids)
         unsettled = []
+        cause = None
         for arxiv_id in ids:
             outcome = outcomes[arxiv_id]
-            if outcome.status is LookupStatus.UNAVAILABLE:
-                unsettled.append(arxiv_id)
-            else:
-                self._remember(_arxiv_key(arxiv_id), outcome, _outcome_payload(outcome))
-        if len(ids) > 1 and unsettled:
-            half = (len(unsettled) + 1) // 2
-            for part in (unsettled[:half], unsettled[half:]):
-                if part:
-                    self._fetch_arxiv_batch(provider, part)
+            key = _arxiv_key(arxiv_id)
+            if outcome.status is not LookupStatus.UNAVAILABLE:
+                self.cache.put(key, _outcome_payload(outcome))
+                continue
+            unsettled.append(arxiv_id)
+            cause = outcome.cause
+            if len(ids) == 1:
+                self._arxiv_failed[key] = outcome
+        return unsettled, cause
+
+    def _split_failed(self, provider, failed: list[str], cause: str | None) -> None:
+        # The ids of a failed request are sent again in halves, so one
+        # failing id cannot take the others down with it. A 429, or two
+        # halves that both fail whole (an outage, not one bad id), ends the
+        # splitting: the ids left are looked up on the per-id path.
+        if len(failed) < 2 or cause == "rate_limited":
+            return
+        half = (len(failed) + 1) // 2
+        results = []
+        for part in (failed[:half], failed[half:]):
+            unsettled, part_cause = self._request_arxiv(provider, part)
+            if part_cause == "rate_limited":
+                return
+            results.append((part, unsettled, part_cause))
+        if all(unsettled == part for part, unsettled, _ in results):
+            return
+        for _, unsettled, part_cause in results:
+            self._split_failed(provider, unsettled, part_cause)
 
     def resolve_citation(self, citation: ParsedCitation) -> ResolutionBundle:
         """Run the lookup ladder for one citation.

@@ -66,19 +66,26 @@ class FakeArxivSession:
 
     An entry's <id> carries the requested version, or v1 when none was
     asked for, as the live API's does. A request that names any id in
-    failing gets a 503, every time.
+    failing gets failing_status, every time; so does the first request that
+    names an id in fail_once.
     """
 
-    def __init__(self, papers: dict[str, Paper], failing=()):
+    def __init__(
+        self, papers: dict[str, Paper], failing=(), failing_status: int = 503, fail_once=()
+    ):
         self.papers = papers
         self.failing = frozenset(failing)
+        self.failing_status = failing_status
+        self.fail_once = set(fail_once)
         self.requests: list[dict] = []
 
     def get(self, url, params=None, timeout=None):
         self.requests.append(dict(params))
         ids = params["id_list"].split(",")
-        if self.failing.intersection(ids):
-            return FakeResponse(503, "")
+        once = self.fail_once.intersection(ids)
+        if once or self.failing.intersection(ids):
+            self.fail_once -= once
+            return FakeResponse(self.failing_status, "")
         entries = []
         for arxiv_id in ids:
             base = re.sub(r"v\d+$", "", arxiv_id.lower())

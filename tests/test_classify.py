@@ -349,6 +349,67 @@ class TestPlaceholderDominance:
         assert classify(with_ph, bundle, config).primary is PH
 
 
+def _fixture_arxiv_papers() -> dict:
+    """The packaged fixture's arXiv records, as a fake arXiv endpoint serves them."""
+    papers = {}
+    for key, entry in json.loads(
+        (files("citeaudit") / "data" / "fixtures.json").read_text("utf-8")
+    )["outcomes"].items():
+        if key.startswith("arxiv:") and entry.get("status") == "found":
+            record = entry["record"]
+            papers[key[len("arxiv:"):]] = Paper(
+                record["title"], tuple(record["authors"]), record["year"]
+            )
+    return papers
+
+
+def _arxiv_citations(exemplar_citations) -> list:
+    """The exemplars, then a true citation, a hijacked id and a missing id."""
+    extra = [
+        make_citation(
+            key="attention",
+            authors=(
+                "Ashish Vaswani", "Noam Shazeer", "Niki Parmar", "Jakob Uszkoreit",
+                "Llion Jones", "Aidan N. Gomez", "Lukasz Kaiser", "Illia Polosukhin",
+            ),
+            title="Attention Is All You Need",
+            year=2017,
+            identifiers=(make_identifier(IdentifierKind.ARXIV, "1706.03762"),),
+        ),
+        make_citation(
+            key="hijacked",
+            identifiers=(make_identifier(IdentifierKind.ARXIV, "arXiv:1412.6980v2"),),
+        ),
+        make_citation(
+            key="missing",
+            identifiers=(make_identifier(IdentifierKind.ARXIV, "9999.99999"),),
+        ),
+    ]
+    return list(exemplar_citations) + extra
+
+
+def _classify_with_arxiv(citations, config, session, wrap=lambda r: r):
+    # arXiv lookups go to a batching client over session; every other op to
+    # the packaged fixture.
+    arxiv = ArxivClient(
+        ProviderConfig(name="arxiv", base_endpoint="http://stub"), session=session
+    )
+    resolver = Resolver(providers=[arxiv, packaged_fixture_provider()])
+    return classify_batch(citations, wrap(resolver), config, jobs=2)
+
+
+class _BrokenBatchSession(FakeArxivSession):
+    """Cuts off every reply to a request of more than one id."""
+
+    def get(self, url, params=None, timeout=None):
+        import requests
+
+        if "," in params["id_list"]:
+            self.requests.append(dict(params))
+            raise requests.exceptions.ChunkedEncodingError("connection cut mid-body")
+        return super().get(url, params=params, timeout=timeout)
+
+
 class _ResolveOnly:
     """A resolver that offers resolve_citation and nothing else."""
 
@@ -379,53 +440,13 @@ class TestBatch:
         ]
 
     def test_prefetch_leaves_verdicts_unchanged(self, exemplar_citations, config):
-        # arXiv lookups go to a batching client serving the packaged
-        # fixture's arXiv records; every other op to the fixture itself.
-        fixture = packaged_fixture_provider()
-        papers = {}
-        for key, entry in json.loads(
-            (files("citeaudit") / "data" / "fixtures.json").read_text("utf-8")
-        )["outcomes"].items():
-            if key.startswith("arxiv:") and entry.get("status") == "found":
-                record = entry["record"]
-                papers[key[len("arxiv:"):]] = Paper(
-                    record["title"], tuple(record["authors"]), record["year"]
-                )
-
-        # Beside the exemplars: a true citation, a hijacked id and a missing id.
-        extra = [
-            make_citation(
-                key="attention",
-                authors=(
-                    "Ashish Vaswani", "Noam Shazeer", "Niki Parmar", "Jakob Uszkoreit",
-                    "Llion Jones", "Aidan N. Gomez", "Lukasz Kaiser", "Illia Polosukhin",
-                ),
-                title="Attention Is All You Need",
-                year=2017,
-                identifiers=(make_identifier(IdentifierKind.ARXIV, "1706.03762"),),
-            ),
-            make_citation(
-                key="hijacked",
-                identifiers=(make_identifier(IdentifierKind.ARXIV, "arXiv:1412.6980v2"),),
-            ),
-            make_citation(
-                key="missing",
-                identifiers=(make_identifier(IdentifierKind.ARXIV, "9999.99999"),),
-            ),
-        ]
-        citations = list(exemplar_citations) + extra
-
-        def run(wrap):
-            session = FakeArxivSession(papers)
-            arxiv = ArxivClient(
-                ProviderConfig(name="arxiv", base_endpoint="http://stub"), session=session
-            )
-            resolver = Resolver(providers=[arxiv, fixture])
-            return classify_batch(citations, wrap(resolver), config, jobs=2), session
-
-        with_prefetch, batched = run(lambda r: r)
+        papers = _fixture_arxiv_papers()
+        citations = _arxiv_citations(exemplar_citations)
+        batched = FakeArxivSession(papers)
+        with_prefetch = _classify_with_arxiv(citations, config, batched)
         # classify_batch also takes a resolver that has no prefetch.
-        without_prefetch, single = run(_ResolveOnly)
+        single = FakeArxivSession(papers)
+        without_prefetch = _classify_with_arxiv(citations, config, single, _ResolveOnly)
         assert with_prefetch == without_prefetch
         ids = ["2107.13586", "1706.03762", "1412.6980", "9999.99999"]
         assert batched.requests == [{"id_list": ",".join(ids), "max_results": 4}]
@@ -437,6 +458,20 @@ class TestBatch:
         ]
         assert IH in (with_prefetch[2].primary, with_prefetch[2].secondary)
         assert IH in (with_prefetch[6].primary, with_prefetch[6].secondary)
+
+    def test_prefetch_error_does_not_sink_the_batch(self, exemplar_citations, config):
+        papers = _fixture_arxiv_papers()
+        citations = _arxiv_citations(exemplar_citations)
+        session = _BrokenBatchSession(papers)
+        verdicts = _classify_with_arxiv(citations, config, session)
+        # The pre-pass raised on its one batch; each id then went out alone.
+        assert session.requests[0]["max_results"] == 4
+        assert len(session.requests) == 5
+        assert [v.citation_key for v in verdicts] == [c.source_key for c in citations]
+        reference = _classify_with_arxiv(
+            citations, config, FakeArxivSession(papers), _ResolveOnly
+        )
+        assert verdicts == reference
 
     def test_internal_error_becomes_unverifiable(self, exemplar_citations, config):
         class ExplodingResolver:

@@ -2,9 +2,7 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 import threading
-import time
 
 import pytest
 
@@ -191,6 +189,15 @@ class TestLookupCache:
         with pytest.raises(ValueError):
             LookupCache(tmp_path / "c.jsonl", ttl_seconds=0)
 
+    def test_without_path_lives_in_memory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cache = LookupCache(ttl_seconds=100)
+        cache.put("k", {"v": 1}, now=1000.0)
+        assert cache.get("k", now=1099.0) == {"v": 1}
+        assert cache.get("k", now=1101.0) is None
+        assert len(cache) == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class CountingProvider:
     """Closed-world provider that counts how often each op is hit."""
@@ -262,36 +269,6 @@ class TestResolver:
         resolver.search_author_year("Lovelace", 2020)
         assert provider.calls == ["doi:10.1/x", "title", "author"]
         assert resolver.network_ops == 3
-
-    def test_concurrent_lookups_of_one_key_send_one_request(self):
-        provider = CountingProvider()
-        original = provider.lookup_doi
-
-        def slow_lookup(doi):
-            time.sleep(0.01)
-            return original(doi)
-
-        provider.lookup_doi = slow_lookup
-        resolver = Resolver(providers=[provider])
-        outcomes = []
-
-        def worker():
-            for i in range(20):
-                outcomes.append(resolver.lookup_doi(f"10.1/{i % 4}"))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker) for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert len(outcomes) == 160
-        assert sorted(provider.calls) == [f"doi:10.1/{i}" for i in range(4)]
 
     def test_search_results_cached(self, tmp_path):
         provider = CountingProvider(
@@ -440,8 +417,65 @@ class TestPrefetch:
         assert got == {i: single.lookup_arxiv(i) for i in ids}
         assert got[bad] == LookupOutcome.unavailable("http_5xx")
         assert all(got[i].status is LookupStatus.FOUND for i in ids if i != bad)
-        # Only the unsettled id goes out again, on the per-id path.
-        assert session.requests[sent:] == [{"id_list": bad, "max_results": 1}]
+        # The id whose own request failed is not sent again this run.
+        assert session.requests[sent:] == []
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 100])
+    def test_outage_stops_splitting(self, n):
+        papers = _papers(n)
+        ids = list(papers)
+        session = FakeArxivSession(papers, failing=ids)
+        resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session)])
+        resolver.prefetch(_arxiv_citations(ids))
+        # The batch, then its two halves: both fail whole, so no more splits.
+        assert [r["max_results"] for r in session.requests] == [n, (n + 1) // 2, n // 2]
+        assert len(session.requests) <= n + 2
+        # Ids that failed in a request of their own are not sent again; the
+        # rest go out once each on the per-id path.
+        sent = len(session.requests)
+        for i in ids:
+            assert resolver.lookup_arxiv(i) == LookupOutcome.unavailable("http_5xx")
+        alone = [i for i in (ids[: (n + 1) // 2], ids[(n + 1) // 2 :]) if len(i) == 1]
+        assert len(session.requests) - sent == n - len(alone)
+
+    def test_rate_limited_batch_is_sent_once_more_whole(self):
+        papers = _papers(10)
+        ids = list(papers)
+        session = FakeArxivSession(papers, failing=ids, failing_status=429)
+        resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session)])
+        resolver.prefetch(_arxiv_citations(ids))
+        whole = {"id_list": ",".join(ids), "max_results": 10}
+        assert session.requests == [whole, whole]
+        # Every id then goes out once on the per-id path: n + 2 requests.
+        for i in ids:
+            assert resolver.lookup_arxiv(i) == LookupOutcome.unavailable("rate_limited")
+        assert len(session.requests) == len(ids) + 2
+
+    @pytest.mark.parametrize("status, sizes", [(429, [10, 10]), (503, [10, 5, 5])])
+    def test_flaky_id_settles_the_batch(self, status, sizes):
+        # An id that fails its first request only, as a briefly overloaded
+        # server would: a 429 batch is sent again whole, a 503 one in halves.
+        papers = _papers(10)
+        ids = list(papers)
+        session = FakeArxivSession(papers, failing_status=status, fail_once={ids[3]})
+        resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session)])
+        resolver.prefetch(_arxiv_citations(ids))
+        assert [r["max_results"] for r in session.requests] == sizes
+        assert all(resolver.lookup_arxiv(i).status is LookupStatus.FOUND for i in ids)
+        assert len(session.requests) == len(sizes)
+
+    def test_failed_ids_are_retried_after_the_next_prefetch(self):
+        papers = _papers(1)
+        (only,) = papers
+        session = FakeArxivSession(papers, failing={only})
+        resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session)])
+        resolver.prefetch(_arxiv_citations([only]))
+        assert resolver.lookup_arxiv(only).status is LookupStatus.UNAVAILABLE
+        assert len(session.requests) == 1
+        resolver.prefetch([])
+        session.failing = frozenset()
+        assert resolver.lookup_arxiv(only).status is LookupStatus.FOUND
+        assert len(session.requests) == 2
 
     def test_skips_settled_and_cached_ids(self, tmp_path):
         papers = _papers(3)
