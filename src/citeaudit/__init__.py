@@ -17,7 +17,6 @@ from .analytics import (
 from .classify import ClassifierConfig, classify, classify_batch, classify_citation
 from .data import (
     load_packaged_corpus,
-    load_packaged_title_corpus,
     load_packaged_vocab,
     packaged_fixture_provider,
 )
@@ -124,7 +123,6 @@ __all__ = [
     "levenshtein",
     "load_corpus",
     "load_packaged_corpus",
-    "load_packaged_title_corpus",
     "load_packaged_vocab",
     "make_identifier",
     "normalize_name",

@@ -202,22 +202,6 @@ def summary_to_dict(s: DistributionSummary) -> dict:
     }
 
 
-def summary_from_dict(d: dict) -> DistributionSummary:
-    return DistributionSummary(
-        n_citations=d["n_citations"],
-        n_papers=d["n_papers"],
-        primary_counts=dict(d["primary_counts"]),
-        secondary_counts=dict(d["secondary_counts"]),
-        per_paper=dict(d["per_paper"]),
-        mean_per_paper=d["mean_per_paper"],
-        median_per_paper=d["median_per_paper"],
-        min_per_paper=d["min_per_paper"],
-        max_per_paper=d["max_per_paper"],
-        buckets=dict(d["buckets"]),
-        compound_rate=d["compound_rate"],
-    )
-
-
 def _render_text(s: DistributionSummary) -> str:
     lines = [f"Primary failure modes (n={s.n_citations})"]
     for code, count in _ranked(s.primary_counts):

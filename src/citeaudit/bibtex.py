@@ -1,4 +1,4 @@
-"""Hand-rolled BibTeX reader and a canonical writer.
+"""Hand-rolled BibTeX reader.
 
 Reads the common subset: @entry{key, field = {value} | "value" | bare, ...},
 @string macros with # concatenation, @comment and @preamble blocks. Malformed
@@ -403,47 +403,3 @@ def _build_citation(
         identifiers=_entry_identifiers(fields, raw_entry),
         source_span=span,
     )
-
-
-def _bib_escape(value: str) -> str:
-    return value.replace("{", "").replace("}", "")
-
-
-def render_bibtex(citations: list[ParsedCitation] | tuple[ParsedCitation, ...]) -> str:
-    """Write citations back out as deterministic BibTeX.
-
-    Round-trip contract: parsing the output yields the same semantic fields
-    (authors, title, venue, year, volume, issue, pages, identifiers, keys).
-    """
-    chunks: list[str] = []
-    for c in citations:
-        entry_type = "article" if c.venue else "misc"
-        lines = [f"@{entry_type}{{{c.source_key},"]
-        if c.authors:
-            joined = " and ".join(a.reassembled() for a in c.authors)
-            lines.append(f"  author = {{{_bib_escape(joined)}}},")
-        if c.title:
-            lines.append(f"  title = {{{_bib_escape(c.title)}}},")
-        if c.venue:
-            lines.append(f"  journal = {{{_bib_escape(c.venue)}}},")
-        if c.year is not None:
-            lines.append(f"  year = {{{c.year}}},")
-        if c.volume:
-            lines.append(f"  volume = {{{_bib_escape(c.volume)}}},")
-        if c.issue:
-            lines.append(f"  number = {{{_bib_escape(c.issue)}}},")
-        if c.pages:
-            lines.append(f"  pages = {{{_bib_escape(c.pages)}}},")
-        for ident in c.identifiers:
-            if ident.kind is IdentifierKind.DOI:
-                lines.append(f"  doi = {{{ident.value}}},")
-            elif ident.kind is IdentifierKind.ARXIV:
-                lines.append(f"  eprint = {{{ident.value}}},")
-                lines.append("  archiveprefix = {arXiv},")
-            else:
-                lines.append(f"  url = {{{ident.value}}},")
-        if lines[-1].endswith(","):
-            lines[-1] = lines[-1][:-1]
-        lines.append("}")
-        chunks.append("\n".join(lines))
-    return "\n\n".join(chunks) + ("\n" if chunks else "")

@@ -19,7 +19,6 @@ from .matching import (
     title_plausibility,
 )
 from .model import (
-    DEFAULT_PLACEHOLDER_TOKENS,
     EvidenceItem,
     FailureMode,
     FieldMatch,
@@ -51,7 +50,6 @@ SECONDARY_ORDER = (
 @dataclass(frozen=True)
 class ClassifierConfig:
     thresholds: MatchThresholds = MatchThresholds()
-    placeholder_tokens: frozenset[str] = DEFAULT_PLACEHOLDER_TOKENS
     # Require one claimed author to be a real, findable person before a
     # plausible-but-unresolvable title counts as SH rather than TF.
     sh_requires_real_author: bool = True
@@ -116,7 +114,7 @@ def classify(
             cause=_map_cause(causes) if causes else "provider_unavailable",
         )
 
-    placeholder_evidence = scan_placeholders(citation, config.placeholder_tokens)
+    placeholder_evidence = scan_placeholders(citation)
     if not attempts and not placeholder_evidence:
         # Nothing was resolvable and nothing is structurally wrong; there is
         # no basis for either a pass or a fail.

@@ -16,7 +16,6 @@ from .analytics import CorpusError, load_corpus, render_summary, summarize
 from .classify import ClassifierConfig, classify_batch
 from .data import load_packaged_corpus, load_packaged_vocab
 from .matching import MatchThresholds
-from .model import DEFAULT_PLACEHOLDER_TOKENS
 from .parsing import parse_file, parse_text
 from .report import (
     EXIT_HALLUCINATED,
@@ -50,53 +49,66 @@ _DEFAULT_PROVIDERS = {
     ),
 }
 
-_THRESHOLD_KEYS = (
-    "title_strong",
-    "title_moderate",
-    "author_strong",
-    "year_slack",
-    "plausibility",
-)
+# Keys each INI section may hold, with their types. Every threshold is also
+# a flag of the same name; a key not listed here is a usage error, so a typo
+# or a retired key cannot be silently ignored.
+_THRESHOLD_KEYS = {
+    "title_strong": float,
+    "author_strong": float,
+    "year_slack": int,
+    "plausibility": float,
+}
+_CLASSIFIER_KEYS = {**_THRESHOLD_KEYS, "sh_requires_real_author": bool}
+_PROVIDER_KEYS = {"endpoint": str, "rate_limit": float, "timeout": float, "enabled": bool}
 
 
 def _read_ini(path: str | None) -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
     if path:
-        read = parser.read(path, encoding="utf-8")
+        try:
+            read = parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise click.UsageError(f"config file {path}: {exc}") from exc
         if not read:
             raise click.UsageError(f"config file not readable: {path}")
+    for section in parser.sections():
+        provider = section.removeprefix("provider.")
+        if provider != section and provider not in _DEFAULT_PROVIDERS:
+            raise click.UsageError(f"[{section}]: unknown provider {provider!r}")
     return parser
+
+
+def _section(ini: configparser.ConfigParser, name: str, schema: dict) -> dict:
+    """The typed values of one INI section, by key."""
+    if not ini.has_section(name):
+        return {}
+    sec = ini[name]
+    getters = {str: sec.get, float: sec.getfloat, int: sec.getint, bool: sec.getboolean}
+    values = {}
+    for key in sec:
+        if key not in schema:
+            raise click.UsageError(f"[{name}] {key}: unknown key")
+        try:
+            values[key] = getters[schema[key]](key)
+        except ValueError as exc:
+            raise click.UsageError(f"[{name}] {key}: {exc}") from exc
+    return values
 
 
 def _provider_config(name: str, ini: configparser.ConfigParser) -> ProviderConfig:
     base = _DEFAULT_PROVIDERS[name]
     section = f"provider.{name}"
-    if not ini.has_section(section):
-        return base
-    sec = ini[section]
-    return ProviderConfig(
-        name=name,
-        base_endpoint=sec.get("endpoint", base.base_endpoint),
-        rate_limit=sec.getfloat("rate_limit", base.rate_limit),
-        timeout=sec.getfloat("timeout", base.timeout),
-        enabled=sec.getboolean("enabled", base.enabled),
-    )
-
-
-def _thresholds(ini: configparser.ConfigParser, overrides: dict) -> MatchThresholds:
-    values = {}
-    if ini.has_section("classifier"):
-        sec = ini["classifier"]
-        for key in _THRESHOLD_KEYS:
-            if key in sec:
-                values[key] = sec.getint(key) if key == "year_slack" else sec.getfloat(key)
-    for key in _THRESHOLD_KEYS:
-        if overrides.get(key) is not None:
-            values[key] = overrides[key]
+    values = _section(ini, section, _PROVIDER_KEYS)
     try:
-        return MatchThresholds(**values)
+        return ProviderConfig(
+            name=name,
+            base_endpoint=values.get("endpoint", base.base_endpoint),
+            rate_limit=values.get("rate_limit", base.rate_limit),
+            timeout=values.get("timeout", base.timeout),
+            enabled=values.get("enabled", base.enabled),
+        )
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise click.UsageError(f"[{section}] {exc}") from exc
 
 
 def _build_runtime(
@@ -110,15 +122,25 @@ def _build_runtime(
     if offline and not fixtures:
         raise click.UsageError("--offline requires --fixtures PATH")
     ini = _read_ini(config)
-    thresholds = _thresholds(ini, overrides)
+    classifier = _section(ini, "classifier", _CLASSIFIER_KEYS)
+    values = {key: classifier[key] for key in _THRESHOLD_KEYS if key in classifier}
+    values.update(
+        {key: overrides[key] for key in _THRESHOLD_KEYS if overrides.get(key) is not None}
+    )
+    try:
+        thresholds = MatchThresholds(**values)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+    # Every provider section is checked, even when fixtures stand in for them.
+    provider_configs = {name: _provider_config(name, ini) for name in _DEFAULT_PROVIDERS}
 
     if fixtures:
         providers = [FixtureProvider(fixtures)]
     else:
         providers = [
-            CrossrefClient(_provider_config("crossref", ini)),
-            ArxivClient(_provider_config("arxiv", ini)),
-            OpenAlexClient(_provider_config("openalex", ini)),
+            CrossrefClient(provider_configs["crossref"]),
+            ArxivClient(provider_configs["arxiv"]),
+            OpenAlexClient(provider_configs["openalex"]),
         ]
 
     lookup_cache = LookupCache(cache) if cache else None
@@ -133,15 +155,9 @@ def _build_runtime(
     else:
         vocab_tokens = load_packaged_vocab()
 
-    sh_requires_real_author = True
-    if ini.has_section("classifier"):
-        sh_requires_real_author = ini["classifier"].getboolean(
-            "sh_requires_real_author", True
-        )
     classifier_config = ClassifierConfig(
         thresholds=thresholds,
-        placeholder_tokens=DEFAULT_PLACEHOLDER_TOKENS,
-        sh_requires_real_author=sh_requires_real_author,
+        sh_requires_real_author=classifier.get("sh_requires_real_author", True),
         vocab=vocab_tokens,
     )
     return resolver, classifier_config
@@ -169,7 +185,6 @@ def _runtime_options(fn):
         click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="INI file with [provider.*] and [classifier] sections."),
         click.option("--vocab", type=click.Path(exists=True, dir_okay=False), default=None, help="Newline-delimited token file for plausibility scoring."),
         click.option("--title-strong", type=float, default=None, help="Override strong-title threshold."),
-        click.option("--title-moderate", type=float, default=None, help="Override moderate-title threshold."),
         click.option("--author-strong", type=float, default=None, help="Override strong-author threshold."),
         click.option("--year-slack", type=int, default=None, help="Override allowed year difference."),
         click.option("--plausibility", type=float, default=None, help="Override plausibility threshold."),
@@ -178,6 +193,18 @@ def _runtime_options(fn):
     for decorator in reversed(decorators):
         fn = decorator(fn)
     return fn
+
+
+def _runtime(opts: dict):
+    """_build_runtime called with the options _runtime_options declares."""
+    return _build_runtime(
+        opts["offline"],
+        opts["fixtures"],
+        opts["cache"],
+        opts["config_path"],
+        opts["vocab"],
+        {key: opts[key] for key in _THRESHOLD_KEYS},
+    )
 
 
 @click.group()
@@ -211,33 +238,10 @@ def cmd_verify(
     output_format: str,
     jobs: int,
     out: str | None,
-    offline: bool,
-    fixtures: str | None,
-    cache: str | None,
-    config_path: str | None,
-    vocab: str | None,
-    title_strong: float | None,
-    title_moderate: float | None,
-    author_strong: float | None,
-    year_slack: int | None,
-    plausibility: float | None,
-    fail_on: str,
+    **opts,
 ) -> int:
     """Verify every reference in a .bib or .txt bibliography."""
-    resolver, classifier_config = _build_runtime(
-        offline,
-        fixtures,
-        cache,
-        config_path,
-        vocab,
-        {
-            "title_strong": title_strong,
-            "title_moderate": title_moderate,
-            "author_strong": author_strong,
-            "year_slack": year_slack,
-            "plausibility": plausibility,
-        },
-    )
+    resolver, classifier_config = _runtime(opts)
     parse_report = parse_file(input_file, format=input_format)
     for warning in parse_report.warnings:
         click.echo(f"warning: {warning}", err=True)
@@ -246,7 +250,7 @@ def cmd_verify(
     )
     report = build_report(input_file, parse_report.citations, verdicts)
     _emit(render_report(report, output_format), out)
-    return _final_exit(verdicts, fail_on)
+    return _final_exit(verdicts, opts["fail_on"])
 
 
 @cli.command("classify")
@@ -259,44 +263,17 @@ def cmd_verify(
     show_default=True,
 )
 @_runtime_options
-def cmd_classify(
-    citation_text: str,
-    output_format: str,
-    offline: bool,
-    fixtures: str | None,
-    cache: str | None,
-    config_path: str | None,
-    vocab: str | None,
-    title_strong: float | None,
-    title_moderate: float | None,
-    author_strong: float | None,
-    year_slack: int | None,
-    plausibility: float | None,
-    fail_on: str,
-) -> int:
+def cmd_classify(citation_text: str, output_format: str, **opts) -> int:
     """Classify one plain-text citation given as an argument."""
     if not citation_text.strip():
         raise click.UsageError("citation text must not be empty")
-    resolver, classifier_config = _build_runtime(
-        offline,
-        fixtures,
-        cache,
-        config_path,
-        vocab,
-        {
-            "title_strong": title_strong,
-            "title_moderate": title_moderate,
-            "author_strong": author_strong,
-            "year_slack": year_slack,
-            "plausibility": plausibility,
-        },
-    )
+    resolver, classifier_config = _runtime(opts)
     parse_report = parse_text(citation_text, format="plaintext")
     citations = list(parse_report.citations)[:1]
     verdicts = classify_batch(citations, resolver, classifier_config, jobs=1)
     report = build_report("<argument>", citations, verdicts)
     _emit(render_report(report, output_format), None)
-    return _final_exit(verdicts, fail_on)
+    return _final_exit(verdicts, opts["fail_on"])
 
 
 @cli.command("stats")

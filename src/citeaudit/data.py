@@ -24,15 +24,6 @@ def load_packaged_vocab() -> frozenset[str]:
     )
 
 
-def load_packaged_title_corpus() -> list[str]:
-    """The raw titles the vocabulary was built from."""
-    return [
-        line.strip()
-        for line in _packaged("title_corpus.txt").splitlines()
-        if line.strip()
-    ]
-
-
 def packaged_fixture_provider() -> FixtureProvider:
     """Offline provider preloaded with the bundled lookup fixtures."""
     return FixtureProvider(json.loads(_packaged("fixtures.json")), name="fixture")

@@ -11,7 +11,6 @@ from enum import Enum
 from urllib.parse import urlparse
 
 from .model import (
-    DEFAULT_PLACEHOLDER_TOKENS,
     EvidenceItem,
     FailureMode,
     Identifier,
@@ -127,10 +126,7 @@ _TO_BE_UPDATED_RE = re.compile(r"to be updated", re.IGNORECASE)
 _TO_APPEAR_RE = re.compile(r"\bto appear\b", re.IGNORECASE)
 
 
-def scan_placeholders(
-    citation: ParsedCitation,
-    placeholder_tokens: frozenset[str] = DEFAULT_PLACEHOLDER_TOKENS,
-) -> list[EvidenceItem]:
+def scan_placeholders(citation: ParsedCitation) -> list[EvidenceItem]:
     """Collect placeholder evidence across authors, title, raw text, and ids.
 
     "To appear" alone is not evidence when the citation carries a

@@ -179,7 +179,6 @@ class MatchThresholds:
     """Decision cut-offs for field agreement.
 
     title_strong: similarity at or above which titles are the same work.
-    title_moderate: similarity at or above which titles are related.
     author_strong: author-list similarity treated as agreement.
     year_slack: absolute year difference still counted as a match.
     plausibility: vocabulary-overlap score above which a fabricated title
@@ -187,17 +186,13 @@ class MatchThresholds:
     """
 
     title_strong: float = 0.90
-    title_moderate: float = 0.60
     author_strong: float = 0.80
     year_slack: int = 1
     plausibility: float = 0.70
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.title_moderate < self.title_strong <= 1.0:
-            raise ValueError(
-                "need 0 < title_moderate < title_strong <= 1, got "
-                f"{self.title_moderate} / {self.title_strong}"
-            )
+        if not 0.0 < self.title_strong <= 1.0:
+            raise ValueError(f"title_strong must lie in (0, 1], got {self.title_strong}")
         if not 0.0 < self.author_strong <= 1.0:
             raise ValueError(f"author_strong must lie in (0, 1], got {self.author_strong}")
         if not 0.0 <= self.plausibility <= 1.0:
@@ -221,8 +216,8 @@ def profile_match(
     """Field-by-field comparison of a claimed citation against one record.
 
     MISSING means the citation did not claim the field; it never counts as
-    disagreement. Venue matches on normalized containment either way, since
-    citations abbreviate venue names freely.
+    disagreement. Venues are not compared: citations abbreviate them too
+    freely for a disagreement to mean anything.
     """
     t_sim = title_similarity(citation.title, record.title)
     if not citation.title.strip():
@@ -252,17 +247,6 @@ def profile_match(
             else FieldMatch.MISMATCH
         )
 
-    if not citation.venue.strip():
-        v_match = FieldMatch.MISSING
-    elif not record.venue.strip():
-        v_match = FieldMatch.MISSING
-    else:
-        cv = normalize_title(citation.venue)
-        rv = normalize_title(record.venue)
-        v_match = (
-            FieldMatch.MATCH if (cv in rv or rv in cv) else FieldMatch.MISMATCH
-        )
-
     p_match = FieldMatch.MISSING
     if citation.pages and record.pages:
         p_match = (
@@ -274,7 +258,6 @@ def profile_match(
     return FieldMatchProfile(
         author_match=a_match,
         title_match=t_match,
-        venue_match=v_match,
         year_match=y_match,
         pages_match=p_match,
         title_similarity=t_sim,

@@ -106,17 +106,8 @@ class AuthorName:
     given_tokens: tuple[str, ...] = ()
     is_placeholder: bool = False
 
-    def reassembled(self) -> str:
-        """Canonical "given... surname" rendering; input to re-normalization."""
-        if self.is_placeholder:
-            return " ".join(_name_tokens(self.raw)) or self.raw
-        return " ".join((*self.given_tokens, self.surname))
 
-
-def normalize_name(
-    raw: str,
-    placeholder_tokens: frozenset[str] = DEFAULT_PLACEHOLDER_TOKENS,
-) -> AuthorName:
+def normalize_name(raw: str) -> AuthorName:
     """Normalize one author name into surname + given tokens.
 
     Handles both "Surname, Given" and "Given Surname" orders, folds
@@ -125,7 +116,7 @@ def normalize_name(
     """
     raw = raw.strip()
     tokens = _name_tokens(raw)
-    if any(t in placeholder_tokens for t in tokens) or not tokens:
+    if any(t in DEFAULT_PLACEHOLDER_TOKENS for t in tokens) or not tokens:
         return AuthorName(raw=raw, surname="", given_tokens=(), is_placeholder=True)
 
     if "," in raw:
@@ -227,7 +218,6 @@ class FieldMatchProfile:
 
     author_match: FieldMatch
     title_match: FieldMatch
-    venue_match: FieldMatch
     year_match: FieldMatch
     pages_match: FieldMatch
     title_similarity: float

@@ -5,9 +5,9 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bibtex import parse_bibtex, render_bibtex
+from .bibtex import parse_bibtex
 from .model import ParsedCitation, ParseWarning
-from .plaintext import parse_plaintext, render_plaintext
+from .plaintext import parse_plaintext
 
 FORMAT_BIBTEX = "bibtex"
 FORMAT_PLAINTEXT = "plaintext"
@@ -58,32 +58,3 @@ def parse_file(path: str | Path, format: str = "auto") -> ParseReport:
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     return parse_text(text, format=format, filename=path.name)
-
-
-def render(citations, format: str) -> str:
-    """Serialize citations back to the named format."""
-    if format == FORMAT_BIBTEX:
-        return render_bibtex(citations)
-    if format == FORMAT_PLAINTEXT:
-        return render_plaintext(citations)
-    raise ValueError(f"unknown reference format {format!r}")
-
-
-def semantic_fields(citation: ParsedCitation) -> dict:
-    """The comparison view used for round-trip checks: everything that
-    matters for verification, nothing positional (raw text, spans)."""
-    return {
-        "source_key": citation.source_key,
-        "authors": tuple(
-            (a.surname, a.given_tokens, a.is_placeholder) for a in citation.authors
-        ),
-        "title": citation.title,
-        "venue": citation.venue,
-        "year": citation.year,
-        "volume": citation.volume,
-        "issue": citation.issue,
-        "pages": citation.pages,
-        "identifiers": tuple(
-            (i.kind.value, i.value, i.syntactically_valid) for i in citation.identifiers
-        ),
-    }

@@ -12,7 +12,6 @@ import re
 from .identifiers import extract_identifiers, identifier_mask_spans
 from .model import (
     AuthorName,
-    IdentifierKind,
     ParsedCitation,
     ParseWarning,
     Span,
@@ -282,40 +281,3 @@ def parse_plaintext(text: str) -> tuple[list[ParsedCitation], list[ParseWarning]
         citations.append(_extract_fields(key, stripped, span, warnings))
 
     return citations, warnings
-
-
-def render_plaintext(
-    citations: list[ParsedCitation] | tuple[ParsedCitation, ...]
-) -> str:
-    """Write citations as a numbered plain-text list, one entry per line."""
-    out = []
-    for i, c in enumerate(citations, start=1):
-        pieces = []
-        if c.authors:
-            pieces.append(", ".join(a.reassembled() for a in c.authors) + ".")
-        if c.title:
-            pieces.append(c.title.rstrip(".") + ".")
-        tail = []
-        if c.venue:
-            tail.append(c.venue)
-        if c.volume and c.issue and c.pages:
-            tail.append(f"{c.volume}({c.issue}), {c.pages}")
-        elif c.volume and c.pages:
-            tail.append(f"{c.volume}:{c.pages}")
-        elif c.volume:
-            tail.append(f"vol. {c.volume}")
-        elif c.pages:
-            tail.append(f"pp. {c.pages}")
-        if c.year is not None:
-            tail.append(str(c.year))
-        if tail:
-            pieces.append(", ".join(tail) + ".")
-        for ident in c.identifiers:
-            if ident.kind is IdentifierKind.ARXIV:
-                pieces.append(f"arXiv:{ident.value}")
-            elif ident.kind is IdentifierKind.DOI:
-                pieces.append(f"doi:{ident.value}")
-            else:
-                pieces.append(ident.value)
-        out.append(f"[{i}] " + " ".join(pieces).strip())
-    return "\n".join(out) + ("\n" if out else "")

@@ -1,8 +1,8 @@
 """Blocking token-bucket rate limiter shared by provider clients.
 
-The bucket holds at most `capacity` tokens and refills continuously at
-`rate` tokens per second. acquire() must re-check after sleeping: another
-thread may have taken the token that the sleep was waiting for, so a single
+The bucket holds at most one token and refills continuously at `rate`
+tokens per second. acquire() must re-check after sleeping: another thread
+may have taken the token that the sleep was waiting for, so a single
 sleep-then-take is not enough under contention.
 """
 from __future__ import annotations
@@ -16,44 +16,28 @@ class TokenBucket:
     def __init__(
         self,
         rate: float,
-        capacity: float = 1.0,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ):
         if rate <= 0:
             raise ValueError("rate must be positive")
-        if capacity < 1:
-            raise ValueError("capacity must allow at least one token")
         self._rate = float(rate)
-        self._capacity = float(capacity)
         self._clock = clock
         self._sleep = sleep
         self._lock = threading.Lock()
-        self._tokens = float(capacity)
+        self._tokens = 1.0
         self._updated = clock()
-
-    @property
-    def rate(self) -> float:
-        return self._rate
 
     def _refill_locked(self) -> None:
         now = self._clock()
         elapsed = now - self._updated
         if elapsed > 0:
-            self._tokens = min(self._capacity, self._tokens + elapsed * self._rate)
+            self._tokens = min(1.0, self._tokens + elapsed * self._rate)
             self._updated = now
 
-    def try_acquire(self) -> bool:
-        """Take a token if one is available right now."""
-        with self._lock:
-            self._refill_locked()
-            if self._tokens >= 1.0:
-                self._tokens -= 1.0
-                return True
-            return False
-
     def acquire(self, timeout: float | None = None) -> bool:
-        """Block until a token is available; False if timeout expires first."""
+        """Block until a token is available; False if timeout expires first.
+        timeout=0 takes a token only if one is available right now."""
         deadline = None if timeout is None else self._clock() + timeout
         while True:
             with self._lock:

@@ -243,6 +243,22 @@ def _typed(value, kind, default=_REQUIRED):
     return value
 
 
+def _send(
+    session: requests.Session, url: str, timeout: float, params: dict | None = None
+) -> requests.Response | str:
+    """session.get's response, or the Unavailable cause when the request
+    itself fails: "timeout" for a timeout, "connection" for any other
+    requests error (refused, reset, truncated, undecodable, redirect loop)."""
+    import requests
+
+    try:
+        return session.get(url, params=params, timeout=timeout)
+    except requests.Timeout:
+        return "timeout"
+    except requests.RequestException:
+        return "connection"
+
+
 def _http_failure_cause(resp: requests.Response) -> str:
     if resp.status_code == 429:
         return "rate_limited"
@@ -260,15 +276,10 @@ class CrossrefClient:
         self._session = session or _new_session()
 
     def lookup_doi(self, doi: str) -> LookupOutcome:
-        import requests
-
         url = f"{self.config.base_endpoint.rstrip('/')}/works/{quote(doi, safe='')}"
-        try:
-            resp = self._session.get(url, timeout=self.config.timeout)
-        except requests.Timeout:
-            return LookupOutcome.unavailable("timeout")
-        except requests.ConnectionError:
-            return LookupOutcome.unavailable("connection")
+        resp = _send(self._session, url, self.config.timeout)
+        if isinstance(resp, str):
+            return LookupOutcome.unavailable(resp)
         if resp.status_code == 404:
             return LookupOutcome.not_found()
         if resp.status_code != 200:
@@ -341,23 +352,19 @@ class ArxivClient:
         first entry, whatever its ``<id>``, and an error pseudo-entry for it is
         NotFound: the API reports a malformed id that way.
         """
-        import requests
-
         ids = list(arxiv_ids)
 
         def unavailable(cause: str) -> dict[str, LookupOutcome]:
             return {i: LookupOutcome.unavailable(cause) for i in ids}
 
-        try:
-            resp = self._session.get(
-                self.config.base_endpoint,
-                params={"id_list": ",".join(ids), "max_results": len(ids)},
-                timeout=self.config.timeout,
-            )
-        except requests.Timeout:
-            return unavailable("timeout")
-        except requests.ConnectionError:
-            return unavailable("connection")
+        resp = _send(
+            self._session,
+            self.config.base_endpoint,
+            self.config.timeout,
+            params={"id_list": ",".join(ids), "max_results": len(ids)},
+        )
+        if isinstance(resp, str):
+            return unavailable(resp)
         if resp.status_code != 200:
             return unavailable(_http_failure_cause(resp))
         try:
@@ -423,15 +430,10 @@ class OpenAlexClient:
         self._session = session or _new_session()
 
     def _search(self, params: dict, query: str) -> SearchOutcome:
-        import requests
-
         url = f"{self.config.base_endpoint.rstrip('/')}/works"
-        try:
-            resp = self._session.get(url, params=params, timeout=self.config.timeout)
-        except requests.Timeout:
-            return SearchOutcome(cause="timeout")
-        except requests.ConnectionError:
-            return SearchOutcome(cause="connection")
+        resp = _send(self._session, url, self.config.timeout, params=params)
+        if isinstance(resp, str):
+            return SearchOutcome(cause=resp)
         if resp.status_code != 200:
             return SearchOutcome(cause=_http_failure_cause(resp))
         try:
@@ -631,7 +633,7 @@ class Resolver:
             rate = getattr(provider, "config", None)
             rate = rate.rate_limit if rate else 0.0
             if rate and rate > 0:
-                self._buckets[id(provider)] = TokenBucket(rate=rate, capacity=1.0)
+                self._buckets[id(provider)] = TokenBucket(rate=rate)
         self._ops_lock = threading.Lock()
         self._network_ops = 0
         # arXiv ids whose own request failed in the last prefetch, by cache

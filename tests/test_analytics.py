@@ -16,11 +16,11 @@ from citeaudit.analytics import (
     percent,
     render_summary,
     summarize,
-    summary_from_dict,
     summary_to_dict,
 )
 from citeaudit.data import load_packaged_corpus
 from citeaudit.model import FailureMode
+from tests.roundtrip import summary_from_dict
 
 HEADER = ",".join(EXPECTED_HEADER)
 

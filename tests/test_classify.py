@@ -399,14 +399,14 @@ def _classify_with_arxiv(citations, config, session, wrap=lambda r: r):
 
 
 class _BrokenBatchSession(FakeArxivSession):
-    """Cuts off every reply to a request of more than one id."""
+    """Raises on every request of more than one id. The error is not a
+    requests error, which the client would map to Unavailable, so it
+    escapes the pre-pass."""
 
     def get(self, url, params=None, timeout=None):
-        import requests
-
         if "," in params["id_list"]:
             self.requests.append(dict(params))
-            raise requests.exceptions.ChunkedEncodingError("connection cut mid-body")
+            raise RuntimeError("session failed mid-request")
         return super().get(url, params=params, timeout=timeout)
 
 

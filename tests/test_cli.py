@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import citeaudit
+from citeaudit import cli
 from citeaudit.cli import main
 from citeaudit.model import FailureMode, Verdict, VerdictStatus
 from citeaudit.report import (
@@ -249,13 +250,11 @@ class TestThresholdConfiguration:
                 "--fixtures",
                 fixtures_path,
                 "--title-strong",
-                "0.5",
-                "--title-moderate",
-                "0.6",
+                "1.5",
             ]
         )
         assert code == EXIT_USAGE
-        assert "title_moderate" in capsys.readouterr().err
+        assert "title_strong" in capsys.readouterr().err
 
     def test_unreadable_config_is_usage_error(self, fixtures_path, tmp_path, capsys):
         code = main(
@@ -269,6 +268,89 @@ class TestThresholdConfiguration:
             ]
         )
         assert code == EXIT_USAGE
+
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[classifier]\ntitle_strong = abc\n", "title_strong"),
+            ("[classifier]\nsh_requires_real_author = maybe\n", "sh_requires_real_author"),
+            ("title_strong = 0.9\n", "no section headers"),
+            ("[provider.crossref]\nrate_limit = -1\n", "rate_limit"),
+            ("[classifier]\ntitle_strng = 0.9\n", "title_strng"),
+            ("[classifier]\ntitle_moderate = 0.6\n", "title_moderate"),
+            ("[provider.arxiv]\nrate = 1\n", "rate"),
+            ("[provider.semantic]\nrate_limit = 1\n", "semantic"),
+        ],
+        ids=[
+            "not-a-float",
+            "not-a-boolean",
+            "no-section-header",
+            "negative-rate-limit",
+            "misspelt-key",
+            "retired-key",
+            "unknown-provider-key",
+            "unknown-provider",
+        ],
+    )
+    def test_malformed_config_is_usage_error(
+        self, text, named, fixtures_path, tmp_path, capsys
+    ):
+        ini = tmp_path / "citeaudit.ini"
+        ini.write_text(text, encoding="utf-8")
+        code = main(
+            [
+                "verify",
+                str(DATA / "exemplars.txt"),
+                "--fixtures",
+                fixtures_path,
+                "--config",
+                str(ini),
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert named in capsys.readouterr().err
+
+
+# One setting per [classifier] key, each changing at least one verdict on the
+# exemplars plus a citation dated two years after its record.
+_VERDICT_CHANGING = {
+    "title_strong": "0.3",
+    "author_strong": "0.95",
+    "year_slack": "2",
+    "plausibility": "1.0",
+    "sh_requires_real_author": "false",
+}
+_TWO_YEARS_OFF = (
+    "[6] Y. LeCun, Y. Bengio, and G. Hinton. Deep learning. Nature,"
+    " 521:436-444, 2017. doi:10.1038/nature14539\n"
+)
+
+
+class TestEveryKeyChangesAVerdict:
+    def test_table_covers_every_key(self):
+        assert set(_VERDICT_CHANGING) == set(cli._CLASSIFIER_KEYS)
+
+    @pytest.mark.parametrize("key", sorted(_VERDICT_CHANGING))
+    def test_setting_changes_a_verdict(self, key, fixtures_path, tmp_path, capsys):
+        bib = tmp_path / "refs.txt"
+        bib.write_text(
+            (DATA / "exemplars.txt").read_text(encoding="utf-8") + _TWO_YEARS_OFF,
+            encoding="utf-8",
+        )
+
+        def verdicts(*extra: str) -> list[tuple]:
+            main(["verify", str(bib), "--fixtures", fixtures_path, "--format", "json", *extra])
+            report = json.loads(capsys.readouterr().out)
+            return [(v["status"], v["primary"], v["secondary"]) for v in report["verdicts"]]
+
+        value = _VERDICT_CHANGING[key]
+        ini = tmp_path / "citeaudit.ini"
+        ini.write_text(f"[classifier]\n{key} = {value}\n", encoding="utf-8")
+        configured = verdicts("--config", str(ini))
+        assert configured != verdicts()
+        if key in cli._THRESHOLD_KEYS:
+            assert verdicts("--" + key.replace("_", "-"), value) == configured
 
 
 class TestUsageErrors:

@@ -10,9 +10,8 @@ from citeaudit.parsing import (
     FORMAT_PLAINTEXT,
     detect_format,
     parse_text,
-    render,
-    semantic_fields,
 )
+from tests.roundtrip import render, semantic_fields
 
 
 class TestDetectFormat:

@@ -38,6 +38,17 @@ def _client(klass, reply):
     return klass(config, session=ReplySession(reply))
 
 
+# A timeout is "timeout"; every other requests error is "connection".
+_REQUEST_ERRORS = [
+    (requests.Timeout(), "timeout"),
+    (requests.ConnectionError(), "connection"),
+    (requests.exceptions.ChunkedEncodingError(), "connection"),
+    (requests.exceptions.ContentDecodingError(), "connection"),
+    (requests.TooManyRedirects(), "connection"),
+    (requests.exceptions.InvalidURL(), "connection"),
+]
+
+
 _CROSSREF_OK = {
     "title": ["Deep learning"],
     "container-title": ["Nature"],
@@ -92,6 +103,11 @@ class TestCrossrefShapes:
     def test_undecodable_reply_is_bad_response(self):
         client = _client(CrossrefClient, FakeResponse(200, "<html>"))
         assert client.lookup_doi("10.1/x").cause == "bad_response"
+
+    @pytest.mark.parametrize("error, cause", _REQUEST_ERRORS)
+    def test_request_error_is_unavailable(self, error, cause):
+        client = _client(CrossrefClient, error)
+        assert client.lookup_doi("10.1/x") == LookupOutcome.unavailable(cause)
 
     def test_malformed_reply_is_no_internal_error(self):
         client = _client(CrossrefClient, json_response({"message": None}))
@@ -159,6 +175,16 @@ class TestOpenAlexShapes:
             outcome = client.search_author_year("LeCun", 2015)
         assert outcome == SearchOutcome(cause="bad_response")
 
+    @pytest.mark.parametrize("error, cause", _REQUEST_ERRORS)
+    @pytest.mark.parametrize("op", ["title", "author_year"])
+    def test_request_error_is_unavailable(self, error, cause, op):
+        client = _client(OpenAlexClient, error)
+        if op == "title":
+            outcome = client.search_title("Deep learning")
+        else:
+            outcome = client.search_author_year("LeCun", 2015)
+        assert outcome == SearchOutcome(cause=cause)
+
 
 _PAPERS = {
     "2101.00001": Paper("Sparse spectral methods", ("Ada Lovelace",), 2021),
@@ -218,6 +244,7 @@ class TestArxivBatch:
             ),
             (atom_feed(atom_entry("2101.00001v1", "No abs URL")), "bad_response"),
             (atom_feed("<entry><title>No id</title></entry>"), "bad_response"),
+            *_REQUEST_ERRORS[2:],
         ],
     )
     def test_failed_batch_makes_every_id_unavailable(self, reply, cause):
@@ -238,3 +265,20 @@ class TestArxivBatch:
         assert _client(ArxivClient, atom_feed()).lookup_arxiv(
             "2101.00001"
         ) == LookupOutcome.not_found()
+
+
+@pytest.mark.parametrize("error", [error for error, _ in _REQUEST_ERRORS])
+def test_request_error_is_no_internal_error(error):
+    # Every lookup of this citation goes to a client whose request raises.
+    providers = [
+        _client(klass, error) for klass in (CrossrefClient, ArxivClient, OpenAlexClient)
+    ]
+    citation = make_citation(
+        identifiers=(
+            make_identifier(IdentifierKind.DOI, "10.1038/nature14539"),
+            make_identifier(IdentifierKind.ARXIV, "2101.00001"),
+        ),
+    )
+    verdict = classify_citation(citation, Resolver(providers=providers), ClassifierConfig())
+    assert verdict.status is VerdictStatus.UNVERIFIABLE
+    assert verdict.cause == "provider_unavailable"

@@ -48,31 +48,29 @@ class TestTokenBucket:
             TokenBucket(rate=0)
         with pytest.raises(ValueError):
             TokenBucket(rate=-1)
-        with pytest.raises(ValueError):
-            TokenBucket(rate=1, capacity=0.5)
 
     def test_first_token_is_free(self):
         clock = FakeClock()
         bucket = TokenBucket(rate=1.0, clock=clock, sleep=clock.sleep)
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()
+        assert bucket.acquire(timeout=0)
+        assert not bucket.acquire(timeout=0)
 
     def test_refills_at_rate(self):
         clock = FakeClock()
         bucket = TokenBucket(rate=2.0, clock=clock, sleep=clock.sleep)
-        assert bucket.try_acquire()
+        assert bucket.acquire(timeout=0)
         clock.now += 0.49
-        assert not bucket.try_acquire()
+        assert not bucket.acquire(timeout=0)
         clock.now += 0.02
-        assert bucket.try_acquire()
+        assert bucket.acquire(timeout=0)
 
     def test_capacity_caps_burst(self):
         clock = FakeClock()
-        bucket = TokenBucket(rate=10.0, capacity=1.0, clock=clock, sleep=clock.sleep)
-        assert bucket.try_acquire()
+        bucket = TokenBucket(rate=10.0, clock=clock, sleep=clock.sleep)
+        assert bucket.acquire(timeout=0)
         clock.now += 100.0
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()
+        assert bucket.acquire(timeout=0)
+        assert not bucket.acquire(timeout=0)
 
     def test_acquire_blocks_until_refill(self):
         clock = FakeClock()
