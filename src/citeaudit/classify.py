@@ -124,13 +124,22 @@ def classify(
             cause="no_resolvable_fields",
         )
 
-    # Each (citation, record) pair is profiled once; every check below reads
-    # these lists. Found identifier records come first, in lookup order.
-    identifier_profiles = [
-        (label, outcome.record, profile_match(citation, outcome.record, thresholds))
-        for label, outcome in bundle.identifier_outcomes
-        if outcome.status is LookupStatus.FOUND and outcome.record is not None
-    ]
+    # Every check below reads the resolver's profiles. A bundle built by hand,
+    # or profiled under other thresholds, is profiled here, in the same order.
+    identifier_profiles = bundle.identifier_profiles
+    search_profiles = bundle.search_profiles
+    if bundle.thresholds != thresholds:
+        identifier_profiles = tuple(
+            (label, outcome.record, profile_match(citation, outcome.record, thresholds))
+            for label, outcome in bundle.identifier_outcomes
+            if outcome.status is LookupStatus.FOUND and outcome.record is not None
+        )
+        search_profiles = tuple(
+            (record, profile_match(citation, record, thresholds))
+            for search in (bundle.title_search, bundle.author_search)
+            if search is not None
+            for record in search.records
+        )
 
     # Verification gate: author, title, and year must all agree with some
     # resolved record.
@@ -141,10 +150,6 @@ def classify(
                 citation_key=key,
                 matched_record=record,
             )
-    search_profiles = [
-        (record, profile_match(citation, record, thresholds))
-        for record in bundle.search_candidates
-    ]
     search_best = best_candidate(search_profiles)
     if search_best is not None and search_best[1].core_all_match():
         return Verdict(
@@ -154,7 +159,7 @@ def classify(
         )
     all_profiles = [
         (record, profile) for _, record, profile in identifier_profiles
-    ] + search_profiles
+    ] + list(search_profiles)
 
     evidence: list[EvidenceItem] = list(placeholder_evidence)
 

@@ -135,7 +135,10 @@ def _build_runtime(
     provider_configs = {name: _provider_config(name, ini) for name in _DEFAULT_PROVIDERS}
 
     if fixtures:
-        providers = [FixtureProvider(fixtures)]
+        try:
+            providers = [FixtureProvider(fixtures)]
+        except ValueError as exc:  # the file is not a UTF-8 JSON object
+            raise click.UsageError(str(exc)) from exc
     else:
         providers = [
             CrossrefClient(provider_configs["crossref"]),
@@ -242,7 +245,10 @@ def cmd_verify(
 ) -> int:
     """Verify every reference in a .bib or .txt bibliography."""
     resolver, classifier_config = _runtime(opts)
-    parse_report = parse_file(input_file, format=input_format)
+    try:
+        parse_report = parse_file(input_file, format=input_format)
+    except UnicodeDecodeError as exc:
+        raise click.UsageError(f"{input_file}: not UTF-8 text: {exc}") from exc
     for warning in parse_report.warnings:
         click.echo(f"warning: {warning}", err=True)
     verdicts = classify_batch(

@@ -49,7 +49,6 @@ class IdentifierCheck:
     identifier: Identifier
     syntax: IdentifierSyntax
     normalized: str | None = None
-    arxiv_version: int | None = None
 
 
 def strip_identifier_prefix(kind: IdentifierKind, value: str) -> str:
@@ -93,23 +92,19 @@ def check_identifier(identifier: Identifier) -> IdentifierCheck:
     """Apply the identifier grammar and compute the normalized lookup form.
 
     DOIs are lowercased with any "doi.org/" prefix stripped; arXiv IDs lose
-    their "arXiv:" prefix and any "vN" suffix (the version is returned
-    separately).
+    their "arXiv:" prefix and any "vN" suffix.
     """
     syntax = _classify_syntax(identifier.kind, identifier.value)
     if syntax is not IdentifierSyntax.VALID:
         return IdentifierCheck(identifier=identifier, syntax=syntax)
 
     bare = strip_identifier_prefix(identifier.kind, identifier.value)
-    version = None
     if identifier.kind is IdentifierKind.DOI:
         normalized = bare.lower()
     elif identifier.kind is IdentifierKind.ARXIV:
         m = _ARXIV_NEW_RE.match(bare)
         if m:
             normalized = f"{m.group(1)}.{m.group(2)}"
-            if m.group(3):
-                version = int(m.group(3)[1:])
         else:
             normalized = bare.lower()
     else:
@@ -118,7 +113,6 @@ def check_identifier(identifier: Identifier) -> IdentifierCheck:
         identifier=identifier,
         syntax=syntax,
         normalized=normalized,
-        arxiv_version=version,
     )
 
 

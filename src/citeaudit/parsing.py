@@ -24,9 +24,6 @@ class ParseReport:
     warnings: tuple[ParseWarning, ...]
     format: str
 
-    def __len__(self) -> int:
-        return len(self.citations)
-
 
 def detect_format(text: str, filename: str | None = None) -> str:
     if filename and filename.lower().endswith((".bib", ".bibtex")):

@@ -23,7 +23,7 @@ if TYPE_CHECKING:
     import requests
 
 from .identifiers import check_identifier, IdentifierSyntax, make_identifier
-from .matching import MatchThresholds, normalize_title, profile_match
+from .matching import FieldMatchProfile, MatchThresholds, normalize_title, profile_match
 from .model import (
     AuthorName,
     IdentifierKind,
@@ -99,21 +99,17 @@ class SearchOutcome:
 
 @dataclass(frozen=True)
 class ResolutionBundle:
-    """Everything the resolver learned about one citation."""
+    """Everything the resolver learned about one citation, with the match
+    profile of each record it holds, computed under ``thresholds``."""
 
     citation_key: str
     identifier_outcomes: tuple[tuple[str, LookupOutcome], ...] = ()
     title_search: SearchOutcome | None = None
     author_search: SearchOutcome | None = None
     short_circuit: bool = False
-
-    @property
-    def search_candidates(self) -> tuple[ResolvedRecord, ...]:
-        records: list[ResolvedRecord] = []
-        for outcome in (self.title_search, self.author_search):
-            if outcome is not None:
-                records.extend(outcome.records)
-        return tuple(records)
+    identifier_profiles: tuple[tuple[str, ResolvedRecord, FieldMatchProfile], ...] = ()
+    search_profiles: tuple[tuple[ResolvedRecord, FieldMatchProfile], ...] = ()
+    thresholds: MatchThresholds | None = None
 
     def attempts(self) -> list[tuple[str, bool, str | None]]:
         """(label, was_unavailable, cause) per sub-lookup actually tried."""
@@ -134,27 +130,26 @@ class ResolutionBundle:
 def _fixture_author(raw) -> AuthorName:
     if isinstance(raw, str):
         return normalize_name(raw)
-    return author_from_dict(raw)
+    return author_from_dict(_typed(raw, dict))
 
 
-def _fixture_record(d: dict, provider_name: str) -> ResolvedRecord:
+def _fixture_record(d, provider_name: str) -> ResolvedRecord:
+    d = _typed(d, dict)
     identifiers = []
-    for ident in d.get("identifiers", ()):
-        if isinstance(ident, dict):
-            identifiers.append(
-                make_identifier(IdentifierKind(ident["kind"]), ident["value"])
-            )
-        else:
-            raise ValueError(f"fixture identifier must be an object, got {ident!r}")
+    for ident in _typed(d.get("identifiers"), list, []):
+        ident = _typed(ident, dict)
+        identifiers.append(
+            make_identifier(IdentifierKind(ident["kind"]), _typed(ident["value"], str))
+        )
     return ResolvedRecord(
-        provider=d.get("provider", provider_name),
-        title=d.get("title", ""),
-        authors=tuple(_fixture_author(a) for a in d.get("authors", ())),
-        venue=d.get("venue", ""),
-        year=d.get("year"),
-        pages=d.get("pages"),
+        provider=_typed(d.get("provider"), str, provider_name),
+        title=_typed(d.get("title"), str, ""),
+        authors=tuple(_fixture_author(a) for a in _typed(d.get("authors"), list, [])),
+        venue=_typed(d.get("venue"), str, ""),
+        year=_typed(d.get("year"), int, None),
+        pages=_typed(d.get("pages"), str, None),
         identifiers=tuple(identifiers),
-        provenance_query=d.get("provenance_query", ""),
+        provenance_query=_typed(d.get("provenance_query"), str, ""),
     )
 
 
@@ -169,7 +164,11 @@ class FixtureProvider:
 
     def __init__(self, source: str | Path | dict, name: str = "fixture"):
         if isinstance(source, (str, Path)):
-            data = json.loads(Path(source).read_text(encoding="utf-8"))
+            try:
+                data = _typed(json.loads(Path(source).read_text(encoding="utf-8")), dict)
+                _typed(data.get("outcomes"), dict, {})
+            except ValueError as exc:  # not UTF-8, not JSON, or _BadPayload
+                raise ValueError(f"fixture file {source}: {exc}") from exc
         else:
             data = source
         self.name = name
@@ -183,9 +182,12 @@ class FixtureProvider:
             if self.closed_world:
                 return LookupOutcome.not_found()
             return LookupOutcome.unavailable("offline")
-        status = entry.get("status", "found")
-        if status == "found":
-            return LookupOutcome.found(_fixture_record(entry["record"], self.name))
+        try:
+            status = _typed(entry, dict).get("status", "found")
+            if status == "found":
+                return LookupOutcome.found(_fixture_record(entry.get("record"), self.name))
+        except (KeyError, ValueError):  # an entry that does not parse, or _BadPayload
+            return LookupOutcome.unavailable("bad_response")
         if status == "not_found":
             return LookupOutcome.not_found()
         return LookupOutcome.unavailable(entry.get("cause", "offline"))
@@ -196,13 +198,17 @@ class FixtureProvider:
             if self.closed_world:
                 return SearchOutcome(records=())
             return SearchOutcome(cause="offline")
-        if entry.get("status") == "unavailable":
-            return SearchOutcome(cause=entry.get("cause", "offline"))
-        return SearchOutcome(
-            records=tuple(
-                _fixture_record(r, self.name) for r in entry.get("records", ())
+        try:
+            if _typed(entry, dict).get("status") == "unavailable":
+                return SearchOutcome(cause=entry.get("cause", "offline"))
+            return SearchOutcome(
+                records=tuple(
+                    _fixture_record(r, self.name)
+                    for r in _typed(entry.get("records"), list, [])
+                )
             )
-        )
+        except (KeyError, ValueError):  # an entry that does not parse, or _BadPayload
+            return SearchOutcome(cause="bad_response")
 
     def lookup_doi(self, doi: str) -> LookupOutcome:
         return self._lookup(f"doi:{doi.lower()}")
@@ -559,10 +565,6 @@ class LookupCache:
             with self.path.open("a", encoding="utf-8") as fh:
                 fh.write(row + "\n")
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
 
 def _outcome_payload(outcome: LookupOutcome) -> dict:
     return {
@@ -634,20 +636,9 @@ class Resolver:
             rate = rate.rate_limit if rate else 0.0
             if rate and rate > 0:
                 self._buckets[id(provider)] = TokenBucket(rate=rate)
-        self._ops_lock = threading.Lock()
-        self._network_ops = 0
         # arXiv ids whose own request failed in the last prefetch, by cache
         # key, so the per-id path does not send them again that run.
         self._arxiv_failed: dict[str, LookupOutcome] = {}
-
-    @property
-    def network_ops(self) -> int:
-        with self._ops_lock:
-            return self._network_ops
-
-    def _count_op(self) -> None:
-        with self._ops_lock:
-            self._network_ops += 1
 
     def _provider_for(self, op: str):
         for provider in self._providers:
@@ -673,7 +664,6 @@ class Resolver:
             return LookupOutcome.unavailable("no_provider")
         if not self._acquire(provider):
             return LookupOutcome.unavailable("rate_limited")
-        self._count_op()
         outcome: LookupOutcome = getattr(provider, op)(value)
         if outcome.status is not LookupStatus.UNAVAILABLE:
             self.cache.put(key, _outcome_payload(outcome))
@@ -698,7 +688,6 @@ class Resolver:
             return SearchOutcome(cause="no_provider")
         if not self._acquire(provider):
             return SearchOutcome(cause="rate_limited")
-        self._count_op()
         outcome: SearchOutcome = getattr(provider, op)(*args)
         if not outcome.failed:
             self.cache.put(key, _search_payload(outcome))
@@ -752,7 +741,6 @@ class Resolver:
         left unsettled and the cause of their failure."""
         if not self._acquire(provider):
             return ids, "rate_limited"
-        self._count_op()
         outcomes = provider.lookup_arxiv_ids(ids)
         unsettled = []
         cause = None
@@ -792,20 +780,27 @@ class Resolver:
 
         Identifiers first; a Found record that agrees on author, title, and
         year short-circuits the searches. Otherwise title search, then
-        author-year search (skipped when the citation has no usable author
-        surname or no year).
+        author-year search (skipped after a full title-search match, or when
+        the citation has no usable author surname or no year).
         """
         id_outcomes: list[tuple[str, LookupOutcome]] = []
+        id_profiles: list[tuple[str, ResolvedRecord, FieldMatchProfile]] = []
+        search_profiles: list[tuple[ResolvedRecord, FieldMatchProfile]] = []
         short = False
+
+        def profiles(search: SearchOutcome) -> list[tuple[ResolvedRecord, FieldMatchProfile]]:
+            return [(r, profile_match(citation, r, self.thresholds)) for r in search.records]
 
         for kind, value in _lookup_ids(citation):
             if kind is IdentifierKind.DOI:
                 outcome = self.lookup_doi(value)
             else:
                 outcome = self.lookup_arxiv(value)
-            id_outcomes.append((f"{kind.value}:{value}", outcome))
+            label = f"{kind.value}:{value}"
+            id_outcomes.append((label, outcome))
             if outcome.status is LookupStatus.FOUND and outcome.record is not None:
                 profile = profile_match(citation, outcome.record, self.thresholds)
+                id_profiles.append((label, outcome.record, profile))
                 if profile.core_all_match():
                     short = True
                     break
@@ -815,11 +810,8 @@ class Resolver:
         if not short:
             if citation.title.strip():
                 title_search = self.search_title(citation.title)
-                for record in title_search.records:
-                    profile = profile_match(citation, record, self.thresholds)
-                    if profile.core_all_match():
-                        short = True
-                        break
+                search_profiles = profiles(title_search)
+                short = any(p.core_all_match() for _, p in search_profiles)
             if not short:
                 usable = [
                     a
@@ -830,6 +822,7 @@ class Resolver:
                     author_search = self.search_author_year(
                         usable[0].surname, citation.year
                     )
+                    search_profiles += profiles(author_search)
 
         return ResolutionBundle(
             citation_key=citation.source_key,
@@ -837,4 +830,7 @@ class Resolver:
             title_search=title_search,
             author_search=author_search,
             short_circuit=short,
+            identifier_profiles=tuple(id_profiles),
+            search_profiles=tuple(search_profiles),
+            thresholds=self.thresholds,
         )

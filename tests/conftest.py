@@ -21,7 +21,7 @@ from citeaudit.model import (
     normalize_name,
 )
 from citeaudit.parsing import parse_file
-from citeaudit.resolve import LookupStatus, ResolutionBundle, Resolver
+from citeaudit.resolve import Resolver
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -109,17 +109,3 @@ def make_record(
         pages=pages,
         identifiers=identifiers,
     )
-
-
-def identifier_records(bundle: ResolutionBundle) -> tuple[ResolvedRecord, ...]:
-    """The records the bundle's identifier lookups found, in lookup order."""
-    return tuple(
-        o.record
-        for _, o in bundle.identifier_outcomes
-        if o.status is LookupStatus.FOUND and o.record is not None
-    )
-
-
-def all_candidates(bundle: ResolutionBundle) -> tuple[ResolvedRecord, ...]:
-    """Every record the classifier weighs: identifier records, then search hits."""
-    return identifier_records(bundle) + bundle.search_candidates

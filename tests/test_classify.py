@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import json
 from importlib.resources import files
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import citeaudit.resolve as resolve_module
 from citeaudit.classify import (
     ClassifierConfig,
     classify,
@@ -16,21 +18,24 @@ from citeaudit.classify import (
 )
 from citeaudit.data import load_packaged_vocab, packaged_fixture_provider
 from citeaudit.identifiers import make_identifier
+from citeaudit.matching import MatchThresholds
 from citeaudit.model import (
     FailureMode,
     IdentifierKind,
     VerdictStatus,
 )
+from citeaudit.parsing import parse_file
 from citeaudit.resolve import (
     ArxivClient,
     FixtureProvider,
     LookupOutcome,
+    LookupStatus,
     ProviderConfig,
     ResolutionBundle,
     Resolver,
     SearchOutcome,
 )
-from tests.conftest import all_candidates, make_citation, make_record
+from tests.conftest import DATA_DIR, make_citation, make_record
 from tests.http_fakes import FakeArxivSession, Paper
 
 # The package re-exports the classify() function under the submodule's name,
@@ -151,19 +156,42 @@ class TestVerifiedPaths:
         assert v.status is not VerdictStatus.VERIFIED
 
 
+def _records_held(bundle) -> int:
+    """Found identifier records plus search records: what the bundle holds."""
+    found = [o for _, o in bundle.identifier_outcomes if o.status is LookupStatus.FOUND]
+    searches = [s for s in (bundle.title_search, bundle.author_search) if s is not None]
+    return len(found) + sum(len(s.records) for s in searches)
+
+
+def _stripped(bundle):
+    """The same bundle as a library caller would build it: no profiles."""
+    return dataclasses.replace(
+        bundle, identifier_profiles=(), search_profiles=(), thresholds=None
+    )
+
+
+@pytest.fixture(scope="module")
+def audited_citations(exemplar_citations):
+    """The golden report's input (the exemplars) and a clean bibliography."""
+    return list(exemplar_citations) + list(parse_file(DATA_DIR / "clean.bib").citations)
+
+
 class TestProfileOnce:
-    """classify() profiles each (citation, record) pair exactly once."""
+    """Each (citation, record) pair is profiled once: by the resolver when
+    it built the bundle, by classify() only for a bundle without profiles
+    under the configured thresholds."""
 
     @pytest.fixture()
     def profile_calls(self, monkeypatch):
         calls = []
-        original = classify_module.profile_match
+        for module in (classify_module, resolve_module):
+            original = module.profile_match
 
-        def counting(citation, record, thresholds):
-            calls.append(record)
-            return original(citation, record, thresholds)
+            def counting(citation, record, thresholds, module=module, original=original):
+                calls.append((module.__name__, record))
+                return original(citation, record, thresholds)
 
-        monkeypatch.setattr(classify_module, "profile_match", counting)
+            monkeypatch.setattr(module, "profile_match", counting)
         return calls
 
     def test_hallucinated_citation_profiles_each_record_once(self, config, profile_calls):
@@ -195,17 +223,58 @@ class TestProfileOnce:
         v = classify(c, bundle, config)
         assert v.status is VerdictStatus.HALLUCINATED
         assert len(profile_calls) == len(found) + len(searched)
-        assert {id(r) for r in profile_calls} == {id(r) for r in found + searched}
+        assert {id(r) for _, r in profile_calls} == {id(r) for r in found + searched}
 
     def test_exemplars_profile_each_candidate_once(
         self, exemplar_citations, resolver, config, profile_calls
     ):
         for citation in exemplar_citations:
-            bundle = resolver.resolve_citation(citation)
             profile_calls.clear()
+            bundle = resolver.resolve_citation(citation)
             v = classify(citation, bundle, config)
             assert v.status is VerdictStatus.HALLUCINATED
-            assert len(profile_calls) == len(all_candidates(bundle))
+            assert len(profile_calls) == _records_held(bundle)
+            assert all(where == "citeaudit.resolve" for where, _ in profile_calls)
+
+    def test_resolver_built_bundles_need_no_classify_profiles(
+        self, audited_citations, resolver, config, profile_calls
+    ):
+        held = 0
+        for citation in audited_citations:
+            bundle = resolver.resolve_citation(citation)
+            held += _records_held(bundle)
+            classify(citation, bundle, config)
+        assert held
+        assert len(profile_calls) == held
+        assert [r for where, r in profile_calls if where != "citeaudit.resolve"] == []
+
+    def test_other_thresholds_are_profiled_again(
+        self, audited_citations, config, profile_calls
+    ):
+        strict = Resolver(
+            providers=[packaged_fixture_provider()],
+            thresholds=MatchThresholds(author_strong=0.95),
+        )
+        for citation in audited_citations:
+            bundle = strict.resolve_citation(citation)
+            assert bundle.thresholds != config.thresholds
+            profile_calls.clear()
+            verdict = classify(citation, bundle, config)
+            assert len(profile_calls) == _records_held(bundle)
+            assert all(where == "citeaudit.classify" for where, _ in profile_calls)
+            assert verdict == classify(citation, _stripped(bundle), config)
+
+
+def test_carried_profiles_give_the_stripped_verdict(audited_citations, config):
+    resolver = Resolver(providers=[packaged_fixture_provider()])
+    statuses = set()
+    for citation in audited_citations:
+        bundle = resolver.resolve_citation(citation)
+        assert bundle.thresholds == config.thresholds
+        verdict = classify(citation, bundle, config)
+        assert verdict == classify(citation, _stripped(bundle), config)
+        statuses.add(verdict.status)
+    assert statuses == {VerdictStatus.VERIFIED, VerdictStatus.HALLUCINATED}
 
 
 class TestOutageSafety:

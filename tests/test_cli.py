@@ -364,6 +364,38 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "--fixtures" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, bib, fixtures, named",
+        [
+            ("verify", b"\xff\xfe[1] A. Author. A title. 2020.\n", None, "refs.txt"),
+            ("verify", None, b"{not json", "fixtures.json"),
+            ("verify", None, b"\xff\xfe{}", "fixtures.json"),
+            ("verify", None, b"[1, 2]", "fixtures.json"),
+            ("verify", None, b'{"outcomes": ["doi:10.1/x"]}', "fixtures.json"),
+            ("classify", None, b"{not json", "fixtures.json"),
+        ],
+        ids=[
+            "bibliography-not-utf8",
+            "fixtures-not-json",
+            "fixtures-not-utf8",
+            "fixtures-not-an-object",
+            "fixture-outcomes-not-an-object",
+            "classify-fixtures-not-json",
+        ],
+    )
+    def test_malformed_input_file_is_usage_error(
+        self, command, bib, fixtures, named, fixtures_path, tmp_path, capsys
+    ):
+        # Exit 1 means hallucinations were found; a broken file is exit 3.
+        bib_path = tmp_path / "refs.txt"
+        bib_path.write_bytes(bib or (DATA / "exemplars.txt").read_bytes())
+        fixtures_file = tmp_path / "fixtures.json"
+        fixtures_file.write_bytes(fixtures or Path(fixtures_path).read_bytes())
+        target = str(bib_path) if command == "verify" else "A. Author. A title. 2020."
+        code = main([command, target, "--fixtures", str(fixtures_file)])
+        assert code == EXIT_USAGE
+        assert str(tmp_path / named) in capsys.readouterr().err
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
 

@@ -103,7 +103,6 @@ class TestArxivGrammar:
     def test_version_split_out(self):
         check = check_identifier(make_identifier(ARXIV, "2107.13586v3"))
         assert check.normalized == "2107.13586"
-        assert check.arxiv_version == 3
 
     def test_prefixes_stripped(self):
         for raw in ("arXiv:2107.13586", "https://arxiv.org/abs/2107.13586"):

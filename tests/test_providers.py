@@ -1,4 +1,5 @@
-"""The HTTP clients against canned replies: reply shapes and batched arXiv lookups."""
+"""The providers against canned replies: reply shapes, fixture entries and
+batched arXiv lookups."""
 from __future__ import annotations
 
 import pytest
@@ -10,6 +11,7 @@ from citeaudit.model import IdentifierKind, VerdictStatus
 from citeaudit.resolve import (
     ArxivClient,
     CrossrefClient,
+    FixtureProvider,
     LookupOutcome,
     LookupStatus,
     OpenAlexClient,
@@ -282,3 +284,65 @@ def test_request_error_is_no_internal_error(error):
     verdict = classify_citation(citation, Resolver(providers=providers), ClassifierConfig())
     assert verdict.status is VerdictStatus.UNVERIFIABLE
     assert verdict.cause == "provider_unavailable"
+
+
+_FIXTURE_OK = {"title": "Deep learning", "authors": ["Yann LeCun"], "year": 2015}
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"record": {**_FIXTURE_OK, "identifiers": [{"kind": "isbn", "value": "0-00"}]}},
+        {"record": {**_FIXTURE_OK, "identifiers": [{"kind": "doi"}]}},
+        {"record": {**_FIXTURE_OK, "identifiers": ["10.1038/nature14539"]}},
+        {"record": {**_FIXTURE_OK, "title": 5}},
+        {"record": {**_FIXTURE_OK, "year": "2015"}},
+        {"record": {**_FIXTURE_OK, "authors": "Yann LeCun"}},
+        {"record": {**_FIXTURE_OK, "authors": [7]}},
+        {"record": {**_FIXTURE_OK, "authors": [{"surname": "lecun"}]}},
+        {"record": ["Deep learning"]},
+        {"status": "found"},
+        "found",
+    ],
+    ids=[
+        "unknown-identifier-kind",
+        "identifier-without-value",
+        "identifier-not-an-object",
+        "title-not-a-string",
+        "year-not-a-number",
+        "authors-not-a-list",
+        "author-not-a-name",
+        "author-object-without-raw",
+        "record-not-an-object",
+        "no-record",
+        "entry-not-an-object",
+    ],
+)
+def test_malformed_fixture_entry_is_bad_response(entry):
+    # The entry is parsed when it is looked up, like a provider reply.
+    search_entry = {"records": [entry.get("record")]} if isinstance(entry, dict) else entry
+    outcomes = {"doi:10.1038/nature14539": entry, "title:deep learning": search_entry}
+    provider = FixtureProvider({"closed_world": True, "outcomes": outcomes})
+    assert provider.lookup_doi("10.1038/nature14539") == LookupOutcome.unavailable(
+        "bad_response"
+    )
+    assert provider.search_title("Deep learning") == SearchOutcome(cause="bad_response")
+    citation = make_citation(
+        title="Deep learning",
+        authors=("Yann LeCun",),
+        year=None,
+        identifiers=(make_identifier(IdentifierKind.DOI, "10.1038/nature14539"),),
+    )
+    verdict = classify_citation(citation, Resolver(providers=[provider]), ClassifierConfig())
+    assert verdict.status is VerdictStatus.UNVERIFIABLE
+    assert verdict.cause == "provider_unavailable"
+
+
+def test_well_formed_fixture_entry_is_found():
+    bengio = {"raw": "Y. Bengio", "surname": "bengio"}
+    entry = {"record": {**_FIXTURE_OK, "authors": ["Yann LeCun", bengio]}}
+    provider = FixtureProvider({"outcomes": {"doi:10.1/x": entry}})
+    outcome = provider.lookup_doi("10.1/x")
+    assert outcome.status is FOUND
+    assert outcome.record.title == "Deep learning"
+    assert [a.surname for a in outcome.record.authors] == ["lecun", "bengio"]

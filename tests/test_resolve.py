@@ -9,6 +9,7 @@ import pytest
 from citeaudit.classify import ClassifierConfig, classify_citation
 from citeaudit.data import packaged_fixture_provider
 from citeaudit.identifiers import make_identifier
+from citeaudit.matching import profile_match
 from citeaudit.model import IdentifierKind
 from citeaudit.ratelimit import TokenBucket
 from citeaudit.resolve import (
@@ -22,12 +23,7 @@ from citeaudit.resolve import (
     Resolver,
     SearchOutcome,
 )
-from tests.conftest import (
-    all_candidates,
-    identifier_records,
-    make_citation,
-    make_record,
-)
+from tests.conftest import make_citation, make_record
 from tests.http_fakes import FakeArxivSession, Paper
 
 
@@ -193,17 +189,22 @@ class TestLookupCache:
         cache.put("k", {"v": 1}, now=1000.0)
         assert cache.get("k", now=1099.0) == {"v": 1}
         assert cache.get("k", now=1101.0) is None
-        assert len(cache) == 1
         assert list(tmp_path.iterdir()) == []
 
 
 class CountingProvider:
-    """Closed-world provider that counts how often each op is hit."""
+    """Provider that counts how often each op is hit. It answers from a
+    closed-world fixture of outcomes, or from the fixture provider given."""
 
-    def __init__(self, outcomes: dict | None = None, rate_limit: float = 0.0):
+    def __init__(
+        self,
+        outcomes: dict | None = None,
+        rate_limit: float = 0.0,
+        fixture: FixtureProvider | None = None,
+    ):
         self.config = ProviderConfig(name="counting", rate_limit=rate_limit)
         self.calls: list[str] = []
-        self._fx = FixtureProvider(
+        self._fx = fixture or FixtureProvider(
             {"closed_world": True, "outcomes": outcomes or {}}, name="counting"
         )
 
@@ -232,17 +233,17 @@ class TestResolver:
         resolver.lookup_doi("10.1/x")
         resolver.lookup_doi("10.1/x")
         assert len(provider.calls) == 1
-        assert resolver.network_ops == 1
 
     def test_cache_shared_across_resolvers(self, tmp_path):
         path = tmp_path / "c.jsonl"
         provider = CountingProvider()
         first = Resolver(providers=[provider], cache=LookupCache(path))
         first.lookup_doi("10.1/x")
-        second = Resolver(providers=[CountingProvider()], cache=LookupCache(path))
+        other = CountingProvider()
+        second = Resolver(providers=[other], cache=LookupCache(path))
         outcome = second.lookup_doi("10.1/x")
         assert outcome.status is LookupStatus.NOT_FOUND
-        assert second.network_ops == 0
+        assert other.calls == []
 
     def test_unavailable_not_cached(self, tmp_path):
         flaky = CountingProvider()
@@ -252,7 +253,8 @@ class TestResolver:
         assert resolver.lookup_doi("10.1/x").status is LookupStatus.UNAVAILABLE
         assert resolver.lookup_doi("10.1/x").status is LookupStatus.UNAVAILABLE
         assert len(flaky.calls) == 2
-        assert len(cache) == 0
+        assert cache.get("doi:10.1/x") is None
+        assert not cache.path.exists()
 
     def test_repeated_lookup_memoized_without_cache(self):
         provider = CountingProvider(
@@ -266,7 +268,6 @@ class TestResolver:
         resolver.search_author_year("Lovelace", 2020)
         resolver.search_author_year("Lovelace", 2020)
         assert provider.calls == ["doi:10.1/x", "title", "author"]
-        assert resolver.network_ops == 3
 
     def test_search_results_cached(self, tmp_path):
         provider = CountingProvider(
@@ -351,13 +352,15 @@ class TestResolver:
         path = tmp_path / "cache.jsonl"
         config = ClassifierConfig(vocab=vocab)
 
-        warm = Resolver(providers=[packaged_fixture_provider()], cache=LookupCache(path))
+        warm_provider = CountingProvider(fixture=packaged_fixture_provider())
+        warm = Resolver(providers=[warm_provider], cache=LookupCache(path))
         first = [classify_citation(c, warm, config) for c in exemplar_citations]
-        assert warm.network_ops > 0
+        assert warm_provider.calls
 
-        cold = Resolver(providers=[packaged_fixture_provider()], cache=LookupCache(path))
+        cold_provider = CountingProvider(fixture=packaged_fixture_provider())
+        cold = Resolver(providers=[cold_provider], cache=LookupCache(path))
         second = [classify_citation(c, cold, config) for c in exemplar_citations]
-        assert cold.network_ops == 0
+        assert cold_provider.calls == []
         assert first == second
 
 
@@ -391,7 +394,6 @@ class TestPrefetch:
             {"id_list": ",".join(ids[start : start + size]), "max_results": size}
             for start, size in zip((0, 100), sizes)
         ]
-        assert resolver.network_ops == len(sizes)
         assert all(resolver.lookup_arxiv(i).status is LookupStatus.FOUND for i in ids)
         assert len(session.requests) == len(sizes)
 
@@ -407,7 +409,7 @@ class TestPrefetch:
         assert session.requests[0]["max_results"] == 10
         assert {"id_list": bad, "max_results": 1} in session.requests
         assert len(session.requests) <= 1 + 2 * math.ceil(math.log2(len(ids)))
-        assert len(cache) == 9
+        assert [i for i in ids if cache.get(f"arxiv:{i}") is None] == [bad]
         sent = len(session.requests)
 
         single = ArxivClient(_ARXIV, session=FakeArxivSession(papers, failing={bad}))
@@ -492,12 +494,11 @@ class TestPrefetch:
 
     def test_needs_a_batching_arxiv_owner(self):
         session = FakeArxivSession(_papers(3))
-        resolver = Resolver(
-            providers=[CountingProvider(), ArxivClient(_ARXIV, session=session)]
-        )
+        counting = CountingProvider()
+        resolver = Resolver(providers=[counting, ArxivClient(_ARXIV, session=session)])
         resolver.prefetch(_arxiv_citations(_papers(3)))
         assert session.requests == []
-        assert resolver.network_ops == 0
+        assert counting.calls == []
 
 
 class TestResolutionBundle:
@@ -516,13 +517,65 @@ class TestResolutionBundle:
         assert ("author_search", False, None) in attempts
 
     def test_candidate_pools(self):
-        found = make_record(title="Found via id")
-        searched = make_record(title="Found via search")
+        # The resolver profiles every record it puts in the bundle, in order:
+        # Found identifier records, then title-search, then author-search hits.
+        found = {"title": "Found via id", "authors": ["Charles Babbage"], "year": 2020}
+        titled = [{"title": f"Found via title {i}", "year": 2020} for i in range(2)]
+        authored = {"title": "Found via author", "authors": ["Ada Lovelace"], "year": 2020}
+        provider = CountingProvider(
+            outcomes={
+                "doi:10.1234/x": {"record": found},
+                "doi:10.1234/gone": {"status": "not_found"},
+                "title:a sample title": {"records": titled},
+                "author:lovelace:2020": {"records": [authored]},
+            }
+        )
+        resolver = Resolver(providers=[provider])
+        citation = make_citation(
+            identifiers=(
+                make_identifier(IdentifierKind.DOI, "10.1234/x"),
+                make_identifier(IdentifierKind.DOI, "10.1234/gone"),
+            )
+        )
+        bundle = resolver.resolve_citation(citation)
+        assert not bundle.short_circuit
+        assert [(label, r.title) for label, r, _ in bundle.identifier_profiles] == [
+            ("doi:10.1234/x", "Found via id")
+        ]
+        assert [r.title for r, _ in bundle.search_profiles] == [
+            "Found via title 0",
+            "Found via title 1",
+            "Found via author",
+        ]
+        assert bundle.thresholds is resolver.thresholds
+        for _, record, profile in bundle.identifier_profiles:
+            assert profile == profile_match(citation, record, resolver.thresholds)
+        for record, profile in bundle.search_profiles:
+            assert profile == profile_match(citation, record, resolver.thresholds)
+
+    def test_full_title_match_profiles_every_title_record(self):
+        # A full match still skips the author search, but the title-search
+        # records after it are profiled too, so the bundle holds no record
+        # without its profile.
+        match = {"title": "A sample title", "authors": ["Ada Lovelace"], "year": 2020}
+        other = {"title": "Another title", "authors": ["Alan Turing"], "year": 2020}
+        provider = CountingProvider(
+            outcomes={"title:a sample title": {"records": [match, other]}}
+        )
+        bundle = Resolver(providers=[provider]).resolve_citation(make_citation())
+        assert bundle.short_circuit
+        assert bundle.author_search is None
+        assert provider.calls == ["title"]
+        assert [
+            (r.title, p.core_all_match()) for r, p in bundle.search_profiles
+        ] == [("A sample title", True), ("Another title", False)]
+
+    def test_hand_built_bundle_carries_no_profiles(self):
         bundle = ResolutionBundle(
             citation_key="k",
-            identifier_outcomes=(("doi:x", LookupOutcome.found(found)),),
-            title_search=SearchOutcome(records=(searched,)),
+            identifier_outcomes=(("doi:x", LookupOutcome.found(make_record())),),
+            title_search=SearchOutcome(records=(make_record(),)),
         )
-        assert identifier_records(bundle) == (found,)
-        assert bundle.search_candidates == (searched,)
-        assert all_candidates(bundle) == (found, searched)
+        assert bundle.identifier_profiles == ()
+        assert bundle.search_profiles == ()
+        assert bundle.thresholds is None
