@@ -14,7 +14,7 @@ from .analytics import (
     render_summary,
     summarize,
 )
-from .classify import ClassifierConfig, classify, classify_batch, classify_citation
+from .classify import ClassifierConfig, classify_batch
 from .data import (
     load_packaged_corpus,
     load_packaged_vocab,
@@ -53,8 +53,6 @@ from .model import (
     Verdict,
     VerdictStatus,
     normalize_name,
-    parse_verdict,
-    serialize_verdict,
 )
 from .parsing import ParseReport, detect_format, parse_file, parse_text
 from .ratelimit import TokenBucket
@@ -114,9 +112,7 @@ __all__ = [
     "build_report",
     "build_vocab",
     "check_identifier",
-    "classify",
     "classify_batch",
-    "classify_citation",
     "detect_format",
     "exit_code_for",
     "extract_identifiers",
@@ -130,12 +126,10 @@ __all__ = [
     "parse_corpus",
     "parse_file",
     "parse_text",
-    "parse_verdict",
     "profile_match",
     "render_report",
     "render_summary",
     "scan_placeholders",
-    "serialize_verdict",
     "summarize",
     "title_plausibility",
     "title_similarity",

@@ -8,7 +8,6 @@ Unverifiable, never Hallucinated.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .identifiers import scan_placeholders
@@ -304,27 +303,12 @@ def classify(
     )
 
 
-def classify_citation(
-    citation: ParsedCitation,
-    resolver: Resolver,
-    config: ClassifierConfig,
-) -> Verdict:
-    """Resolve then classify a single citation."""
-    bundle = resolver.resolve_citation(citation)
-    return classify(citation, bundle, config)
-
-
-def _safe_classify(
-    citation: ParsedCitation, resolver: Resolver, config: ClassifierConfig
-) -> Verdict:
-    try:
-        return classify_citation(citation, resolver, config)
-    except Exception as exc:  # noqa: BLE001 - one bad citation must not sink the batch
-        return Verdict(
-            status=VerdictStatus.UNVERIFIABLE,
-            citation_key=citation.source_key,
-            cause=f"internal_error:{type(exc).__name__}",
-        )
+def _internal_error(citation: ParsedCitation, stage: str, exc: Exception) -> Verdict:
+    return Verdict(
+        status=VerdictStatus.UNVERIFIABLE,
+        citation_key=citation.source_key,
+        cause=f"internal_error:{stage}:{type(exc).__name__}",
+    )
 
 
 def classify_batch(
@@ -333,26 +317,23 @@ def classify_batch(
     config: ClassifierConfig,
     jobs: int = 4,
 ) -> list[Verdict]:
-    """Classify citations concurrently, preserving input order.
+    """Resolve and classify a bibliography, preserving input order.
 
-    A resolver with a ``prefetch`` method gets the whole list first, on this
-    thread, so its batched requests go out in a fixed order before the
-    per-citation lookups start. The pre-pass only saves requests: if it
-    fails, whatever it did not settle is looked up per citation, where a
-    failure costs one verdict, not the batch.
+    The resolver looks the citations up on up to ``jobs`` threads
+    (Resolver.resolve_all); each verdict is made here, on the calling thread,
+    as its bundle arrives. A citation whose resolution or classification
+    raises is Unverifiable with cause ``internal_error:<stage>:<type>``; the
+    others are unaffected.
     """
     citations = list(citations)
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    prefetch = getattr(resolver, "prefetch", None)
-    if prefetch is not None:
+    verdicts = []
+    bundles = resolver.resolve_all(citations, jobs)
+    for citation, bundle in zip(citations, bundles, strict=True):
+        if isinstance(bundle, Exception):
+            verdicts.append(_internal_error(citation, "resolve", bundle))
+            continue
         try:
-            prefetch(citations)
-        except Exception:
-            pass
-    if jobs == 1 or len(citations) <= 1:
-        return [_safe_classify(c, resolver, config) for c in citations]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(
-            pool.map(lambda c: _safe_classify(c, resolver, config), citations)
-        )
+            verdicts.append(classify(citation, bundle, config))
+        except Exception as exc:  # noqa: BLE001 - one bad citation must not sink the batch
+            verdicts.append(_internal_error(citation, "classify", exc))
+    return verdicts

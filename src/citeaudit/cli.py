@@ -146,14 +146,19 @@ def _build_runtime(
             OpenAlexClient(provider_configs["openalex"]),
         ]
 
-    lookup_cache = LookupCache(cache) if cache else None
+    try:
+        lookup_cache = LookupCache(cache) if cache else None
+    except UnicodeDecodeError as exc:
+        raise click.UsageError(f"cache file {cache}: not UTF-8 text: {exc}") from exc
     resolver = Resolver(providers, thresholds=thresholds, cache=lookup_cache)
 
     if vocab:
+        try:
+            vocab_text = Path(vocab).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise click.UsageError(f"vocab file {vocab}: not UTF-8 text: {exc}") from exc
         vocab_tokens = frozenset(
-            line.strip()
-            for line in Path(vocab).read_text(encoding="utf-8").splitlines()
-            if line.strip()
+            line.strip() for line in vocab_text.splitlines() if line.strip()
         )
     else:
         vocab_tokens = load_packaged_vocab()
@@ -232,7 +237,7 @@ def cli() -> None:
     default="text",
     show_default=True,
 )
-@click.option("--jobs", type=click.IntRange(min=1), default=4, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=4, show_default=True, help="Threads for provider lookups; a --fixtures run looks up on one thread.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the report here instead of stdout.")
 @_runtime_options
 def cmd_verify(

@@ -4,7 +4,6 @@ All types are immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
 
-import json
 import re
 import unicodedata
 from dataclasses import dataclass, field
@@ -346,35 +345,3 @@ def verdict_to_dict(v: Verdict) -> dict:
         ],
         "matched_record": record_to_dict(v.matched_record) if v.matched_record else None,
     }
-
-
-def verdict_from_dict(d: dict) -> Verdict:
-    return Verdict(
-        status=VerdictStatus(d["status"]),
-        citation_key=d.get("citation_key", ""),
-        primary=FailureMode.parse(d["primary"]) if d.get("primary") else None,
-        secondary=FailureMode.parse(d["secondary"]) if d.get("secondary") else None,
-        cause=d.get("cause"),
-        evidence=tuple(
-            EvidenceItem(
-                mode=FailureMode.parse(e["mode"]),
-                detail=e["detail"],
-                field=e.get("field"),
-                score=e.get("score"),
-            )
-            for e in d.get("evidence", ())
-        ),
-        matched_record=(
-            record_from_dict(d["matched_record"]) if d.get("matched_record") else None
-        ),
-    )
-
-
-def serialize_verdict(verdict: Verdict) -> str:
-    """Render a verdict as a stable-key-order JSON object."""
-    return json.dumps(verdict_to_dict(verdict), ensure_ascii=False)
-
-
-def parse_verdict(text: str) -> Verdict:
-    """Inverse of serialize_verdict; unknown keys are ignored."""
-    return verdict_from_dict(json.loads(text))

@@ -11,7 +11,8 @@ import json
 import re
 import threading
 import time
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -29,7 +30,6 @@ from .model import (
     IdentifierKind,
     ParsedCitation,
     ResolvedRecord,
-    author_from_dict,
     normalize_name,
     record_from_dict,
     record_to_dict,
@@ -130,7 +130,14 @@ class ResolutionBundle:
 def _fixture_author(raw) -> AuthorName:
     if isinstance(raw, str):
         return normalize_name(raw)
-    return author_from_dict(_typed(raw, dict))
+    raw = _typed(raw, dict)
+    given_tokens = _typed(raw.get("given_tokens"), list, [])
+    return AuthorName(
+        raw=_typed(raw.get("raw"), str),
+        surname=_typed(raw.get("surname"), str),
+        given_tokens=tuple(_typed(token, str) for token in given_tokens),
+        is_placeholder=_typed(raw.get("is_placeholder"), bool, False),
+    )
 
 
 def _fixture_record(d, provider_name: str) -> ResolvedRecord:
@@ -240,11 +247,11 @@ _REQUIRED = object()
 
 def _typed(value, kind, default=_REQUIRED):
     """value when it is an instance of kind; default when value is None and a
-    default is given. Anything else is a malformed reply. bool never passes
-    for int, since JSON true is not a year or a page."""
+    default is given. Anything else is a malformed reply. bool passes only for
+    bool, since JSON true is not a year or a page."""
     if value is None and default is not _REQUIRED:
         return default
-    if isinstance(value, bool) or not isinstance(value, kind):
+    if (isinstance(value, bool) and kind is not bool) or not isinstance(value, kind):
         raise _BadPayload(f"expected {kind}, got {type(value).__name__}")
     return value
 
@@ -615,8 +622,8 @@ class Resolver:
     implements an operation owns it. Found and NotFound outcomes and
     successful searches go into the cache; without a configured one the
     resolver keeps an in-memory LookupCache, so a key repeated within one
-    run goes to the network once either way. Thread-safe: one instance may
-    serve a whole worker pool.
+    run goes to the network once either way. Thread-safe: resolve_all runs
+    resolve_citation on a pool of lookup threads.
     """
 
     def __init__(
@@ -834,3 +841,35 @@ class Resolver:
             search_profiles=tuple(search_profiles),
             thresholds=self.thresholds,
         )
+
+    def resolve_all(
+        self, citations: Sequence[ParsedCitation], jobs: int = 4
+    ) -> Iterator[ResolutionBundle | Exception]:
+        """Resolve a whole bibliography: the arXiv pre-pass, then each
+        citation's lookup ladder.
+
+        Yields, in input order, each citation's bundle, or the exception its
+        resolve_citation raised, so a failure costs one citation, not the
+        batch. The pre-pass only saves requests: if it raises, the ids it did
+        not settle are looked up per citation. The ladders run on ``jobs``
+        threads when some provider does I/O, and one after another on the
+        calling thread when every provider is a FixtureProvider.
+        """
+        if jobs < 1:
+            raise ValueError("jobs must be at least 1")
+        try:
+            self.prefetch(citations)
+        except Exception:  # noqa: BLE001 - the per-id path settles what is left
+            pass
+
+        def attempt(citation: ParsedCitation) -> ResolutionBundle | Exception:
+            try:
+                return self.resolve_citation(citation)
+            except Exception as exc:  # noqa: BLE001 - reported as that citation's verdict
+                return exc
+
+        if all(isinstance(p, FixtureProvider) for p in self._providers):
+            yield from map(attempt, citations)
+            return
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            yield from pool.map(attempt, citations)

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
-from citeaudit.classify import ClassifierConfig
+from citeaudit.classify import ClassifierConfig, classify
 
 settings.register_profile(
     "ci", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -18,6 +18,7 @@ from citeaudit.model import (
     IdentifierKind,
     ParsedCitation,
     ResolvedRecord,
+    Verdict,
     normalize_name,
 )
 from citeaudit.parsing import parse_file
@@ -67,6 +68,13 @@ def offline_resolver() -> Resolver:
 @pytest.fixture()
 def classifier_config(vocab) -> ClassifierConfig:
     return ClassifierConfig(vocab=vocab)
+
+
+def classify_citation(
+    citation: ParsedCitation, resolver: Resolver, config: ClassifierConfig
+) -> Verdict:
+    """Resolve then classify a single citation, without the batch's pre-pass."""
+    return classify(citation, resolver.resolve_citation(citation), config)
 
 
 def make_citation(

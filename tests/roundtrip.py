@@ -1,13 +1,26 @@
-"""Writers that invert the parsers and the summary serializer, for round-trip tests.
+"""Writers and readers that invert the parsers and serializers, for round-trip tests.
 
-Nothing in citeaudit writes citations back out or reads a summary in, so
-these live with the tests that check the parsers and summary_to_dict
-against them.
+Nothing in citeaudit writes citations back out or reads a summary or a
+verdict in, so these live with the tests that check the parsers,
+summary_to_dict and verdict_to_dict against them.
 """
 from __future__ import annotations
 
+import json
+
 from citeaudit.analytics import DistributionSummary
-from citeaudit.model import AuthorName, IdentifierKind, ParsedCitation, _name_tokens
+from citeaudit.model import (
+    AuthorName,
+    EvidenceItem,
+    FailureMode,
+    IdentifierKind,
+    ParsedCitation,
+    Verdict,
+    VerdictStatus,
+    _name_tokens,
+    record_from_dict,
+    verdict_to_dict,
+)
 from citeaudit.parsing import FORMAT_BIBTEX, FORMAT_PLAINTEXT
 
 
@@ -143,3 +156,35 @@ def summary_from_dict(d: dict) -> DistributionSummary:
         buckets=dict(d["buckets"]),
         compound_rate=d["compound_rate"],
     )
+
+
+def verdict_from_dict(d: dict) -> Verdict:
+    return Verdict(
+        status=VerdictStatus(d["status"]),
+        citation_key=d.get("citation_key", ""),
+        primary=FailureMode.parse(d["primary"]) if d.get("primary") else None,
+        secondary=FailureMode.parse(d["secondary"]) if d.get("secondary") else None,
+        cause=d.get("cause"),
+        evidence=tuple(
+            EvidenceItem(
+                mode=FailureMode.parse(e["mode"]),
+                detail=e["detail"],
+                field=e.get("field"),
+                score=e.get("score"),
+            )
+            for e in d.get("evidence", ())
+        ),
+        matched_record=(
+            record_from_dict(d["matched_record"]) if d.get("matched_record") else None
+        ),
+    )
+
+
+def serialize_verdict(verdict: Verdict) -> str:
+    """Render a verdict as a stable-key-order JSON object."""
+    return json.dumps(verdict_to_dict(verdict), ensure_ascii=False)
+
+
+def parse_verdict(text: str) -> Verdict:
+    """Inverse of serialize_verdict; unknown keys are ignored."""
+    return verdict_from_dict(json.loads(text))

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from citeaudit.analytics import summarize
-from citeaudit.classify import ClassifierConfig, classify, classify_batch, classify_citation
+from citeaudit.classify import ClassifierConfig, classify, classify_batch
 from citeaudit.cli import main
 from citeaudit.data import load_packaged_corpus, load_packaged_vocab, packaged_fixture_provider
 from citeaudit.identifiers import IdentifierSyntax, check_identifier, make_identifier
@@ -28,7 +28,7 @@ from citeaudit.resolve import (
     SearchOutcome,
 )
 from tests import conftest
-from tests.conftest import make_citation, make_record
+from tests.conftest import classify_citation, make_citation, make_record
 from tests.oracles import edit_distance_matrix, edit_similarity
 
 DATA = Path(__file__).parent / "data"

@@ -1,27 +1,24 @@
 from __future__ import annotations
 
 import dataclasses
-import importlib
 import json
+import threading
 from importlib.resources import files
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import citeaudit.classify as classify_module
 import citeaudit.resolve as resolve_module
-from citeaudit.classify import (
-    ClassifierConfig,
-    classify,
-    classify_batch,
-    classify_citation,
-)
+from citeaudit.classify import ClassifierConfig, classify, classify_batch
 from citeaudit.data import load_packaged_vocab, packaged_fixture_provider
 from citeaudit.identifiers import make_identifier
 from citeaudit.matching import MatchThresholds
 from citeaudit.model import (
     FailureMode,
     IdentifierKind,
+    Verdict,
     VerdictStatus,
 )
 from citeaudit.parsing import parse_file
@@ -35,12 +32,8 @@ from citeaudit.resolve import (
     Resolver,
     SearchOutcome,
 )
-from tests.conftest import DATA_DIR, make_citation, make_record
+from tests.conftest import DATA_DIR, classify_citation, make_citation, make_record
 from tests.http_fakes import FakeArxivSession, Paper
-
-# The package re-exports the classify() function under the submodule's name,
-# so reach the module itself through the import system.
-classify_module = importlib.import_module("citeaudit.classify")
 
 TF = FailureMode.TF
 PAC = FailureMode.PAC
@@ -457,14 +450,23 @@ def _arxiv_citations(exemplar_citations) -> list:
     return list(exemplar_citations) + extra
 
 
-def _classify_with_arxiv(citations, config, session, wrap=lambda r: r):
-    # arXiv lookups go to a batching client over session; every other op to
-    # the packaged fixture.
+def _arxiv_resolver(session, resolver_class=Resolver) -> Resolver:
+    """arXiv lookups go to a batching client over session; every other op to
+    the packaged fixture. The client does I/O, so resolve_all uses threads."""
     arxiv = ArxivClient(
         ProviderConfig(name="arxiv", base_endpoint="http://stub"), session=session
     )
-    resolver = Resolver(providers=[arxiv, packaged_fixture_provider()])
-    return classify_batch(citations, wrap(resolver), config, jobs=2)
+    return resolver_class(providers=[arxiv, packaged_fixture_provider()])
+
+
+def _classify_with_arxiv(citations, config, session, jobs=2):
+    return classify_batch(citations, _arxiv_resolver(session), config, jobs=jobs)
+
+
+def _one_by_one(citations, config, session):
+    """Each citation resolved and classified alone: no pre-pass, no threads."""
+    resolver = _arxiv_resolver(session)
+    return [classify_citation(c, resolver, config) for c in citations]
 
 
 class _BrokenBatchSession(FakeArxivSession):
@@ -479,14 +481,32 @@ class _BrokenBatchSession(FakeArxivSession):
         return super().get(url, params=params, timeout=timeout)
 
 
-class _ResolveOnly:
-    """A resolver that offers resolve_citation and nothing else."""
-
-    def __init__(self, resolver):
-        self._resolver = resolver
+class _FailingResolver(Resolver):
+    """Raises for the citation keyed "2" and resolves every other one."""
 
     def resolve_citation(self, citation):
-        return self._resolver.resolve_citation(citation)
+        if citation.source_key == "2":
+            raise RuntimeError("boom")
+        return super().resolve_citation(citation)
+
+
+@pytest.fixture()
+def threads_of(monkeypatch):
+    """The threads that called classify() and Resolver.resolve_citation, by name."""
+    seen: dict[str, set[int]] = {}
+
+    def record(owner, name):
+        original = getattr(owner, name)
+
+        def recording(*args, **kwargs):
+            seen.setdefault(name, set()).add(threading.get_ident())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recording)
+
+    record(classify_module, "classify")
+    record(Resolver, "resolve_citation")
+    return seen
 
 
 class TestBatch:
@@ -508,14 +528,52 @@ class TestBatch:
             c.source_key for c in exemplar_citations
         ]
 
+    def test_lookup_threads_leave_verdicts_unchanged(self, exemplar_citations, config):
+        papers = _fixture_arxiv_papers()
+        citations = _arxiv_citations(exemplar_citations)
+        one = _classify_with_arxiv(citations, config, FakeArxivSession(papers), jobs=1)
+        four = _classify_with_arxiv(citations, config, FakeArxivSession(papers), jobs=4)
+        assert one == four
+        assert [v.citation_key for v in four] == [c.source_key for c in citations]
+
+    def test_classify_runs_on_the_calling_thread(
+        self, exemplar_citations, config, threads_of
+    ):
+        citations = _arxiv_citations(exemplar_citations)
+        session = FakeArxivSession(_fixture_arxiv_papers())
+        verdicts = _classify_with_arxiv(citations, config, session, jobs=4)
+        assert len(verdicts) == len(citations)
+        assert threads_of["classify"] == {threading.get_ident()}
+        assert threading.get_ident() not in threads_of["resolve_citation"]
+
+    def test_fixture_only_resolver_starts_no_thread(
+        self, exemplar_citations, config, threads_of, monkeypatch
+    ):
+        started = []
+        original_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread)
+            original_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        classify_batch(
+            exemplar_citations,
+            Resolver(providers=[packaged_fixture_provider()]),
+            config,
+            jobs=4,
+        )
+        assert started == []
+        assert threads_of["resolve_citation"] == {threading.get_ident()}
+        assert threads_of["classify"] == {threading.get_ident()}
+
     def test_prefetch_leaves_verdicts_unchanged(self, exemplar_citations, config):
         papers = _fixture_arxiv_papers()
         citations = _arxiv_citations(exemplar_citations)
         batched = FakeArxivSession(papers)
         with_prefetch = _classify_with_arxiv(citations, config, batched)
-        # classify_batch also takes a resolver that has no prefetch.
         single = FakeArxivSession(papers)
-        without_prefetch = _classify_with_arxiv(citations, config, single, _ResolveOnly)
+        without_prefetch = _one_by_one(citations, config, single)
         assert with_prefetch == without_prefetch
         ids = ["2107.13586", "1706.03762", "1412.6980", "9999.99999"]
         assert batched.requests == [{"id_list": ",".join(ids), "max_results": 4}]
@@ -537,21 +595,47 @@ class TestBatch:
         assert session.requests[0]["max_results"] == 4
         assert len(session.requests) == 5
         assert [v.citation_key for v in verdicts] == [c.source_key for c in citations]
-        reference = _classify_with_arxiv(
-            citations, config, FakeArxivSession(papers), _ResolveOnly
-        )
-        assert verdicts == reference
+        assert verdicts == _one_by_one(citations, config, FakeArxivSession(papers))
 
     def test_internal_error_becomes_unverifiable(self, exemplar_citations, config):
-        class ExplodingResolver:
-            def resolve_citation(self, citation):
-                raise RuntimeError("boom")
-
-        verdicts = classify_batch(
-            exemplar_citations[:2], ExplodingResolver(), config, jobs=2
+        # Only the citation whose resolution raised loses its verdict.
+        citations = _arxiv_citations(exemplar_citations)
+        session = FakeArxivSession(_fixture_arxiv_papers())
+        resolver = _arxiv_resolver(session, _FailingResolver)
+        verdicts = classify_batch(citations, resolver, config, jobs=2)
+        reference = _classify_with_arxiv(citations, config, session)
+        assert citations[1].source_key == "2"
+        assert verdicts[1] == Verdict(
+            status=VerdictStatus.UNVERIFIABLE,
+            citation_key="2",
+            cause="internal_error:resolve:RuntimeError",
         )
-        assert all(v.status is VerdictStatus.UNVERIFIABLE for v in verdicts)
-        assert all("internal_error" in (v.cause or "") for v in verdicts)
+        assert verdicts[:1] + verdicts[2:] == reference[:1] + reference[2:]
+
+    def test_classify_error_becomes_unverifiable(
+        self, exemplar_citations, config, monkeypatch
+    ):
+        citations = _arxiv_citations(exemplar_citations)
+        reference = _classify_with_arxiv(
+            citations, config, FakeArxivSession(_fixture_arxiv_papers())
+        )
+        original = classify_module.classify
+
+        def failing(citation, bundle, config):
+            if citation.source_key == "attention":
+                raise KeyError(citation.source_key)
+            return original(citation, bundle, config)
+
+        monkeypatch.setattr(classify_module, "classify", failing)
+        verdicts = _classify_with_arxiv(
+            citations, config, FakeArxivSession(_fixture_arxiv_papers())
+        )
+        assert verdicts[5] == Verdict(
+            status=VerdictStatus.UNVERIFIABLE,
+            citation_key="attention",
+            cause="internal_error:classify:KeyError",
+        )
+        assert verdicts[:5] + verdicts[6:] == reference[:5] + reference[6:]
 
 
 # --- synthetic evidence space ------------------------------------------------

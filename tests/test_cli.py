@@ -365,14 +365,16 @@ class TestUsageErrors:
         assert "--fixtures" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command, bib, fixtures, named",
+        "command, option, content, named",
         [
-            ("verify", b"\xff\xfe[1] A. Author. A title. 2020.\n", None, "refs.txt"),
-            ("verify", None, b"{not json", "fixtures.json"),
-            ("verify", None, b"\xff\xfe{}", "fixtures.json"),
-            ("verify", None, b"[1, 2]", "fixtures.json"),
-            ("verify", None, b'{"outcomes": ["doi:10.1/x"]}', "fixtures.json"),
-            ("classify", None, b"{not json", "fixtures.json"),
+            ("verify", None, b"\xff\xfe[1] A. Author. A title. 2020.\n", "refs.txt"),
+            ("verify", "--fixtures", b"{not json", "fixtures.json"),
+            ("verify", "--fixtures", b"\xff\xfe{}", "fixtures.json"),
+            ("verify", "--fixtures", b"[1, 2]", "fixtures.json"),
+            ("verify", "--fixtures", b'{"outcomes": ["doi:10.1/x"]}', "fixtures.json"),
+            ("classify", "--fixtures", b"{not json", "fixtures.json"),
+            ("verify", "--vocab", b"\xff\xfelearning\n", "vocab.txt"),
+            ("verify", "--cache", b"\xff\xfe{}\n", "cache.jsonl"),
         ],
         ids=[
             "bibliography-not-utf8",
@@ -381,20 +383,26 @@ class TestUsageErrors:
             "fixtures-not-an-object",
             "fixture-outcomes-not-an-object",
             "classify-fixtures-not-json",
+            "vocab-not-utf8",
+            "cache-not-utf8",
         ],
     )
     def test_malformed_input_file_is_usage_error(
-        self, command, bib, fixtures, named, fixtures_path, tmp_path, capsys
+        self, command, option, content, named, fixtures_path, tmp_path, capsys
     ):
         # Exit 1 means hallucinations were found; a broken file is exit 3.
+        broken = tmp_path / named
+        broken.write_bytes(content)
         bib_path = tmp_path / "refs.txt"
-        bib_path.write_bytes(bib or (DATA / "exemplars.txt").read_bytes())
-        fixtures_file = tmp_path / "fixtures.json"
-        fixtures_file.write_bytes(fixtures or Path(fixtures_path).read_bytes())
+        if option is not None:
+            bib_path.write_bytes((DATA / "exemplars.txt").read_bytes())
+        fixtures = broken if option == "--fixtures" else fixtures_path
         target = str(bib_path) if command == "verify" else "A. Author. A title. 2020."
-        code = main([command, target, "--fixtures", str(fixtures_file)])
-        assert code == EXIT_USAGE
-        assert str(tmp_path / named) in capsys.readouterr().err
+        args = [command, target, "--fixtures", str(fixtures)]
+        if option in ("--vocab", "--cache"):
+            args += [option, str(broken)]
+        assert main(args) == EXIT_USAGE
+        assert str(broken) in capsys.readouterr().err
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE

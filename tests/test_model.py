@@ -23,12 +23,11 @@ from citeaudit.model import (
     identifier_from_dict,
     identifier_to_dict,
     normalize_name,
-    parse_verdict,
     record_from_dict,
     record_to_dict,
-    serialize_verdict,
 )
 from tests.conftest import make_citation, make_record
+from tests.roundtrip import parse_verdict, serialize_verdict
 
 
 class TestNormalizeName:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 import requests
 
-from citeaudit.classify import ClassifierConfig, classify_citation
+from citeaudit.classify import ClassifierConfig
 from citeaudit.identifiers import make_identifier
 from citeaudit.model import IdentifierKind, VerdictStatus
 from citeaudit.resolve import (
@@ -19,7 +19,7 @@ from citeaudit.resolve import (
     Resolver,
     SearchOutcome,
 )
-from tests.conftest import make_citation
+from tests.conftest import classify_citation, make_citation
 from tests.http_fakes import (
     ERROR_ENTRY,
     FakeArxivSession,
@@ -287,6 +287,7 @@ def test_request_error_is_no_internal_error(error):
 
 
 _FIXTURE_OK = {"title": "Deep learning", "authors": ["Yann LeCun"], "year": 2015}
+_LECUN = {"raw": "Y. LeCun", "surname": "lecun"}
 
 
 @pytest.mark.parametrize(
@@ -300,6 +301,11 @@ _FIXTURE_OK = {"title": "Deep learning", "authors": ["Yann LeCun"], "year": 2015
         {"record": {**_FIXTURE_OK, "authors": "Yann LeCun"}},
         {"record": {**_FIXTURE_OK, "authors": [7]}},
         {"record": {**_FIXTURE_OK, "authors": [{"surname": "lecun"}]}},
+        {"record": {**_FIXTURE_OK, "authors": [{"raw": 5, "surname": 7}]}},
+        {"record": {**_FIXTURE_OK, "authors": [{"raw": "Y. LeCun", "surname": 7}]}},
+        {"record": {**_FIXTURE_OK, "authors": [{**_LECUN, "given_tokens": "y"}]}},
+        {"record": {**_FIXTURE_OK, "authors": [{**_LECUN, "given_tokens": [1]}]}},
+        {"record": {**_FIXTURE_OK, "authors": [{**_LECUN, "is_placeholder": "no"}]}},
         {"record": ["Deep learning"]},
         {"status": "found"},
         "found",
@@ -313,6 +319,11 @@ _FIXTURE_OK = {"title": "Deep learning", "authors": ["Yann LeCun"], "year": 2015
         "authors-not-a-list",
         "author-not-a-name",
         "author-object-without-raw",
+        "author-raw-not-a-string",
+        "author-surname-not-a-string",
+        "author-given-tokens-not-a-list",
+        "author-given-token-not-a-string",
+        "author-placeholder-not-a-bool",
         "record-not-an-object",
         "no-record",
         "entry-not-an-object",
@@ -339,10 +350,13 @@ def test_malformed_fixture_entry_is_bad_response(entry):
 
 
 def test_well_formed_fixture_entry_is_found():
-    bengio = {"raw": "Y. Bengio", "surname": "bengio"}
+    bengio = {
+        "raw": "Y. Bengio", "surname": "bengio", "given_tokens": ["y"], "is_placeholder": False
+    }
     entry = {"record": {**_FIXTURE_OK, "authors": ["Yann LeCun", bengio]}}
     provider = FixtureProvider({"outcomes": {"doi:10.1/x": entry}})
     outcome = provider.lookup_doi("10.1/x")
     assert outcome.status is FOUND
     assert outcome.record.title == "Deep learning"
     assert [a.surname for a in outcome.record.authors] == ["lecun", "bengio"]
+    assert outcome.record.authors[1].given_tokens == ("y",)

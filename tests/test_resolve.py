@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from citeaudit.classify import ClassifierConfig, classify_citation
+from citeaudit.classify import ClassifierConfig
 from citeaudit.data import packaged_fixture_provider
 from citeaudit.identifiers import make_identifier
 from citeaudit.matching import profile_match
@@ -23,7 +23,7 @@ from citeaudit.resolve import (
     Resolver,
     SearchOutcome,
 )
-from tests.conftest import make_citation, make_record
+from tests.conftest import classify_citation, make_citation, make_record
 from tests.http_fakes import FakeArxivSession, Paper
 
 
@@ -499,6 +499,52 @@ class TestPrefetch:
         resolver.prefetch(_arxiv_citations(_papers(3)))
         assert session.requests == []
         assert counting.calls == []
+
+
+class TestResolveAll:
+    def test_bundles_in_input_order(self):
+        # A batching client does I/O, so the ladders run on the lookup threads.
+        papers = _papers(6)
+        ids = list(papers) + ["2101.99999"]
+        citations = _arxiv_citations(ids)
+        session = FakeArxivSession(papers)
+        resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session)])
+        bundles = list(resolver.resolve_all(citations, jobs=3))
+        assert bundles == [resolver.resolve_citation(c) for c in citations]
+        assert [b.citation_key for b in bundles] == [c.source_key for c in citations]
+        # One pre-pass request settled every id; the ladders read the cache.
+        assert session.requests == [{"id_list": ",".join(ids), "max_results": 7}]
+
+    def test_failed_prepass_leaves_ids_to_the_per_id_path(self):
+        class BrokenPrepass(FakeArxivSession):
+            def get(self, url, params=None, timeout=None):
+                if "," in params["id_list"]:
+                    raise RuntimeError("session failed mid-request")
+                return super().get(url, params=params, timeout=timeout)
+
+        papers = _papers(3)
+        session = BrokenPrepass(papers)
+        resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session)])
+        bundles = list(resolver.resolve_all(_arxiv_citations(papers), jobs=2))
+        statuses = [b.identifier_outcomes[0][1].status for b in bundles]
+        assert statuses == [LookupStatus.FOUND] * 3
+        assert sorted(r["id_list"] for r in session.requests) == sorted(papers)
+
+    def test_raising_citation_yields_its_exception(self):
+        class Failing(Resolver):
+            def resolve_citation(self, citation):
+                if citation.source_key == "c1":
+                    raise RuntimeError("boom")
+                return super().resolve_citation(citation)
+
+        resolver = Failing(providers=[FixtureProvider({"closed_world": True})])
+        results = list(resolver.resolve_all(_arxiv_citations(_papers(3)), jobs=2))
+        assert isinstance(results[1], RuntimeError)
+        assert [r.citation_key for r in (results[0], results[2])] == ["c0", "c2"]
+
+    def test_jobs_must_be_positive(self):
+        with pytest.raises(ValueError):
+            list(Resolver(providers=[]).resolve_all([], jobs=0))
 
 
 class TestResolutionBundle:
