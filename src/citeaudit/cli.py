@@ -237,7 +237,7 @@ def cli() -> None:
     default="text",
     show_default=True,
 )
-@click.option("--jobs", type=click.IntRange(min=1), default=4, show_default=True, help="Threads for provider lookups; a --fixtures run looks up on one thread.")
+@click.option("--jobs", type=click.IntRange(min=1), default=4, show_default=True, help="Threads for provider lookups; verdicts are made on the main thread.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the report here instead of stdout.")
 @_runtime_options
 def cmd_verify(

@@ -843,7 +843,7 @@ class Resolver:
         )
 
     def resolve_all(
-        self, citations: Sequence[ParsedCitation], jobs: int = 4
+        self, citations: Sequence[ParsedCitation], jobs: int
     ) -> Iterator[ResolutionBundle | Exception]:
         """Resolve a whole bibliography: the arXiv pre-pass, then each
         citation's lookup ladder.
@@ -852,8 +852,7 @@ class Resolver:
         resolve_citation raised, so a failure costs one citation, not the
         batch. The pre-pass only saves requests: if it raises, the ids it did
         not settle are looked up per citation. The ladders run on ``jobs``
-        threads when some provider does I/O, and one after another on the
-        calling thread when every provider is a FixtureProvider.
+        threads.
         """
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
@@ -868,8 +867,5 @@ class Resolver:
             except Exception as exc:  # noqa: BLE001 - reported as that citation's verdict
                 return exc
 
-        if all(isinstance(p, FixtureProvider) for p in self._providers):
-            yield from map(attempt, citations)
-            return
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             yield from pool.map(attempt, citations)

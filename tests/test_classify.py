@@ -452,7 +452,7 @@ def _arxiv_citations(exemplar_citations) -> list:
 
 def _arxiv_resolver(session, resolver_class=Resolver) -> Resolver:
     """arXiv lookups go to a batching client over session; every other op to
-    the packaged fixture. The client does I/O, so resolve_all uses threads."""
+    the packaged fixture."""
     arxiv = ArxivClient(
         ProviderConfig(name="arxiv", base_endpoint="http://stub"), session=session
     )
@@ -545,27 +545,6 @@ class TestBatch:
         assert len(verdicts) == len(citations)
         assert threads_of["classify"] == {threading.get_ident()}
         assert threading.get_ident() not in threads_of["resolve_citation"]
-
-    def test_fixture_only_resolver_starts_no_thread(
-        self, exemplar_citations, config, threads_of, monkeypatch
-    ):
-        started = []
-        original_start = threading.Thread.start
-
-        def start(thread):
-            started.append(thread)
-            original_start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", start)
-        classify_batch(
-            exemplar_citations,
-            Resolver(providers=[packaged_fixture_provider()]),
-            config,
-            jobs=4,
-        )
-        assert started == []
-        assert threads_of["resolve_citation"] == {threading.get_ident()}
-        assert threads_of["classify"] == {threading.get_ident()}
 
     def test_prefetch_leaves_verdicts_unchanged(self, exemplar_citations, config):
         papers = _fixture_arxiv_papers()

@@ -350,13 +350,15 @@ def test_malformed_fixture_entry_is_bad_response(entry):
 
 
 def test_well_formed_fixture_entry_is_found():
-    bengio = {
-        "raw": "Y. Bengio", "surname": "bengio", "given_tokens": ["y"], "is_placeholder": False
+    # A structured author may leave out the optional fields, or give them all.
+    bengio = {"raw": "Y. Bengio", "surname": "bengio"}
+    hinton = {
+        "raw": "G. Hinton", "surname": "hinton", "given_tokens": ["g"], "is_placeholder": False
     }
-    entry = {"record": {**_FIXTURE_OK, "authors": ["Yann LeCun", bengio]}}
+    entry = {"record": {**_FIXTURE_OK, "authors": ["Yann LeCun", bengio, hinton]}}
     provider = FixtureProvider({"outcomes": {"doi:10.1/x": entry}})
     outcome = provider.lookup_doi("10.1/x")
     assert outcome.status is FOUND
     assert outcome.record.title == "Deep learning"
-    assert [a.surname for a in outcome.record.authors] == ["lecun", "bengio"]
-    assert outcome.record.authors[1].given_tokens == ("y",)
+    assert [a.surname for a in outcome.record.authors] == ["lecun", "bengio", "hinton"]
+    assert outcome.record.authors[2].given_tokens == ("g",)
