@@ -108,7 +108,7 @@ def parse_corpus(text: str) -> list[CodedRow]:
 
 
 def load_corpus(path: str | Path) -> list[CodedRow]:
-    return parse_corpus(Path(path).read_text(encoding="utf-8"))
+    return parse_corpus(Path(path).read_text(encoding="utf-8-sig"))
 
 
 @dataclass(frozen=True)

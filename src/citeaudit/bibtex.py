@@ -22,6 +22,7 @@ from .model import normalize_name
 _ENTRY_TYPE_RE = re.compile(r"[A-Za-z]+")
 _FIELD_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_:\-]*")
 _KEY_RE = re.compile(r"[^\s,{}()]+")
+_BARE_VALUE_RE = re.compile(r"[^\s,#(){}]+")
 
 # Month macros every BibTeX style predefines.
 _MONTHS = {
@@ -150,7 +151,7 @@ def _read_value(
         elif ch == '"':
             parts.append(_read_quoted(sc))
         else:
-            m = re.match(r"[^\s,#(){}]+", sc.text[sc.pos :])
+            m = _BARE_VALUE_RE.match(sc.text, sc.pos)
             if not m:
                 raise BibtexError("expected a field value", sc.pos)
             token = m.group(0)
@@ -233,7 +234,7 @@ def parse_bibtex(text: str) -> tuple[list[ParsedCitation], list[ParseWarning]]:
         if at < 0:
             break
         sc.pos = at + 1
-        m = _ENTRY_TYPE_RE.match(sc.text[sc.pos :])
+        m = _ENTRY_TYPE_RE.match(sc.text, sc.pos)
         if not m:
             warnings.append(
                 ParseWarning(
@@ -261,7 +262,7 @@ def parse_bibtex(text: str) -> tuple[list[ParsedCitation], list[ParseWarning]]:
             if entry_type == "string":
                 sc.pos += 1
                 sc.skip_ws()
-                name_m = _FIELD_NAME_RE.match(sc.text[sc.pos :])
+                name_m = _FIELD_NAME_RE.match(sc.text, sc.pos)
                 if not name_m:
                     raise BibtexError("@string needs a macro name", sc.pos)
                 name = name_m.group(0).lower()
@@ -278,7 +279,7 @@ def parse_bibtex(text: str) -> tuple[list[ParsedCitation], list[ParseWarning]]:
 
             sc.pos += 1
             sc.skip_ws()
-            key_m = _KEY_RE.match(sc.text[sc.pos :])
+            key_m = _KEY_RE.match(sc.text, sc.pos)
             entry_counter += 1
             if key_m:
                 key = key_m.group(0)
@@ -302,7 +303,7 @@ def parse_bibtex(text: str) -> tuple[list[ParsedCitation], list[ParseWarning]]:
                     break
                 if sc.eof():
                     raise BibtexError("entry never closed", at)
-                fm = _FIELD_NAME_RE.match(sc.text[sc.pos :])
+                fm = _FIELD_NAME_RE.match(sc.text, sc.pos)
                 if not fm:
                     raise BibtexError(
                         f"expected a field name, found {sc.peek()!r}", sc.pos

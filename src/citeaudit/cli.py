@@ -305,6 +305,8 @@ def cmd_stats(corpus: str | None, output_format: str, out: str | None) -> int:
         for message in exc.errors:
             click.echo(f"error: {message}", err=True)
         return EXIT_USAGE
+    except UnicodeDecodeError as exc:
+        raise click.UsageError(f"corpus file {corpus}: not UTF-8 text: {exc}") from exc
     if not rows:
         click.echo("error: corpus has no rows", err=True)
         return EXIT_USAGE

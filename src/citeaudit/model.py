@@ -281,29 +281,12 @@ def author_to_dict(a: AuthorName) -> dict:
     }
 
 
-def author_from_dict(d: dict) -> AuthorName:
-    return AuthorName(
-        raw=d["raw"],
-        surname=d["surname"],
-        given_tokens=tuple(d.get("given_tokens", ())),
-        is_placeholder=bool(d.get("is_placeholder", False)),
-    )
-
-
 def identifier_to_dict(i: Identifier) -> dict:
     return {
         "kind": i.kind.value,
         "value": i.value,
         "syntactically_valid": i.syntactically_valid,
     }
-
-
-def identifier_from_dict(d: dict) -> Identifier:
-    return Identifier(
-        kind=IdentifierKind(d["kind"]),
-        value=d["value"],
-        syntactically_valid=bool(d["syntactically_valid"]),
-    )
 
 
 def record_to_dict(r: ResolvedRecord) -> dict:
@@ -317,19 +300,6 @@ def record_to_dict(r: ResolvedRecord) -> dict:
         "identifiers": [identifier_to_dict(i) for i in r.identifiers],
         "provenance_query": r.provenance_query,
     }
-
-
-def record_from_dict(d: dict) -> ResolvedRecord:
-    return ResolvedRecord(
-        provider=d["provider"],
-        title=d["title"],
-        authors=tuple(author_from_dict(a) for a in d.get("authors", ())),
-        venue=d.get("venue", ""),
-        year=d.get("year"),
-        pages=d.get("pages"),
-        identifiers=tuple(identifier_from_dict(i) for i in d.get("identifiers", ())),
-        provenance_query=d.get("provenance_query", ""),
-    )
 
 
 def verdict_to_dict(v: Verdict) -> dict:

@@ -31,7 +31,6 @@ from .model import (
     ParsedCitation,
     ResolvedRecord,
     normalize_name,
-    record_from_dict,
     record_to_dict,
 )
 from .ratelimit import TokenBucket
@@ -127,7 +126,7 @@ class ResolutionBundle:
         return rows
 
 
-def _fixture_author(raw) -> AuthorName:
+def _decode_author(raw) -> AuthorName:
     if isinstance(raw, str):
         return normalize_name(raw)
     raw = _typed(raw, dict)
@@ -140,7 +139,7 @@ def _fixture_author(raw) -> AuthorName:
     )
 
 
-def _fixture_record(d, provider_name: str) -> ResolvedRecord:
+def _decode_record(d, provider_name: str) -> ResolvedRecord:
     d = _typed(d, dict)
     identifiers = []
     for ident in _typed(d.get("identifiers"), list, []):
@@ -151,13 +150,55 @@ def _fixture_record(d, provider_name: str) -> ResolvedRecord:
     return ResolvedRecord(
         provider=_typed(d.get("provider"), str, provider_name),
         title=_typed(d.get("title"), str, ""),
-        authors=tuple(_fixture_author(a) for a in _typed(d.get("authors"), list, [])),
+        authors=tuple(_decode_author(a) for a in _typed(d.get("authors"), list, [])),
         venue=_typed(d.get("venue"), str, ""),
         year=_typed(d.get("year"), int, None),
         pages=_typed(d.get("pages"), str, None),
         identifiers=tuple(identifiers),
         provenance_query=_typed(d.get("provenance_query"), str, ""),
     )
+
+
+# Fixture entries and cache payloads are one format of stored outcome:
+# {"status", "record"} for a lookup (status defaults to "found"),
+# {"records"} for a search, and {"status": "unavailable", "cause"} for an
+# outage of either. A record without "provider" is credited to
+# provider_name. An entry of any other shape is Unavailable("bad_response").
+def _decode_lookup(entry, provider_name: str) -> LookupOutcome:
+    try:
+        entry = _typed(entry, dict)
+        status = entry.get("status", "found")
+        if status == "found":
+            return LookupOutcome.found(_decode_record(entry.get("record"), provider_name))
+        if status == "not_found":
+            return LookupOutcome.not_found()
+        if status == "unavailable":
+            return LookupOutcome.unavailable(_typed(entry.get("cause"), str, "offline"))
+    except (KeyError, ValueError):  # an entry that does not parse, or _BadPayload
+        pass
+    return LookupOutcome.unavailable("bad_response")
+
+
+def _decode_search(entry, provider_name: str) -> SearchOutcome:
+    try:
+        entry = _typed(entry, dict)
+        if entry.get("status") == "unavailable":
+            return SearchOutcome(cause=_typed(entry.get("cause"), str, "offline"))
+        records = _typed(entry.get("records"), list, [])
+        return SearchOutcome(records=tuple(_decode_record(r, provider_name) for r in records))
+    except (KeyError, ValueError):  # an entry that does not parse, or _BadPayload
+        return SearchOutcome(cause="bad_response")
+
+
+def _encode_lookup(outcome: LookupOutcome) -> dict:
+    return {
+        "status": outcome.status.value,
+        "record": record_to_dict(outcome.record) if outcome.record else None,
+    }
+
+
+def _encode_search(outcome: SearchOutcome) -> dict:
+    return {"records": [record_to_dict(r) for r in outcome.records]}
 
 
 class FixtureProvider:
@@ -185,37 +226,19 @@ class FixtureProvider:
 
     def _lookup(self, key: str) -> LookupOutcome:
         entry = self._outcomes.get(key)
-        if entry is None:
-            if self.closed_world:
-                return LookupOutcome.not_found()
-            return LookupOutcome.unavailable("offline")
-        try:
-            status = _typed(entry, dict).get("status", "found")
-            if status == "found":
-                return LookupOutcome.found(_fixture_record(entry.get("record"), self.name))
-        except (KeyError, ValueError):  # an entry that does not parse, or _BadPayload
-            return LookupOutcome.unavailable("bad_response")
-        if status == "not_found":
+        if entry is not None:
+            return _decode_lookup(entry, self.name)
+        if self.closed_world:
             return LookupOutcome.not_found()
-        return LookupOutcome.unavailable(entry.get("cause", "offline"))
+        return LookupOutcome.unavailable("offline")
 
     def _search(self, key: str) -> SearchOutcome:
         entry = self._outcomes.get(key)
-        if entry is None:
-            if self.closed_world:
-                return SearchOutcome(records=())
-            return SearchOutcome(cause="offline")
-        try:
-            if _typed(entry, dict).get("status") == "unavailable":
-                return SearchOutcome(cause=entry.get("cause", "offline"))
-            return SearchOutcome(
-                records=tuple(
-                    _fixture_record(r, self.name)
-                    for r in _typed(entry.get("records"), list, [])
-                )
-            )
-        except (KeyError, ValueError):  # an entry that does not parse, or _BadPayload
-            return SearchOutcome(cause="bad_response")
+        if entry is not None:
+            return _decode_search(entry, self.name)
+        if self.closed_world:
+            return SearchOutcome(records=())
+        return SearchOutcome(cause="offline")
 
     def lookup_doi(self, doi: str) -> LookupOutcome:
         return self._lookup(f"doi:{doi.lower()}")
@@ -514,8 +537,10 @@ class LookupCache:
     Unavailable outcomes are never written: an outage is a statement about
     the moment, not about the work, and must not poison later runs. On read,
     the newest entry per key wins and entries older than the TTL are
-    ignored. Without a path the cache lives in memory only, for the life of
-    the object.
+    ignored; so is a row that is not {"key": str, "stored_at": number,
+    "payload": object}. The Resolver writes payloads in the fixture entry
+    format and reads them back through the same decoders. Without a path the
+    cache lives in memory only, for the life of the object.
     """
 
     def __init__(
@@ -540,11 +565,11 @@ class LookupCache:
                 if not line:
                     continue
                 try:
-                    row = json.loads(line)
-                    key = row["key"]
-                    stored_at = float(row["stored_at"])
-                    payload = row["payload"]
-                except (ValueError, KeyError, TypeError):
+                    row = _typed(json.loads(line), dict)
+                    key = _typed(row.get("key"), str)
+                    stored_at = _typed(row.get("stored_at"), (int, float))
+                    payload = _typed(row.get("payload"), dict)
+                except ValueError:  # not JSON, or _BadPayload
                     continue
                 self._entries[key] = (stored_at, payload)
 
@@ -571,30 +596,6 @@ class LookupCache:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a", encoding="utf-8") as fh:
                 fh.write(row + "\n")
-
-
-def _outcome_payload(outcome: LookupOutcome) -> dict:
-    return {
-        "kind": "lookup",
-        "status": outcome.status.value,
-        "record": record_to_dict(outcome.record) if outcome.record else None,
-    }
-
-
-def _payload_outcome(payload: dict) -> LookupOutcome:
-    status = LookupStatus(payload["status"])
-    record = record_from_dict(payload["record"]) if payload.get("record") else None
-    return LookupOutcome(status=status, record=record)
-
-
-def _search_payload(outcome: SearchOutcome) -> dict:
-    return {"kind": "search", "records": [record_to_dict(r) for r in outcome.records]}
-
-
-def _payload_search(payload: dict) -> SearchOutcome:
-    return SearchOutcome(
-        records=tuple(record_from_dict(r) for r in payload.get("records", ()))
-    )
 
 
 # Most arXiv ids Resolver.prefetch puts in one request.
@@ -662,18 +663,29 @@ class Resolver:
             return True
         return bucket.acquire(timeout=self.max_rate_wait)
 
-    def _cached_lookup(self, key: str, op: str, value) -> LookupOutcome:
+    def _cached(self, key: str, decode, provider):
+        """The outcome the cache holds under key, decoded as a fixture entry
+        is, or None. The cache never stores Unavailable, so a payload that
+        decodes to it (a row that does not parse) is a miss: the key is
+        looked up again, and the fresh row wins over the bad one."""
         payload = self.cache.get(key)
-        if payload is not None:
-            return _payload_outcome(payload)
+        if payload is None:
+            return None
+        outcome = decode(payload, getattr(provider, "name", "cache"))
+        return outcome if outcome.cause is None else None  # only Unavailable has a cause
+
+    def _cached_lookup(self, key: str, op: str, value) -> LookupOutcome:
         provider = self._provider_for(op)
+        outcome = self._cached(key, _decode_lookup, provider)
+        if outcome is not None:
+            return outcome
         if provider is None:
             return LookupOutcome.unavailable("no_provider")
         if not self._acquire(provider):
             return LookupOutcome.unavailable("rate_limited")
-        outcome: LookupOutcome = getattr(provider, op)(value)
+        outcome = getattr(provider, op)(value)
         if outcome.status is not LookupStatus.UNAVAILABLE:
-            self.cache.put(key, _outcome_payload(outcome))
+            self.cache.put(key, _encode_lookup(outcome))
         return outcome
 
     def lookup_doi(self, doi: str) -> LookupOutcome:
@@ -687,17 +699,17 @@ class Resolver:
         return self._cached_lookup(key, "lookup_arxiv", arxiv_id)
 
     def _cached_search(self, key: str, op: str, *args) -> SearchOutcome:
-        payload = self.cache.get(key)
-        if payload is not None:
-            return _payload_search(payload)
         provider = self._provider_for(op)
+        outcome = self._cached(key, _decode_search, provider)
+        if outcome is not None:
+            return outcome
         if provider is None:
             return SearchOutcome(cause="no_provider")
         if not self._acquire(provider):
             return SearchOutcome(cause="rate_limited")
-        outcome: SearchOutcome = getattr(provider, op)(*args)
+        outcome = getattr(provider, op)(*args)
         if not outcome.failed:
-            self.cache.put(key, _search_payload(outcome))
+            self.cache.put(key, _encode_search(outcome))
         return outcome
 
     def search_title(self, title: str) -> SearchOutcome:
@@ -731,7 +743,7 @@ class Resolver:
                 if kind is not IdentifierKind.ARXIV:
                     continue
                 key = _arxiv_key(value)
-                if key not in pending and self.cache.get(key) is None:
+                if key not in pending and self._cached(key, _decode_lookup, provider) is None:
                     pending[key] = value
         ids = list(pending.values())
         for start in range(0, len(ids), ARXIV_BATCH_SIZE):
@@ -755,7 +767,7 @@ class Resolver:
             outcome = outcomes[arxiv_id]
             key = _arxiv_key(arxiv_id)
             if outcome.status is not LookupStatus.UNAVAILABLE:
-                self.cache.put(key, _outcome_payload(outcome))
+                self.cache.put(key, _encode_lookup(outcome))
                 continue
             unsettled.append(arxiv_id)
             cause = outcome.cause

@@ -18,10 +18,10 @@ from citeaudit.model import (
     Verdict,
     VerdictStatus,
     _name_tokens,
-    record_from_dict,
     verdict_to_dict,
 )
 from citeaudit.parsing import FORMAT_BIBTEX, FORMAT_PLAINTEXT
+from citeaudit.resolve import _decode_record
 
 
 def reassembled(author: AuthorName) -> str:
@@ -175,7 +175,7 @@ def verdict_from_dict(d: dict) -> Verdict:
             for e in d.get("evidence", ())
         ),
         matched_record=(
-            record_from_dict(d["matched_record"]) if d.get("matched_record") else None
+            _decode_record(d["matched_record"], "") if d.get("matched_record") else None
         ),
     )
 

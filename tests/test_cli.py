@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -375,6 +376,7 @@ class TestUsageErrors:
             ("classify", "--fixtures", b"{not json", "fixtures.json"),
             ("verify", "--vocab", b"\xff\xfelearning\n", "vocab.txt"),
             ("verify", "--cache", b"\xff\xfe{}\n", "cache.jsonl"),
+            ("stats", None, b"\xff\xfepaper_id,citation_text,primary\n", "corpus.csv"),
         ],
         ids=[
             "bibliography-not-utf8",
@@ -385,6 +387,7 @@ class TestUsageErrors:
             "classify-fixtures-not-json",
             "vocab-not-utf8",
             "cache-not-utf8",
+            "corpus-not-utf8",
         ],
     )
     def test_malformed_input_file_is_usage_error(
@@ -401,6 +404,8 @@ class TestUsageErrors:
         args = [command, target, "--fixtures", str(fixtures)]
         if option in ("--vocab", "--cache"):
             args += [option, str(broken)]
+        if command == "stats":
+            args = [command, str(broken)]
         assert main(args) == EXIT_USAGE
         assert str(broken) in capsys.readouterr().err
 
@@ -477,6 +482,16 @@ class TestStatsCommand:
         assert code == EXIT_OK
         assert "primary,TF,1,100.0" in out
 
+    def test_corpus_with_byte_order_mark_is_read(self, capsys, tmp_path):
+        # Spreadsheet programs often save UTF-8 CSV with a leading BOM.
+        corpus = tmp_path / "c.csv"
+        corpus.write_bytes(
+            b"\xef\xbb\xbfpaper_id,citation_text,primary,secondary,notes\nP01,c,TF,SH,\n"
+        )
+        code = main(["stats", str(corpus), "--format", "csv"])
+        assert code == EXIT_OK
+        assert "primary,TF,1,100.0" in capsys.readouterr().out
+
     def test_out_option(self, capsys, tmp_path):
         target = tmp_path / "summary.json"
         assert main(["stats", "--format", "json", "--out", str(target)]) == EXIT_OK
@@ -503,6 +518,117 @@ class TestStatsCommand:
         )
         assert main(["stats", str(corpus)]) == EXIT_USAGE
         assert "no rows" in capsys.readouterr().err
+
+
+_LECUN = "Y. LeCun, Y. Bengio, G. Hinton. Deep learning. Nature, 2015."
+_DOI_KEY = "doi:10.1038/nature14539"
+_TITLE_KEY = "title:deep learning"
+_NOW = time.time()
+
+
+def _found(**record) -> dict:
+    return {"status": "found", "record": {"title": "Deep learning", "year": 2015, **record}}
+
+
+def _cache_row(key, payload) -> dict:
+    return {"key": key, "stored_at": _NOW, "payload": payload}
+
+
+def _rows(cache: Path) -> list:
+    return [json.loads(line) for line in cache.read_text(encoding="utf-8").splitlines()]
+
+
+class TestCacheRows:
+    """A --cache file is read through the fixture entry decoders. A row or a
+    payload that does not decode is a miss: the run gives the verdict and
+    exit code of a run without the cache, and the key is fetched again."""
+
+    @staticmethod
+    def _classify(citation, fixtures_path, capsys, cache=None):
+        args = ["classify", citation, "--fixtures", fixtures_path, "--format", "json"]
+        if cache is not None:
+            args += ["--cache", str(cache)]
+        return main(args), capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "key, row",
+        [
+            (_DOI_KEY, _cache_row(_DOI_KEY, _found(title=5))),
+            (_DOI_KEY, _cache_row(_DOI_KEY, _found(year="2015"))),
+            (_DOI_KEY, _cache_row(_DOI_KEY, _found(authors="Yann LeCun"))),
+            (_DOI_KEY, _cache_row(_DOI_KEY, _found(authors=[{"raw": "Y. LeCun"}]))),
+            (_DOI_KEY, _cache_row(_DOI_KEY, _found(identifiers=[{"kind": "doi"}]))),
+            (_DOI_KEY, _cache_row(_DOI_KEY, _found(identifiers=[{"kind": "isbn"}]))),
+            (_DOI_KEY, _cache_row(_DOI_KEY, {"status": "found"})),
+            (_DOI_KEY, _cache_row(_DOI_KEY, {"status": "found", "record": ["Deep learning"]})),
+            (_DOI_KEY, _cache_row(_DOI_KEY, {"status": "bogus"})),
+            (_DOI_KEY, _cache_row(_DOI_KEY, {"status": ["not_found"]})),
+            (_DOI_KEY, _cache_row(_DOI_KEY, {"status": "unavailable", "cause": "http_5xx"})),
+            (_DOI_KEY, _cache_row(_DOI_KEY, {"status": "unavailable", "cause": 5})),
+            (_TITLE_KEY, _cache_row(_TITLE_KEY, {"records": {"title": "Deep learning"}})),
+            (_TITLE_KEY, _cache_row(_TITLE_KEY, {"records": ["Deep learning"]})),
+            (_TITLE_KEY, _cache_row(_TITLE_KEY, {"status": "unavailable"})),
+            (_TITLE_KEY, _cache_row(_TITLE_KEY, [])),
+            (_DOI_KEY, _cache_row(_DOI_KEY, "not_found")),
+            (_DOI_KEY, _cache_row([_DOI_KEY], {"status": "not_found"})),
+            (_DOI_KEY, {"key": _DOI_KEY, "stored_at": "now", "payload": {"status": "not_found"}}),
+            (_DOI_KEY, {"key": _DOI_KEY, "stored_at": _NOW}),
+            (_DOI_KEY, [_DOI_KEY, _NOW, {"status": "not_found"}]),
+        ],
+        ids=[
+            "record-title-not-a-string",
+            "record-year-not-a-number",
+            "record-authors-not-a-list",
+            "record-author-without-surname",
+            "record-identifier-without-value",
+            "record-identifier-kind-unknown",
+            "found-without-record",
+            "record-not-an-object",
+            "unknown-status",
+            "status-not-a-string",
+            "unavailable",
+            "unavailable-cause-not-a-string",
+            "search-records-not-a-list",
+            "search-record-not-an-object",
+            "search-unavailable",
+            "search-payload-a-list",
+            "payload-not-an-object",
+            "key-not-a-string",
+            "stored-at-not-a-number",
+            "row-without-payload",
+            "row-not-an-object",
+        ],
+    )
+    def test_row_that_does_not_decode_is_a_miss(
+        self, key, row, fixtures_path, tmp_path, capsys
+    ):
+        # The DOI row is read for the citation with its DOI; the title row
+        # for the citation without one, which goes to title search.
+        citation = f"{_LECUN} doi:10.1038/nature14539" if key == _DOI_KEY else _LECUN
+        expected = self._classify(citation, fixtures_path, capsys)
+        fresh = tmp_path / "fresh.jsonl"
+        assert self._classify(citation, fixtures_path, capsys, fresh) == expected
+        written = {r["key"]: r["payload"] for r in _rows(fresh)}
+
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        assert self._classify(citation, fixtures_path, capsys, cache) == expected
+        appended = {r["key"]: r["payload"] for r in _rows(cache)[1:]}
+        assert appended[key] == written[key]
+
+    def test_record_without_provider_is_credited_to_the_provider(
+        self, fixtures_path, tmp_path, capsys
+    ):
+        # As in a fixture file, "provider" may be left out of a record.
+        citation = f"{_LECUN} doi:10.1038/nature14539"
+        expected = self._classify(citation, fixtures_path, capsys)
+        cache = tmp_path / "cache.jsonl"
+        self._classify(citation, fixtures_path, capsys, cache)
+        (row,) = _rows(cache)
+        del row["payload"]["record"]["provider"]
+        cache.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        assert self._classify(citation, fixtures_path, capsys, cache) == expected
+        assert len(_rows(cache)) == 1
 
 
 class TestCacheEnvironment:

@@ -362,3 +362,22 @@ def test_well_formed_fixture_entry_is_found():
     assert outcome.record.title == "Deep learning"
     assert [a.surname for a in outcome.record.authors] == ["lecun", "bengio", "hinton"]
     assert outcome.record.authors[2].given_tokens == ("g",)
+
+
+def test_fixture_outage_entry_is_unavailable():
+    # An outage entry's cause defaults to "offline", also when it is null.
+    # An unknown status, or a cause that is not a string, is malformed.
+    provider = FixtureProvider(
+        {
+            "outcomes": {
+                "doi:10.1/a": {"status": "unavailable", "cause": None},
+                "doi:10.1/b": {"status": "bogus", "record": _FIXTURE_OK},
+                "doi:10.1/c": {"status": "unavailable", "cause": 5},
+                "title:deep learning": {"status": "unavailable", "cause": None},
+            }
+        }
+    )
+    assert provider.lookup_doi("10.1/a") == LookupOutcome.unavailable("offline")
+    assert provider.lookup_doi("10.1/b") == LookupOutcome.unavailable("bad_response")
+    assert provider.lookup_doi("10.1/c") == LookupOutcome.unavailable("bad_response")
+    assert provider.search_title("Deep learning") == SearchOutcome(cause="offline")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+from importlib import resources
 
 import pytest
 
@@ -11,6 +12,7 @@ from citeaudit.data import packaged_fixture_provider
 from citeaudit.identifiers import make_identifier
 from citeaudit.matching import profile_match
 from citeaudit.model import IdentifierKind
+from citeaudit.parsing import parse_file
 from citeaudit.ratelimit import TokenBucket
 from citeaudit.resolve import (
     ArxivClient,
@@ -22,6 +24,8 @@ from citeaudit.resolve import (
     ResolutionBundle,
     Resolver,
     SearchOutcome,
+    _decode_lookup,
+    _decode_search,
 )
 from tests.conftest import classify_citation, make_citation, make_record
 from tests.http_fakes import FakeArxivSession, Paper
@@ -279,6 +283,61 @@ class TestResolver:
         assert first.records[0].title == second.records[0].title == "Some Title"
         assert provider.calls == ["title"]
 
+    def test_payload_that_does_not_decode_is_fetched_again(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        cache = LookupCache(path)
+        cache.put("doi:10.1/x", {"status": "bogus"})
+        cache.put("title:some title", {"records": "Some Title"})
+        provider = CountingProvider(
+            outcomes={"title:some title": {"records": [{"title": "Some Title"}]}}
+        )
+        resolver = Resolver(providers=[provider], cache=cache)
+        for _ in range(2):
+            assert resolver.lookup_doi("10.1/x") == LookupOutcome.not_found()
+            assert resolver.search_title("Some Title").records[0].title == "Some Title"
+        assert provider.calls == ["doi:10.1/x", "title"]
+        # The fresh rows are the newest, so they win in the next run too.
+        assert LookupCache(path).get("doi:10.1/x") == {"status": "not_found", "record": None}
+
+    def test_written_payloads_decode_to_the_outcomes_put(self, tmp_path, data_dir):
+        # Cache payloads are fixture entries: each payload the resolver puts
+        # for the exemplars and a clean bibliography reads back, through the
+        # decoders FixtureProvider uses, as the outcome the provider gave.
+        given: list = []
+        put: list = []
+
+        class Recording(FixtureProvider):
+            def _lookup(self, key):
+                given.append(super()._lookup(key))
+                return given[-1]
+
+            def _search(self, key):
+                given.append(super()._search(key))
+                return given[-1]
+
+        class RecordingCache(LookupCache):
+            def put(self, key, payload, now=None):
+                put.append((key, payload))
+                super().put(key, payload, now)
+
+        fixtures = json.loads((resources.files("citeaudit") / "data/fixtures.json").read_text())
+        citations = [
+            c
+            for name in ("exemplars.txt", "clean.bib")
+            for c in parse_file(data_dir / name).citations
+        ]
+        resolver = Resolver(
+            providers=[Recording(fixtures)], cache=RecordingCache(tmp_path / "c.jsonl")
+        )
+        bundles = list(resolver.resolve_all(citations, jobs=1))
+        assert len(put) == len(given) > len(citations)
+        for (key, payload), outcome in zip(put, given):
+            decode = _decode_lookup if key.startswith(("doi:", "arxiv:")) else _decode_search
+            assert decode(payload, "unused") == outcome, key
+        # A second run reads every answer from the file and asks no provider.
+        rerun = Resolver(providers=[], cache=LookupCache(tmp_path / "c.jsonl"))
+        assert list(rerun.resolve_all(citations, jobs=1)) == bundles
+
     def test_no_provider_for_op(self):
         resolver = Resolver(providers=[])
         assert resolver.lookup_doi("10.1/x").cause == "no_provider"
@@ -491,6 +550,18 @@ class TestPrefetch:
             {"id_list": ids[2], "max_results": 1},
         ]
         assert resolver.lookup_arxiv(ids[0]).status is LookupStatus.NOT_FOUND
+
+    def test_cached_id_that_does_not_decode_is_sent(self, tmp_path):
+        papers = _papers(2)
+        ids = list(papers)
+        session = FakeArxivSession(papers)
+        cache = LookupCache(tmp_path / "c.jsonl")
+        cache.put(f"arxiv:{ids[0]}", {"status": "found", "record": {"title": 5}})
+        resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session)], cache=cache)
+        resolver.prefetch(_arxiv_citations(ids))
+        assert session.requests == [{"id_list": ",".join(ids), "max_results": 2}]
+        assert resolver.lookup_arxiv(ids[0]).status is LookupStatus.FOUND
+        assert len(session.requests) == 1
 
     def test_needs_a_batching_arxiv_owner(self):
         session = FakeArxivSession(_papers(3))
