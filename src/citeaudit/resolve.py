@@ -8,6 +8,7 @@ must never be conflated or a provider outage would look like fabrication.
 from __future__ import annotations
 
 import json
+import math
 import re
 import threading
 import time
@@ -537,10 +538,10 @@ class LookupCache:
     Unavailable outcomes are never written: an outage is a statement about
     the moment, not about the work, and must not poison later runs. On read,
     the newest entry per key wins and entries older than the TTL are
-    ignored; so is a row that is not {"key": str, "stored_at": number,
-    "payload": object}. The Resolver writes payloads in the fixture entry
-    format and reads them back through the same decoders. Without a path the
-    cache lives in memory only, for the life of the object.
+    ignored; so is a row that is not {"key": str, "stored_at": finite
+    number, "payload": object}. The Resolver writes payloads in the fixture
+    entry format and reads them back through the same decoders. Without a
+    path the cache lives in memory only, for the life of the object.
     """
 
     def __init__(
@@ -567,11 +568,12 @@ class LookupCache:
                 try:
                     row = _typed(json.loads(line), dict)
                     key = _typed(row.get("key"), str)
-                    stored_at = _typed(row.get("stored_at"), (int, float))
+                    stored_at = float(_typed(row.get("stored_at"), (int, float)))
                     payload = _typed(row.get("payload"), dict)
-                except ValueError:  # not JSON, or _BadPayload
+                except (ValueError, OverflowError):  # not JSON, _BadPayload, or a huge int
                     continue
-                self._entries[key] = (stored_at, payload)
+                if math.isfinite(stored_at):
+                    self._entries[key] = (stored_at, payload)
 
     def get(self, key: str, now: float | None = None) -> dict | None:
         now = time.time() if now is None else now

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -572,6 +573,8 @@ class TestCacheRows:
             (_DOI_KEY, _cache_row(_DOI_KEY, "not_found")),
             (_DOI_KEY, _cache_row([_DOI_KEY], {"status": "not_found"})),
             (_DOI_KEY, {"key": _DOI_KEY, "stored_at": "now", "payload": {"status": "not_found"}}),
+            (_DOI_KEY, {**_cache_row(_DOI_KEY, {"status": "not_found"}), "stored_at": math.inf}),
+            (_DOI_KEY, {**_cache_row(_DOI_KEY, {"status": "not_found"}), "stored_at": 10**400}),
             (_DOI_KEY, {"key": _DOI_KEY, "stored_at": _NOW}),
             (_DOI_KEY, [_DOI_KEY, _NOW, {"status": "not_found"}]),
         ],
@@ -595,6 +598,8 @@ class TestCacheRows:
             "payload-not-an-object",
             "key-not-a-string",
             "stored-at-not-a-number",
+            "stored-at-infinite",
+            "stored-at-too-large-for-a-float",
             "row-without-payload",
             "row-not-an-object",
         ],
