@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 
-from .identifiers import extract_identifiers, make_identifier
+from .identifiers import dedupe_identifiers, extract_identifiers, make_identifier
 from .model import (
     Identifier,
     IdentifierKind,
@@ -200,9 +200,7 @@ def _split_authors(value: str) -> list[str]:
     return [n.strip() for n in names if n.strip()]
 
 
-def _entry_identifiers(
-    fields: dict[str, str], raw_entry: str
-) -> tuple[Identifier, ...]:
+def _entry_identifiers(fields: dict[str, str]) -> tuple[Identifier, ...]:
     found: list[Identifier] = []
     if "doi" in fields:
         found.append(make_identifier(IdentifierKind.DOI, fields["doi"]))
@@ -215,11 +213,7 @@ def _entry_identifiers(
     for free_field in ("note", "howpublished"):
         if free_field in fields:
             found.extend(extract_identifiers(fields[free_field]))
-
-    deduped: dict[tuple[IdentifierKind, str], Identifier] = {}
-    for ident in found:
-        deduped.setdefault((ident.kind, ident.value.lower()), ident)
-    return tuple(deduped.values())
+    return tuple(dedupe_identifiers(found))
 
 
 def parse_bibtex(text: str) -> tuple[list[ParsedCitation], list[ParseWarning]]:
@@ -401,6 +395,6 @@ def _build_citation(
         volume=_strip_latex(fields["volume"]) if "volume" in fields else None,
         issue=_strip_latex(fields["number"]) if "number" in fields else None,
         pages=_strip_latex(fields["pages"]) if "pages" in fields else None,
-        identifiers=_entry_identifiers(fields, raw_entry),
+        identifiers=_entry_identifiers(fields),
         source_span=span,
     )

@@ -48,11 +48,17 @@ SECONDARY_ORDER = (
 
 @dataclass(frozen=True)
 class ClassifierConfig:
-    thresholds: MatchThresholds = MatchThresholds()
+    # Vocabulary share at or above which a title no source knows still reads
+    # like a real one: SH evidence rather than TF alone.
+    plausibility: float = 0.70
     # Require one claimed author to be a real, findable person before a
     # plausible-but-unresolvable title counts as SH rather than TF.
     sh_requires_real_author: bool = True
     vocab: frozenset[str] = frozenset()
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.plausibility <= 1.0:
+            raise ValueError(f"plausibility must lie in [0, 1], got {self.plausibility}")
 
 
 def _map_cause(causes: set[str]) -> str:
@@ -102,7 +108,6 @@ def classify(
             f" {citation.source_key!r}"
         )
     key = citation.source_key
-    thresholds = config.thresholds
 
     attempts = bundle.attempts()
     if attempts and all(unavailable for _, unavailable, _ in attempts):
@@ -123,11 +128,13 @@ def classify(
             cause="no_resolvable_fields",
         )
 
-    # Every check below reads the resolver's profiles. A bundle built by hand,
-    # or profiled under other thresholds, is profiled here, in the same order.
+    # Every check below reads the resolver's profiles. A bundle built by hand
+    # carries none; it is profiled here, under the default thresholds, in the
+    # order the resolver would have used.
     identifier_profiles = bundle.identifier_profiles
     search_profiles = bundle.search_profiles
-    if bundle.thresholds != thresholds:
+    if bundle.thresholds is None:
+        thresholds = MatchThresholds()
         identifier_profiles = tuple(
             (label, outcome.record, profile_match(citation, outcome.record, thresholds))
             for label, outcome in bundle.identifier_outcomes
@@ -229,7 +236,7 @@ def classify(
     if (
         citation.title.strip()
         and not title_found_anywhere
-        and plausibility >= thresholds.plausibility
+        and plausibility >= config.plausibility
     ):
         evidence.append(
             EvidenceItem(
@@ -279,7 +286,7 @@ def classify(
             break
     if secondary is None:
         ladder: list[FailureMode] = []
-        if plausibility >= thresholds.plausibility:
+        if plausibility >= config.plausibility:
             ladder.append(FailureMode.SH)
         if citation.identifiers:
             ladder.append(FailureMode.IH)

@@ -51,13 +51,10 @@ _DEFAULT_PROVIDERS = {
 
 # Keys each INI section may hold, with their types. Every threshold is also
 # a flag of the same name; a key not listed here is a usage error, so a typo
-# or a retired key cannot be silently ignored.
-_THRESHOLD_KEYS = {
-    "title_strong": float,
-    "author_strong": float,
-    "year_slack": int,
-    "plausibility": float,
-}
+# or a retired key cannot be silently ignored. The matching keys build the
+# resolver's MatchThresholds; the other [classifier] keys, ClassifierConfig.
+_MATCH_KEYS = {"title_strong": float, "author_strong": float, "year_slack": int}
+_THRESHOLD_KEYS = {**_MATCH_KEYS, "plausibility": float}
 _CLASSIFIER_KEYS = {**_THRESHOLD_KEYS, "sh_requires_real_author": bool}
 _PROVIDER_KEYS = {"endpoint": str, "rate_limit": float, "timeout": float, "enabled": bool}
 
@@ -123,12 +120,27 @@ def _build_runtime(
         raise click.UsageError("--offline requires --fixtures PATH")
     ini = _read_ini(config)
     classifier = _section(ini, "classifier", _CLASSIFIER_KEYS)
-    values = {key: classifier[key] for key in _THRESHOLD_KEYS if key in classifier}
-    values.update(
+    classifier.update(
         {key: overrides[key] for key in _THRESHOLD_KEYS if overrides.get(key) is not None}
     )
+    if vocab:
+        try:
+            vocab_text = Path(vocab).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise click.UsageError(f"vocab file {vocab}: not UTF-8 text: {exc}") from exc
+        vocab_tokens = frozenset(
+            line.strip() for line in vocab_text.splitlines() if line.strip()
+        )
+    else:
+        vocab_tokens = load_packaged_vocab()
     try:
-        thresholds = MatchThresholds(**values)
+        thresholds = MatchThresholds(
+            **{key: value for key, value in classifier.items() if key in _MATCH_KEYS}
+        )
+        classifier_config = ClassifierConfig(
+            vocab=vocab_tokens,
+            **{key: value for key, value in classifier.items() if key not in _MATCH_KEYS},
+        )
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     # Every provider section is checked, even when fixtures stand in for them.
@@ -151,23 +163,6 @@ def _build_runtime(
     except UnicodeDecodeError as exc:
         raise click.UsageError(f"cache file {cache}: not UTF-8 text: {exc}") from exc
     resolver = Resolver(providers, thresholds=thresholds, cache=lookup_cache)
-
-    if vocab:
-        try:
-            vocab_text = Path(vocab).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise click.UsageError(f"vocab file {vocab}: not UTF-8 text: {exc}") from exc
-        vocab_tokens = frozenset(
-            line.strip() for line in vocab_text.splitlines() if line.strip()
-        )
-    else:
-        vocab_tokens = load_packaged_vocab()
-
-    classifier_config = ClassifierConfig(
-        thresholds=thresholds,
-        sh_requires_real_author=classifier.get("sh_requires_real_author", True),
-        vocab=vocab_tokens,
-    )
     return resolver, classifier_config
 
 

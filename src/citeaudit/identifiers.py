@@ -200,8 +200,8 @@ def _clean(value: str) -> str:
 def extract_identifiers(text: str) -> list[Identifier]:
     """Scan free text for doi:/arXiv:/http identifiers.
 
-    A DOI-shaped URL yields both the URL and the DOI; duplicates collapse by
-    (kind, normalized value) so redundant forms count once.
+    A DOI-shaped URL yields both the URL and the DOI; duplicates collapse
+    through dedupe_identifiers, so redundant forms count once.
     """
     found: list[Identifier] = []
 
@@ -218,6 +218,13 @@ def extract_identifiers(text: str) -> list[Identifier]:
     for m in _URL_IN_TEXT_RE.finditer(text):
         found.append(make_identifier(IdentifierKind.URL, _clean(m.group(0))))
 
+    return dedupe_identifiers(found)
+
+
+def dedupe_identifiers(found: list[Identifier]) -> list[Identifier]:
+    """The first of each set of identifiers with the same kind and
+    normalized value (the lowercased value when invalid), in input order:
+    "1706.03762v5" and "arXiv:1706.03762" are one id."""
     deduped: dict[tuple[IdentifierKind, str], Identifier] = {}
     for ident in found:
         check = check_identifier(ident)

@@ -181,22 +181,17 @@ class MatchThresholds:
     title_strong: similarity at or above which titles are the same work.
     author_strong: author-list similarity treated as agreement.
     year_slack: absolute year difference still counted as a match.
-    plausibility: vocabulary-overlap score above which a fabricated title
-        still reads like a real one.
     """
 
     title_strong: float = 0.90
     author_strong: float = 0.80
     year_slack: int = 1
-    plausibility: float = 0.70
 
     def __post_init__(self) -> None:
         if not 0.0 < self.title_strong <= 1.0:
             raise ValueError(f"title_strong must lie in (0, 1], got {self.title_strong}")
         if not 0.0 < self.author_strong <= 1.0:
             raise ValueError(f"author_strong must lie in (0, 1], got {self.author_strong}")
-        if not 0.0 <= self.plausibility <= 1.0:
-            raise ValueError(f"plausibility must lie in [0, 1], got {self.plausibility}")
         if self.year_slack < 0:
             raise ValueError("year_slack must be non-negative")
 

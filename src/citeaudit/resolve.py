@@ -539,9 +539,11 @@ class LookupCache:
     the moment, not about the work, and must not poison later runs. On read,
     the newest entry per key wins and entries older than the TTL are
     ignored; so is a row that is not {"key": str, "stored_at": finite
-    number, "payload": object}. The Resolver writes payloads in the fixture
-    entry format and reads them back through the same decoders. Without a
-    path the cache lives in memory only, for the life of the object.
+    number, "payload": object}, and one stamped later than the file was
+    read, which would never expire. The Resolver writes payloads in the
+    fixture entry format and reads them back through the same decoders.
+    Without a path the cache lives in memory only, for the life of the
+    object.
     """
 
     def __init__(
@@ -560,6 +562,7 @@ class LookupCache:
     def _load(self) -> None:
         if self.path is None or not self.path.exists():
             return
+        loaded_at = time.time()
         with self.path.open("r", encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
@@ -572,7 +575,7 @@ class LookupCache:
                     payload = _typed(row.get("payload"), dict)
                 except (ValueError, OverflowError):  # not JSON, _BadPayload, or a huge int
                     continue
-                if math.isfinite(stored_at):
+                if math.isfinite(stored_at) and stored_at <= loaded_at:
                     self._entries[key] = (stored_at, payload)
 
     def get(self, key: str, now: float | None = None) -> dict | None:

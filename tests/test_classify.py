@@ -171,8 +171,7 @@ def audited_citations(exemplar_citations):
 
 class TestProfileOnce:
     """Each (citation, record) pair is profiled once: by the resolver when
-    it built the bundle, by classify() only for a bundle without profiles
-    under the configured thresholds."""
+    it built the bundle, by classify() only for a bundle built by hand."""
 
     @pytest.fixture()
     def profile_calls(self, monkeypatch):
@@ -241,21 +240,22 @@ class TestProfileOnce:
         assert len(profile_calls) == held
         assert [r for where, r in profile_calls if where != "citeaudit.resolve"] == []
 
-    def test_other_thresholds_are_profiled_again(
-        self, audited_citations, config, profile_calls
+    def test_resolver_thresholds_need_no_classify_profiles(
+        self, audited_citations, resolver, config, profile_calls
     ):
         strict = Resolver(
             providers=[packaged_fixture_provider()],
             thresholds=MatchThresholds(author_strong=0.95),
         )
+        changed = 0
         for citation in audited_citations:
             bundle = strict.resolve_citation(citation)
-            assert bundle.thresholds != config.thresholds
             profile_calls.clear()
             verdict = classify(citation, bundle, config)
-            assert len(profile_calls) == _records_held(bundle)
-            assert all(where == "citeaudit.classify" for where, _ in profile_calls)
-            assert verdict == classify(citation, _stripped(bundle), config)
+            assert profile_calls == []
+            changed += verdict != classify(citation, resolver.resolve_citation(citation), config)
+        # The verdicts follow the resolver's thresholds, not the defaults.
+        assert changed
 
 
 def test_carried_profiles_give_the_stripped_verdict(audited_citations, config):
@@ -263,11 +263,21 @@ def test_carried_profiles_give_the_stripped_verdict(audited_citations, config):
     statuses = set()
     for citation in audited_citations:
         bundle = resolver.resolve_citation(citation)
-        assert bundle.thresholds == config.thresholds
         verdict = classify(citation, bundle, config)
         assert verdict == classify(citation, _stripped(bundle), config)
         statuses.add(verdict.status)
     assert statuses == {VerdictStatus.VERIFIED, VerdictStatus.HALLUCINATED}
+
+
+class TestClassifierConfig:
+    @pytest.mark.parametrize("plausibility", [0.0, 1.0])
+    def test_plausibility_bounds_accepted(self, plausibility):
+        assert ClassifierConfig(plausibility=plausibility).plausibility == plausibility
+
+    @pytest.mark.parametrize("plausibility", [-0.1, 1.1])
+    def test_plausibility_out_of_range_rejected(self, plausibility):
+        with pytest.raises(ValueError, match="plausibility"):
+            ClassifierConfig(plausibility=plausibility)
 
 
 class TestOutageSafety:

@@ -258,6 +258,22 @@ class TestThresholdConfiguration:
         assert code == EXIT_USAGE
         assert "title_strong" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "ini_text, flags",
+        [(None, ["--plausibility", "1.5"]), ("[classifier]\nplausibility = -0.1\n", [])],
+        ids=["flag", "ini"],
+    )
+    def test_plausibility_out_of_range_is_usage_error(
+        self, ini_text, flags, fixtures_path, tmp_path, capsys
+    ):
+        if ini_text is not None:
+            ini = tmp_path / "citeaudit.ini"
+            ini.write_text(ini_text, encoding="utf-8")
+            flags = ["--config", str(ini)]
+        code = main(["verify", str(DATA / "exemplars.txt"), "--fixtures", fixtures_path, *flags])
+        assert code == EXIT_USAGE
+        assert "plausibility" in capsys.readouterr().err
+
     def test_unreadable_config_is_usage_error(self, fixtures_path, tmp_path, capsys):
         code = main(
             [
@@ -575,6 +591,7 @@ class TestCacheRows:
             (_DOI_KEY, {"key": _DOI_KEY, "stored_at": "now", "payload": {"status": "not_found"}}),
             (_DOI_KEY, {**_cache_row(_DOI_KEY, {"status": "not_found"}), "stored_at": math.inf}),
             (_DOI_KEY, {**_cache_row(_DOI_KEY, {"status": "not_found"}), "stored_at": 10**400}),
+            (_DOI_KEY, {**_cache_row(_DOI_KEY, {"status": "not_found"}), "stored_at": 1e300}),
             (_DOI_KEY, {"key": _DOI_KEY, "stored_at": _NOW}),
             (_DOI_KEY, [_DOI_KEY, _NOW, {"status": "not_found"}]),
         ],
@@ -600,6 +617,7 @@ class TestCacheRows:
             "stored-at-not-a-number",
             "stored-at-infinite",
             "stored-at-too-large-for-a-float",
+            "stored-at-in-the-future",
             "row-without-payload",
             "row-not-an-object",
         ],

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given
@@ -202,13 +202,15 @@ class TestThresholds:
             {"author_strong": 0.0},
             {"author_strong": 1.5},
             {"year_slack": -1},
-            {"plausibility": -0.1},
-            {"plausibility": 1.1},
         ],
     )
     def test_invalid_combinations_rejected(self, kwargs):
         with pytest.raises(ValueError):
             MatchThresholds(**kwargs)
+
+    def test_holds_only_what_profile_match_reads(self):
+        names = [f.name for f in fields(MatchThresholds)]
+        assert names == ["title_strong", "author_strong", "year_slack"]
 
 
 class TestProfileMatch:

@@ -132,6 +132,14 @@ class TestBibtex:
         ids = report.citations[0].identifiers
         assert any(i.kind is IdentifierKind.ARXIV for i in ids)
 
+    def test_versioned_eprint_and_note_give_one_arxiv_identifier(self):
+        report = parse_text(
+            "@article{k, title={T}, year={2017}, eprint={1706.03762v5}, "
+            "note={arXiv:1706.03762}}"
+        )
+        ids = report.citations[0].identifiers
+        assert [(i.kind, i.value) for i in ids] == [(IdentifierKind.ARXIV, "1706.03762v5")]
+
     def test_raw_text_is_exact_source_slice(self):
         text = "@article{k, title={A Title}, year={2020}}"
         report = parse_text(text)
