@@ -22,7 +22,7 @@ from urllib.parse import quote
 from xml.etree import ElementTree
 
 if TYPE_CHECKING:
-    import requests
+    from .transport import HttpSession, Reply
 
 from .identifiers import check_identifier, IdentifierSyntax, make_identifier
 from .matching import FieldMatchProfile, MatchThresholds, normalize_title, profile_match
@@ -254,12 +254,12 @@ class FixtureProvider:
         return self._search(f"author:{surname.lower()}:{year}")
 
 
-def _new_session() -> requests.Session:
-    # requests is imported on first use: it is a large import that offline
-    # runs, which never build an HTTP client, would otherwise pay at start-up.
-    import requests
+def _new_session() -> HttpSession:
+    # The transport, with http.client and ssl, is imported when a client is
+    # built, not with this module: offline runs never build one.
+    from .transport import HttpSession
 
-    return requests.Session()
+    return HttpSession()
 
 
 class _BadPayload(ValueError):
@@ -281,22 +281,23 @@ def _typed(value, kind, default=_REQUIRED):
 
 
 def _send(
-    session: requests.Session, url: str, timeout: float, params: dict | None = None
-) -> requests.Response | str:
-    """session.get's response, or the Unavailable cause when the request
-    itself fails: "timeout" for a timeout, "connection" for any other
-    requests error (refused, reset, truncated, undecodable, redirect loop)."""
-    import requests
+    session: HttpSession, url: str, timeout: float, params: dict | None = None
+) -> Reply | str:
+    """session.get's reply, or the Unavailable cause when the request itself
+    fails: "timeout" for a timeout, "connection" for any other failure
+    (refused, reset, truncated, a bad URL, a body that does not decode, a
+    redirect loop)."""
+    from .transport import TRANSPORT_ERRORS
 
     try:
         return session.get(url, params=params, timeout=timeout)
-    except requests.Timeout:
+    except TimeoutError:
         return "timeout"
-    except requests.RequestException:
+    except TRANSPORT_ERRORS:
         return "connection"
 
 
-def _http_failure_cause(resp: requests.Response) -> str:
+def _http_failure_cause(resp: Reply) -> str:
     if resp.status_code == 429:
         return "rate_limited"
     if resp.status_code >= 500:
@@ -307,7 +308,7 @@ def _http_failure_cause(resp: requests.Response) -> str:
 class CrossrefClient:
     """DOI resolution against a Crossref-style works endpoint."""
 
-    def __init__(self, config: ProviderConfig, session: requests.Session | None = None):
+    def __init__(self, config: ProviderConfig, session: HttpSession | None = None):
         self.name = config.name
         self.config = config
         self._session = session or _new_session()
@@ -371,7 +372,7 @@ def _arxiv_match_key(arxiv_id: str) -> str:
 class ArxivClient:
     """Preprint metadata via an arXiv-style Atom query endpoint."""
 
-    def __init__(self, config: ProviderConfig, session: requests.Session | None = None):
+    def __init__(self, config: ProviderConfig, session: HttpSession | None = None):
         self.name = config.name
         self.config = config
         self._session = session or _new_session()
@@ -461,7 +462,7 @@ def _is_error_entry(entry: ElementTree.Element) -> bool:
 class OpenAlexClient:
     """Title and author-year search against an OpenAlex-style works index."""
 
-    def __init__(self, config: ProviderConfig, session: requests.Session | None = None):
+    def __init__(self, config: ProviderConfig, session: HttpSession | None = None):
         self.name = config.name
         self.config = config
         self._session = session or _new_session()
@@ -607,14 +608,31 @@ class LookupCache:
 ARXIV_BATCH_SIZE = 100
 
 
+# arXiv registers a DataCite DOI for every paper, 10.48550/arXiv.<id>
+# (lowercased here, as normalized DOIs are). Crossref does not hold those
+# DOIs, so its 404 for one is no evidence.
+_ARXIV_DOI_PREFIX = "10.48550/arxiv."
+
+
 def _lookup_ids(citation: ParsedCitation):
-    """(kind, normalized value) of each DOI and arXiv id worth looking up."""
+    """(kind, normalized value) of each DOI and arXiv id worth looking up,
+    each once. An arXiv DOI is looked up as its arXiv id."""
+    seen = set()
     for ident in citation.identifiers:
         if ident.kind is IdentifierKind.URL:
             continue
         check = check_identifier(ident)
-        if check.syntax is IdentifierSyntax.VALID and check.normalized is not None:
-            yield ident.kind, check.normalized
+        if check.syntax is not IdentifierSyntax.VALID or check.normalized is None:
+            continue
+        kind, value = ident.kind, check.normalized
+        if kind is IdentifierKind.DOI and value.startswith(_ARXIV_DOI_PREFIX):
+            arxiv_id = value[len(_ARXIV_DOI_PREFIX) :]
+            arxiv = check_identifier(make_identifier(IdentifierKind.ARXIV, arxiv_id))
+            if arxiv.syntax is IdentifierSyntax.VALID:
+                kind, value = IdentifierKind.ARXIV, arxiv.normalized
+        if (kind, value) not in seen:
+            seen.add((kind, value))
+            yield kind, value
 
 
 def _arxiv_key(arxiv_id: str) -> str:

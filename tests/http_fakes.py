@@ -1,4 +1,8 @@
-"""Stand-ins for a requests session, so the HTTP clients run without a network."""
+"""Stand-ins for the HTTP session, so the clients run without a network.
+
+A session is any object with ``get(url, params=, timeout=)`` that returns a
+reply with ``status_code``, ``text`` and ``json()``, or raises one of
+citeaudit.transport.TRANSPORT_ERRORS, as the stdlib transport does."""
 from __future__ import annotations
 
 import json

@@ -21,7 +21,7 @@ from citeaudit.model import (
     Verdict,
     VerdictStatus,
 )
-from citeaudit.parsing import parse_file
+from citeaudit.parsing import parse_file, parse_text
 from citeaudit.resolve import (
     ArxivClient,
     FixtureProvider,
@@ -338,6 +338,41 @@ class TestOutageSafety:
         assert v.status is VerdictStatus.HALLUCINATED
 
 
+_ARXIV_DOI_BIB = """@inproceedings{vaswani2017attention,
+  author = {Ashish Vaswani and Noam Shazeer and Niki Parmar and Jakob Uszkoreit and Llion Jones and Aidan N. Gomez and Lukasz Kaiser and Illia Polosukhin},
+  title = {Attention Is All You Need},
+  booktitle = {Advances in Neural Information Processing Systems},
+  year = {2017},
+  doi = {10.48550/arXiv.1706.03762},
+}
+"""
+
+
+class TestArxivDoi:
+    """Crossref does not hold arXiv's DataCite DOIs, so its NotFound for one
+    is no evidence; the DOI is looked up at arXiv as its id."""
+
+    @staticmethod
+    def _verdict(config, outcomes):
+        (citation,) = parse_text(_ARXIV_DOI_BIB).citations
+        fixture = {
+            "closed_world": False,
+            "outcomes": {"doi:10.48550/arxiv.1706.03762": {"status": "not_found"}, **outcomes},
+        }
+        return classify_citation(citation, Resolver(providers=[FixtureProvider(fixture)]), config)
+
+    def test_searches_down_is_unverifiable(self, config):
+        v = self._verdict(config, {})
+        assert v.status is VerdictStatus.UNVERIFIABLE
+
+    def test_arxiv_record_verifies(self, config):
+        paper = json.loads(files("citeaudit").joinpath("data/fixtures.json").read_text())
+        v = self._verdict(
+            config, {"arxiv:1706.03762": paper["outcomes"]["arxiv:1706.03762"]}
+        )
+        assert v.status is VerdictStatus.VERIFIED
+
+
 class TestContracts:
     def test_bundle_for_other_citation_rejected(self, config):
         bundle = ResolutionBundle(citation_key="other")
@@ -480,8 +515,8 @@ def _one_by_one(citations, config, session):
 
 
 class _BrokenBatchSession(FakeArxivSession):
-    """Raises on every request of more than one id. The error is not a
-    requests error, which the client would map to Unavailable, so it
+    """Raises on every request of more than one id. The error is not one
+    the transport raises, which the client would map to Unavailable, so it
     escapes the pre-pass."""
 
     def get(self, url, params=None, timeout=None):

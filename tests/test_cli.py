@@ -439,11 +439,14 @@ class TestUsageErrors:
 class TestStartup:
     def test_import_does_not_load_requests(self):
         # Offline runs never build an HTTP client, so they should not pay
-        # for importing requests.
+        # for importing one: neither requests nor http.client and ssl.
         src = str(Path(citeaudit.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        probe = "import sys, citeaudit.cli; print('requests' in sys.modules)"
+        probe = (
+            "import sys, citeaudit.cli; "
+            "print([m for m in ('requests', 'http.client', 'ssl') if m in sys.modules])"
+        )
         result = subprocess.run(
             [sys.executable, "-c", probe],
             env=env,
@@ -452,7 +455,7 @@ class TestStartup:
             timeout=60,
             check=True,
         )
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "[]"
 
 
 class TestClassifyCommand:

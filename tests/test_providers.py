@@ -2,8 +2,10 @@
 batched arXiv lookups."""
 from __future__ import annotations
 
+import http.client
+import zlib
+
 import pytest
-import requests
 
 from citeaudit.classify import ClassifierConfig
 from citeaudit.identifiers import make_identifier
@@ -40,14 +42,15 @@ def _client(klass, reply):
     return klass(config, session=ReplySession(reply))
 
 
-# A timeout is "timeout"; every other requests error is "connection".
+# The errors the stdlib transport's get raises. A timeout is "timeout";
+# every other one is "connection".
 _REQUEST_ERRORS = [
-    (requests.Timeout(), "timeout"),
-    (requests.ConnectionError(), "connection"),
-    (requests.exceptions.ChunkedEncodingError(), "connection"),
-    (requests.exceptions.ContentDecodingError(), "connection"),
-    (requests.TooManyRedirects(), "connection"),
-    (requests.exceptions.InvalidURL(), "connection"),
+    (TimeoutError("timed out"), "timeout"),
+    (ConnectionRefusedError(), "connection"),
+    (http.client.IncompleteRead(b"{", 10), "connection"),  # truncated body
+    (zlib.error("invalid stored block lengths"), "connection"),  # gzip body
+    (http.client.HTTPException("more than 10 redirects"), "connection"),
+    (ValueError("cannot send a GET to 'ftp://stub'"), "connection"),
 ]
 
 
@@ -233,8 +236,8 @@ class TestArxivBatch:
             (FakeResponse(503), "http_5xx"),
             (FakeResponse(429), "rate_limited"),
             (FakeResponse(400), "http_400"),
-            (requests.Timeout(), "timeout"),
-            (requests.ConnectionError(), "connection"),
+            (TimeoutError(), "timeout"),
+            (http.client.RemoteDisconnected(), "connection"),
             (FakeResponse(200, "<feed"), "bad_response"),
             (atom_feed(ERROR_ENTRY), "bad_response"),
             (

@@ -572,6 +572,59 @@ class TestPrefetch:
         assert counting.calls == []
 
 
+class TestArxivDoi:
+    """arXiv's DataCite DOIs, 10.48550/arXiv.<id>, are looked up at arXiv."""
+
+    @pytest.mark.parametrize(
+        "doi, arxiv_id",
+        [
+            ("10.48550/arXiv.1706.03762", "1706.03762"),
+            ("https://doi.org/10.48550/ARXIV.2101.00001v2", "2101.00001"),
+            ("10.48550/arxiv.hep-th/9711200", "hep-th/9711200"),
+        ],
+    )
+    def test_arxiv_doi_is_looked_up_as_its_id(self, doi, arxiv_id):
+        provider = CountingProvider()
+        c = make_citation(identifiers=(make_identifier(IdentifierKind.DOI, doi),))
+        bundle = Resolver(providers=[provider]).resolve_citation(c)
+        assert provider.calls[0] == f"arxiv:{arxiv_id}"
+        assert [label for label, _ in bundle.identifier_outcomes] == [f"arxiv:{arxiv_id}"]
+
+    def test_doi_and_eprint_of_one_paper_are_one_lookup(self):
+        provider = CountingProvider()
+        c = make_citation(
+            identifiers=(
+                make_identifier(IdentifierKind.DOI, "10.48550/arXiv.1706.03762"),
+                make_identifier(IdentifierKind.ARXIV, "1706.03762v5"),
+            )
+        )
+        Resolver(providers=[provider]).resolve_citation(c)
+        assert provider.calls.count("arxiv:1706.03762") == 1
+        assert not any(call.startswith("doi:") for call in provider.calls)
+
+    def test_other_dois_still_go_to_crossref(self):
+        provider = CountingProvider()
+        c = make_citation(
+            identifiers=(make_identifier(IdentifierKind.DOI, "10.48550/zenodo.12345"),)
+        )
+        Resolver(providers=[provider]).resolve_citation(c)
+        assert provider.calls[0] == "doi:10.48550/zenodo.12345"
+
+    def test_arxiv_doi_joins_the_batched_prepass(self):
+        papers = _papers(3)
+        ids = list(papers)
+        session = FakeArxivSession(papers)
+        resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session)])
+        citations = _arxiv_citations(ids[:2]) + [
+            make_citation(
+                key="doi",
+                identifiers=(make_identifier(IdentifierKind.DOI, f"10.48550/arXiv.{ids[2]}"),),
+            )
+        ]
+        resolver.prefetch(citations)
+        assert session.requests == [{"id_list": ",".join(ids), "max_results": 3}]
+
+
 class TestResolveAll:
     def test_bundles_in_input_order(self):
         # A batching client does I/O, so the ladders run on the lookup threads.
