@@ -48,6 +48,7 @@ _DEFAULT_PROVIDERS = {
         name="openalex", base_endpoint="https://api.openalex.org", rate_limit=5.0
     ),
 }
+_CLIENTS = {"crossref": CrossrefClient, "arxiv": ArxivClient, "openalex": OpenAlexClient}
 
 # Keys each INI section may hold, with their types. Every threshold is also
 # a flag of the same name; a key not listed here is a usage error, so a typo
@@ -60,7 +61,8 @@ _PROVIDER_KEYS = {"endpoint": str, "rate_limit": float, "timeout": float, "enabl
 
 
 def _read_ini(path: str | None) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+    # No key interpolates: a value is read as written, so a URL may hold %7E.
+    parser = configparser.ConfigParser(interpolation=None)
     if path:
         try:
             read = parser.read(path, encoding="utf-8")
@@ -92,20 +94,21 @@ def _section(ini: configparser.ConfigParser, name: str, schema: dict) -> dict:
     return values
 
 
-def _provider_config(name: str, ini: configparser.ConfigParser) -> ProviderConfig:
+def _provider_config(name: str, ini: configparser.ConfigParser) -> ProviderConfig | None:
+    """The provider's settings, or None when its section says enabled = false."""
     base = _DEFAULT_PROVIDERS[name]
     section = f"provider.{name}"
     values = _section(ini, section, _PROVIDER_KEYS)
     try:
-        return ProviderConfig(
+        config = ProviderConfig(
             name=name,
             base_endpoint=values.get("endpoint", base.base_endpoint),
             rate_limit=values.get("rate_limit", base.rate_limit),
             timeout=values.get("timeout", base.timeout),
-            enabled=values.get("enabled", base.enabled),
         )
     except ValueError as exc:
         raise click.UsageError(f"[{section}] {exc}") from exc
+    return config if values.get("enabled", True) else None
 
 
 def _build_runtime(
@@ -153,9 +156,7 @@ def _build_runtime(
             raise click.UsageError(str(exc)) from exc
     else:
         providers = [
-            CrossrefClient(provider_configs["crossref"]),
-            ArxivClient(provider_configs["arxiv"]),
-            OpenAlexClient(provider_configs["openalex"]),
+            _CLIENTS[name](config) for name, config in provider_configs.items() if config
         ]
 
     try:

@@ -47,13 +47,12 @@ class ProviderConfig:
     base_endpoint: str = ""
     rate_limit: float = 0.0
     timeout: float = 10.0
-    enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.rate_limit < 0:
-            raise ValueError("rate_limit cannot be negative")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not (math.isfinite(self.rate_limit) and self.rate_limit >= 0):
+            raise ValueError("rate_limit must be a finite number, not negative")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError("timeout must be a finite positive number")
 
 
 class LookupStatus(Enum):
@@ -81,6 +80,10 @@ class LookupOutcome:
     @classmethod
     def unavailable(cls, cause: str) -> "LookupOutcome":
         return cls(status=LookupStatus.UNAVAILABLE, cause=cause)
+
+    @property
+    def failed(self) -> bool:
+        return self.status is LookupStatus.UNAVAILABLE
 
 
 @dataclass(frozen=True)
@@ -113,18 +116,12 @@ class ResolutionBundle:
 
     def attempts(self) -> list[tuple[str, bool, str | None]]:
         """(label, was_unavailable, cause) per sub-lookup actually tried."""
-        rows: list[tuple[str, bool, str | None]] = []
-        for label, outcome in self.identifier_outcomes:
-            rows.append(
-                (label, outcome.status is LookupStatus.UNAVAILABLE, outcome.cause)
-            )
-        if self.title_search is not None:
-            rows.append(("title_search", self.title_search.failed, self.title_search.cause))
-        if self.author_search is not None:
-            rows.append(
-                ("author_search", self.author_search.failed, self.author_search.cause)
-            )
-        return rows
+        searches = (("title_search", self.title_search), ("author_search", self.author_search))
+        return [
+            (label, outcome.failed, outcome.cause)
+            for label, outcome in (*self.identifier_outcomes, *searches)
+            if outcome is not None
+        ]
 
 
 def _decode_author(raw) -> AuthorName:
@@ -202,6 +199,35 @@ def _encode_search(outcome: SearchOutcome) -> dict:
     return {"records": [record_to_dict(r) for r in outcome.records]}
 
 
+# Each outcome type's (decoder, encoder, Unavailable constructor).
+_LOOKUP = (_decode_lookup, _encode_lookup, LookupOutcome.unavailable)
+_SEARCH = (_decode_search, _encode_search, lambda cause: SearchOutcome(cause=cause))
+
+
+# The key of each op's outcome, in fixture files and in the cache.
+def _doi_key(doi: str) -> str:
+    return f"doi:{doi.lower()}"
+
+
+def _arxiv_key(arxiv_id: str) -> str:
+    return f"arxiv:{arxiv_id.lower()}"
+
+
+def _title_key(title: str) -> str:
+    return f"title:{normalize_title(title)}"
+
+
+def _author_key(surname: str, year: int) -> str:
+    return f"author:{surname.lower()}:{year}"
+
+
+# What a fixture key that is not listed reads as. Both decode as a lookup
+# (NotFound, Unavailable("offline")) and as a search (no records, a failed
+# search with cause "offline").
+_CLOSED_WORLD_MISS = {"status": "not_found"}
+_OPEN_WORLD_MISS = {"status": "unavailable", "cause": "offline"}
+
+
 class FixtureProvider:
     """Offline provider backed by a JSON file of canned outcomes.
 
@@ -212,46 +238,38 @@ class FixtureProvider:
     """
 
     def __init__(self, source: str | Path | dict, name: str = "fixture"):
-        if isinstance(source, (str, Path)):
-            try:
-                data = _typed(json.loads(Path(source).read_text(encoding="utf-8")), dict)
-                _typed(data.get("outcomes"), dict, {})
-            except ValueError as exc:  # not UTF-8, not JSON, or _BadPayload
-                raise ValueError(f"fixture file {source}: {exc}") from exc
-        else:
+        label = "fixture" if isinstance(source, dict) else f"fixture file {source}"
+        try:
             data = source
+            if not isinstance(source, dict):
+                data = json.loads(Path(source).read_text(encoding="utf-8"))
+            data = _typed(data, dict)
+            self.closed_world: bool = _typed(data.get("closed_world"), bool, False)
+            self._outcomes: dict = dict(_typed(data.get("outcomes"), dict, {}))
+        except ValueError as exc:  # not UTF-8, not JSON, or _BadPayload
+            raise ValueError(f"{label}: {exc}") from exc
         self.name = name
         self.config = ProviderConfig(name=name)
-        self.closed_world = bool(data.get("closed_world", False))
-        self._outcomes: dict[str, dict] = dict(data.get("outcomes", {}))
 
-    def _lookup(self, key: str) -> LookupOutcome:
+    def _read(self, key: str, decode):
+        """The entry under key, decoded; an unlisted key reads as a
+        not_found entry in a closed world and as an offline one otherwise."""
         entry = self._outcomes.get(key)
-        if entry is not None:
-            return _decode_lookup(entry, self.name)
-        if self.closed_world:
-            return LookupOutcome.not_found()
-        return LookupOutcome.unavailable("offline")
-
-    def _search(self, key: str) -> SearchOutcome:
-        entry = self._outcomes.get(key)
-        if entry is not None:
-            return _decode_search(entry, self.name)
-        if self.closed_world:
-            return SearchOutcome(records=())
-        return SearchOutcome(cause="offline")
+        if entry is None:
+            entry = _CLOSED_WORLD_MISS if self.closed_world else _OPEN_WORLD_MISS
+        return decode(entry, self.name)
 
     def lookup_doi(self, doi: str) -> LookupOutcome:
-        return self._lookup(f"doi:{doi.lower()}")
+        return self._read(_doi_key(doi), _decode_lookup)
 
     def lookup_arxiv(self, arxiv_id: str) -> LookupOutcome:
-        return self._lookup(f"arxiv:{arxiv_id.lower()}")
+        return self._read(_arxiv_key(arxiv_id), _decode_lookup)
 
     def search_title(self, title: str) -> SearchOutcome:
-        return self._search(f"title:{normalize_title(title)}")
+        return self._read(_title_key(title), _decode_search)
 
     def search_author_year(self, surname: str, year: int) -> SearchOutcome:
-        return self._search(f"author:{surname.lower()}:{year}")
+        return self._read(_author_key(surname, year), _decode_search)
 
 
 def _new_session() -> HttpSession:
@@ -297,31 +315,38 @@ def _send(
         return "connection"
 
 
-def _http_failure_cause(resp: Reply) -> str:
-    if resp.status_code == 429:
-        return "rate_limited"
-    if resp.status_code >= 500:
-        return "http_5xx"
-    return f"http_{resp.status_code}"
-
-
-class CrossrefClient:
-    """DOI resolution against a Crossref-style works endpoint."""
+class _HttpClient:
+    """A provider reached over HTTP through one session."""
 
     def __init__(self, config: ProviderConfig, session: HttpSession | None = None):
         self.name = config.name
         self.config = config
         self._session = session or _new_session()
 
+    def _get(self, url: str, params: dict | None = None) -> Reply | str:
+        """The 200 reply, or the Unavailable cause: _send's "timeout" or
+        "connection", "rate_limited" for a 429, "http_5xx", or
+        "http_<status>" for any other status."""
+        resp = _send(self._session, url, self.config.timeout, params)
+        if isinstance(resp, str) or resp.status_code == 200:
+            return resp
+        if resp.status_code == 429:
+            return "rate_limited"
+        if resp.status_code >= 500:
+            return "http_5xx"
+        return f"http_{resp.status_code}"
+
+
+class CrossrefClient(_HttpClient):
+    """DOI resolution against a Crossref-style works endpoint. A 404 is
+    NotFound: the one HTTP status that is evidence about the work."""
+
     def lookup_doi(self, doi: str) -> LookupOutcome:
-        url = f"{self.config.base_endpoint.rstrip('/')}/works/{quote(doi, safe='')}"
-        resp = _send(self._session, url, self.config.timeout)
+        resp = self._get(f"{self.config.base_endpoint.rstrip('/')}/works/{quote(doi, safe='')}")
+        if resp == "http_404":
+            return LookupOutcome.not_found()
         if isinstance(resp, str):
             return LookupOutcome.unavailable(resp)
-        if resp.status_code == 404:
-            return LookupOutcome.not_found()
-        if resp.status_code != 200:
-            return LookupOutcome.unavailable(_http_failure_cause(resp))
         try:
             return LookupOutcome.found(self._record(resp.json(), doi))
         except ValueError:  # undecodable JSON, or _BadPayload
@@ -353,7 +378,7 @@ class CrossrefClient:
             identifiers=(
                 make_identifier(IdentifierKind.DOI, _typed(message.get("DOI"), str, doi)),
             ),
-            provenance_query=f"doi:{doi}",
+            provenance_query=_doi_key(doi),
         )
 
 
@@ -369,13 +394,8 @@ def _arxiv_match_key(arxiv_id: str) -> str:
     return _ARXIV_VERSION_RE.sub("", arxiv_id.lower())
 
 
-class ArxivClient:
+class ArxivClient(_HttpClient):
     """Preprint metadata via an arXiv-style Atom query endpoint."""
-
-    def __init__(self, config: ProviderConfig, session: HttpSession | None = None):
-        self.name = config.name
-        self.config = config
-        self._session = session or _new_session()
 
     def lookup_arxiv(self, arxiv_id: str) -> LookupOutcome:
         return self.lookup_arxiv_ids([arxiv_id])[arxiv_id]
@@ -395,16 +415,12 @@ class ArxivClient:
         def unavailable(cause: str) -> dict[str, LookupOutcome]:
             return {i: LookupOutcome.unavailable(cause) for i in ids}
 
-        resp = _send(
-            self._session,
+        resp = self._get(
             self.config.base_endpoint,
-            self.config.timeout,
-            params={"id_list": ",".join(ids), "max_results": len(ids)},
+            {"id_list": ",".join(ids), "max_results": len(ids)},
         )
         if isinstance(resp, str):
             return unavailable(resp)
-        if resp.status_code != 200:
-            return unavailable(_http_failure_cause(resp))
         try:
             entries = ElementTree.fromstring(resp.text).findall("atom:entry", _ATOM_NS)
         except ElementTree.ParseError:
@@ -444,7 +460,7 @@ class ArxivClient:
                 venue="arXiv",
                 year=year,
                 identifiers=(make_identifier(IdentifierKind.ARXIV, arxiv_id),),
-                provenance_query=f"arxiv:{arxiv_id}",
+                provenance_query=_arxiv_key(arxiv_id),
             )
         )
 
@@ -459,21 +475,13 @@ def _is_error_entry(entry: ElementTree.Element) -> bool:
     return "api/errors" in entry_id or _entry_title(entry).lower() == "error"
 
 
-class OpenAlexClient:
+class OpenAlexClient(_HttpClient):
     """Title and author-year search against an OpenAlex-style works index."""
 
-    def __init__(self, config: ProviderConfig, session: HttpSession | None = None):
-        self.name = config.name
-        self.config = config
-        self._session = session or _new_session()
-
     def _search(self, params: dict, query: str) -> SearchOutcome:
-        url = f"{self.config.base_endpoint.rstrip('/')}/works"
-        resp = _send(self._session, url, self.config.timeout, params=params)
+        resp = self._get(f"{self.config.base_endpoint.rstrip('/')}/works", params)
         if isinstance(resp, str):
             return SearchOutcome(cause=resp)
-        if resp.status_code != 200:
-            return SearchOutcome(cause=_http_failure_cause(resp))
         try:
             results = _typed(_typed(resp.json(), dict).get("results"), list)
             return SearchOutcome(records=tuple(self._record(w, query) for w in results))
@@ -519,9 +527,7 @@ class OpenAlexClient:
         )
 
     def search_title(self, title: str) -> SearchOutcome:
-        return self._search(
-            {"search": title, "per-page": 5}, f"title:{normalize_title(title)}"
-        )
+        return self._search({"search": title, "per-page": 5}, _title_key(title))
 
     def search_author_year(self, surname: str, year: int) -> SearchOutcome:
         return self._search(
@@ -529,7 +535,7 @@ class OpenAlexClient:
                 "filter": f"raw_author_name.search:{surname},publication_year:{year}",
                 "per-page": 10,
             },
-            f"author:{surname.lower()}:{year}",
+            _author_key(surname, year),
         )
 
 
@@ -635,14 +641,10 @@ def _lookup_ids(citation: ParsedCitation):
             yield kind, value
 
 
-def _arxiv_key(arxiv_id: str) -> str:
-    return f"arxiv:{arxiv_id.lower()}"
-
-
 class Resolver:
     """Routes lookups to providers with rate limiting and caching.
 
-    Providers are consulted in list order; the first enabled provider that
+    Providers are consulted in list order; the first provider that
     implements an operation owns it. Found and NotFound outcomes and
     successful searches go into the cache; without a configured one the
     resolver keeps an in-memory LookupCache, so a key repeated within one
@@ -668,17 +670,11 @@ class Resolver:
             if rate and rate > 0:
                 self._buckets[id(provider)] = TokenBucket(rate=rate)
         # arXiv ids whose own request failed in the last prefetch, by cache
-        # key, so the per-id path does not send them again that run.
+        # key, so the read-through does not send them again that run.
         self._arxiv_failed: dict[str, LookupOutcome] = {}
 
     def _provider_for(self, op: str):
-        for provider in self._providers:
-            config = getattr(provider, "config", None)
-            if config is not None and not config.enabled:
-                continue
-            if hasattr(provider, op):
-                return provider
-        return None
+        return next((p for p in self._providers if hasattr(p, op)), None)
 
     def _acquire(self, provider) -> bool:
         bucket = self._buckets.get(id(provider))
@@ -695,53 +691,42 @@ class Resolver:
         if payload is None:
             return None
         outcome = decode(payload, getattr(provider, "name", "cache"))
-        return outcome if outcome.cause is None else None  # only Unavailable has a cause
+        return None if outcome.failed else outcome
 
-    def _cached_lookup(self, key: str, op: str, value) -> LookupOutcome:
-        provider = self._provider_for(op)
-        outcome = self._cached(key, _decode_lookup, provider)
-        if outcome is not None:
-            return outcome
-        if provider is None:
-            return LookupOutcome.unavailable("no_provider")
-        if not self._acquire(provider):
-            return LookupOutcome.unavailable("rate_limited")
-        outcome = getattr(provider, op)(value)
-        if outcome.status is not LookupStatus.UNAVAILABLE:
-            self.cache.put(key, _encode_lookup(outcome))
-        return outcome
-
-    def lookup_doi(self, doi: str) -> LookupOutcome:
-        return self._cached_lookup(f"doi:{doi.lower()}", "lookup_doi", doi)
-
-    def lookup_arxiv(self, arxiv_id: str) -> LookupOutcome:
-        key = _arxiv_key(arxiv_id)
+    def _read_through(self, key: str, op: str, args: tuple, kind: tuple):
+        """The outcome of provider.op(*args): this run's failed arXiv
+        request, else the cached outcome, else the provider's answer, which
+        is cached unless it is Unavailable. kind is _LOOKUP or _SEARCH."""
         failed = self._arxiv_failed.get(key)
         if failed is not None:
             return failed
-        return self._cached_lookup(key, "lookup_arxiv", arxiv_id)
-
-    def _cached_search(self, key: str, op: str, *args) -> SearchOutcome:
+        decode, encode, unavailable = kind
         provider = self._provider_for(op)
-        outcome = self._cached(key, _decode_search, provider)
+        outcome = self._cached(key, decode, provider)
         if outcome is not None:
             return outcome
         if provider is None:
-            return SearchOutcome(cause="no_provider")
+            return unavailable("no_provider")
         if not self._acquire(provider):
-            return SearchOutcome(cause="rate_limited")
+            return unavailable("rate_limited")
         outcome = getattr(provider, op)(*args)
         if not outcome.failed:
-            self.cache.put(key, _encode_search(outcome))
+            self.cache.put(key, encode(outcome))
         return outcome
 
+    def lookup_doi(self, doi: str) -> LookupOutcome:
+        return self._read_through(_doi_key(doi), "lookup_doi", (doi,), _LOOKUP)
+
+    def lookup_arxiv(self, arxiv_id: str) -> LookupOutcome:
+        return self._read_through(_arxiv_key(arxiv_id), "lookup_arxiv", (arxiv_id,), _LOOKUP)
+
     def search_title(self, title: str) -> SearchOutcome:
-        key = f"title:{normalize_title(title)}"
-        return self._cached_search(key, "search_title", title)
+        return self._read_through(_title_key(title), "search_title", (title,), _SEARCH)
 
     def search_author_year(self, surname: str, year: int) -> SearchOutcome:
-        key = f"author:{surname.lower()}:{year}"
-        return self._cached_search(key, "search_author_year", surname, year)
+        return self._read_through(
+            _author_key(surname, year), "search_author_year", (surname, year), _SEARCH
+        )
 
     def prefetch(self, citations) -> None:
         """Settle the arXiv ids of a whole bibliography in batched requests.
@@ -789,7 +774,7 @@ class Resolver:
         for arxiv_id in ids:
             outcome = outcomes[arxiv_id]
             key = _arxiv_key(arxiv_id)
-            if outcome.status is not LookupStatus.UNAVAILABLE:
+            if not outcome.failed:
                 self.cache.put(key, _encode_lookup(outcome))
                 continue
             unsettled.append(arxiv_id)

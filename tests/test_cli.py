@@ -17,6 +17,7 @@ import citeaudit
 from citeaudit import cli
 from citeaudit.cli import main
 from citeaudit.model import FailureMode, Verdict, VerdictStatus
+from citeaudit.resolve import LookupOutcome
 from citeaudit.report import (
     EXIT_HALLUCINATED,
     EXIT_OK,
@@ -299,6 +300,10 @@ class TestThresholdConfiguration:
             ("[classifier]\ntitle_moderate = 0.6\n", "title_moderate"),
             ("[provider.arxiv]\nrate = 1\n", "rate"),
             ("[provider.semantic]\nrate_limit = 1\n", "semantic"),
+            ("[classifier]\nplausibility = 70%\n", "[classifier] plausibility"),
+            ("[provider.crossref]\nrate_limit = nan\n", "[provider.crossref] rate_limit"),
+            ("[provider.arxiv]\ntimeout = nan\n", "[provider.arxiv] timeout"),
+            ("[provider.openalex]\nenabled = sometimes\n", "[provider.openalex] enabled"),
         ],
         ids=[
             "not-a-float",
@@ -309,6 +314,10 @@ class TestThresholdConfiguration:
             "retired-key",
             "unknown-provider-key",
             "unknown-provider",
+            "percent-sign",
+            "nan-rate-limit",
+            "nan-timeout",
+            "enabled-not-a-boolean",
         ],
     )
     def test_malformed_config_is_usage_error(
@@ -390,6 +399,7 @@ class TestUsageErrors:
             ("verify", "--fixtures", b"\xff\xfe{}", "fixtures.json"),
             ("verify", "--fixtures", b"[1, 2]", "fixtures.json"),
             ("verify", "--fixtures", b'{"outcomes": ["doi:10.1/x"]}', "fixtures.json"),
+            ("verify", "--fixtures", b'{"closed_world": "false", "outcomes": {}}', "fixtures.json"),
             ("classify", "--fixtures", b"{not json", "fixtures.json"),
             ("verify", "--vocab", b"\xff\xfelearning\n", "vocab.txt"),
             ("verify", "--cache", b"\xff\xfe{}\n", "cache.jsonl"),
@@ -401,6 +411,7 @@ class TestUsageErrors:
             "fixtures-not-utf8",
             "fixtures-not-an-object",
             "fixture-outcomes-not-an-object",
+            "fixture-closed-world-not-a-bool",
             "classify-fixtures-not-json",
             "vocab-not-utf8",
             "cache-not-utf8",
@@ -434,6 +445,57 @@ class TestUsageErrors:
         out = capsys.readouterr().out
         assert "citeaudit" in out
         assert citeaudit.__version__ in out
+
+
+def _write_ini(tmp_path: Path, text: str) -> str:
+    ini = tmp_path / "citeaudit.ini"
+    ini.write_text(text, encoding="utf-8")
+    return str(ini)
+
+
+class TestProviderSections:
+    def test_values_are_read_literally(self, tmp_path):
+        # No key interpolates, so a % in a value is kept as written.
+        ini = _write_ini(tmp_path, "[provider.crossref]\nendpoint = https://api.crossref.org/%7Ex\n")
+        resolver, _ = cli._build_runtime(False, None, None, ini, None, {})
+        crossref = resolver._provider_for("lookup_doi")
+        assert crossref.config.base_endpoint == "https://api.crossref.org/%7Ex"
+
+    def test_disabled_provider_owns_no_op(self, tmp_path):
+        ini = _write_ini(tmp_path, "[provider.crossref]\nenabled = false\n")
+        resolver, _ = cli._build_runtime(False, None, None, ini, None, {})
+        assert resolver.lookup_doi("10.1/x") == LookupOutcome.unavailable("no_provider")
+        assert resolver._provider_for("search_title").name == "openalex"
+
+    def test_all_providers_disabled_is_unverifiable_without_a_transport(self, tmp_path):
+        # With every provider left out no HTTP client is built, so the
+        # transport is never imported and every lookup is no_provider.
+        ini = _write_ini(
+            tmp_path,
+            "".join(f"[provider.{name}]\nenabled = false\n" for name in cli._DEFAULT_PROVIDERS),
+        )
+        out = tmp_path / "report.json"
+        probe = (
+            "import sys; from citeaudit.cli import main; code = main(sys.argv[1:]); "
+            "print('citeaudit.transport' in sys.modules); sys.exit(code)"
+        )
+        src = str(Path(citeaudit.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "CITE_AUDIT_CACHE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", probe, "verify", str(DATA / "exemplars.txt"),
+             "--config", ini, "--format", "json", "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == EXIT_UNVERIFIABLE, result.stderr
+        assert result.stdout.strip() == "False"
+        verdicts = json.loads(out.read_text(encoding="utf-8"))["verdicts"]
+        assert [(v["status"], v["cause"]) for v in verdicts] == [
+            ("unverifiable", "provider_unavailable")
+        ] * 5
 
 
 class TestStartup:

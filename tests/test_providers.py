@@ -3,6 +3,7 @@ batched arXiv lookups."""
 from __future__ import annotations
 
 import http.client
+import math
 import zlib
 
 import pytest
@@ -191,6 +192,71 @@ class TestOpenAlexShapes:
         assert outcome == SearchOutcome(cause=cause)
 
 
+# Each client's outcome for each HTTP status, the reply body being one that
+# parses. Crossref's 404 is NotFound, the one status that is evidence about
+# the work; any other status but 200 is an outage.
+_OK_REPLIES = {
+    CrossrefClient: (
+        lambda client: client.lookup_doi("10.1038/nature14539"),
+        json_response({"message": _CROSSREF_OK}),
+    ),
+    ArxivClient: (
+        lambda client: client.lookup_arxiv("2101.00001"),
+        atom_feed(atom_entry("http://arxiv.org/abs/2101.00001v1", "First")),
+    ),
+    OpenAlexClient: (
+        lambda client: client.search_title("Deep learning"),
+        json_response({"results": [_WORK_OK]}),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "klass, status, expected",
+    [
+        (CrossrefClient, 200, "found"),
+        (CrossrefClient, 404, "not_found"),
+        (CrossrefClient, 429, "rate_limited"),
+        (CrossrefClient, 503, "http_5xx"),
+        (CrossrefClient, 400, "http_400"),
+        (ArxivClient, 200, "found"),
+        (ArxivClient, 404, "http_404"),
+        (ArxivClient, 429, "rate_limited"),
+        (ArxivClient, 502, "http_5xx"),
+        (OpenAlexClient, 200, "found"),
+        (OpenAlexClient, 404, "http_404"),
+        (OpenAlexClient, 429, "rate_limited"),
+        (OpenAlexClient, 500, "http_5xx"),
+        (OpenAlexClient, 403, "http_403"),
+    ],
+)
+def test_http_status_maps_to_outcome(klass, status, expected):
+    op, ok = _OK_REPLIES[klass]
+    outcome = op(_client(klass, FakeResponse(status, ok.text)))
+    if isinstance(outcome, SearchOutcome):
+        assert (outcome.cause or ("found" if outcome.records else "not_found")) == expected
+    else:
+        assert (outcome.cause or outcome.status.value) == expected
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("rate_limit", math.nan),
+        ("rate_limit", math.inf),
+        ("rate_limit", -1.0),
+        ("timeout", math.nan),
+        ("timeout", math.inf),
+        ("timeout", 0.0),
+    ],
+)
+def test_provider_config_rejects_non_finite_and_out_of_range(field, value):
+    # A NaN rate would build no token bucket (no limit at all); a NaN timeout
+    # would fail every request as "connection".
+    with pytest.raises(ValueError, match=field):
+        ProviderConfig(name="crossref", **{field: value})
+
+
 _PAPERS = {
     "2101.00001": Paper("Sparse spectral methods", ("Ada Lovelace",), 2021),
     "2102.00002": Paper("Robust graph learning", ("Charles Babbage", "Mary Somerville"), 2021),
@@ -365,6 +431,15 @@ def test_well_formed_fixture_entry_is_found():
     assert outcome.record.title == "Deep learning"
     assert [a.surname for a in outcome.record.authors] == ["lecun", "bengio", "hinton"]
     assert outcome.record.authors[2].given_tokens == ("g",)
+
+
+@pytest.mark.parametrize(
+    "closed_world", ["false", "true", 0, 1, [True]], ids=["false-str", "true-str", "0", "1", "list"]
+)
+def test_fixture_closed_world_must_be_a_bool(closed_world):
+    # A truthy string would make every unlisted key NotFound evidence.
+    with pytest.raises(ValueError, match="bool"):
+        FixtureProvider({"closed_world": closed_world, "outcomes": {}})
 
 
 def test_fixture_outage_entry_is_unavailable():

@@ -307,12 +307,20 @@ class TestResolver:
         put: list = []
 
         class Recording(FixtureProvider):
-            def _lookup(self, key):
-                given.append(super()._lookup(key))
+            def lookup_doi(self, doi):
+                given.append(super().lookup_doi(doi))
                 return given[-1]
 
-            def _search(self, key):
-                given.append(super()._search(key))
+            def lookup_arxiv(self, arxiv_id):
+                given.append(super().lookup_arxiv(arxiv_id))
+                return given[-1]
+
+            def search_title(self, title):
+                given.append(super().search_title(title))
+                return given[-1]
+
+            def search_author_year(self, surname, year):
+                given.append(super().search_author_year(surname, year))
                 return given[-1]
 
         class RecordingCache(LookupCache):
@@ -342,13 +350,6 @@ class TestResolver:
         resolver = Resolver(providers=[])
         assert resolver.lookup_doi("10.1/x").cause == "no_provider"
         assert resolver.search_title("t").cause == "no_provider"
-
-    def test_disabled_provider_skipped(self):
-        provider = CountingProvider()
-        provider.config = ProviderConfig(name="counting", enabled=False)
-        resolver = Resolver(providers=[provider])
-        assert resolver.lookup_doi("10.1/x").cause == "no_provider"
-        assert provider.calls == []
 
     def test_rate_limit_timeout_maps_to_unavailable(self):
         provider = CountingProvider(rate_limit=0.001)
