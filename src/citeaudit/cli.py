@@ -70,10 +70,15 @@ def _read_ini(path: str | None) -> configparser.ConfigParser:
             raise click.UsageError(f"config file {path}: {exc}") from exc
         if not read:
             raise click.UsageError(f"config file not readable: {path}")
+    # A misspelt section would be ignored with all its keys, as a key would.
     for section in parser.sections():
         provider = section.removeprefix("provider.")
         if provider != section and provider not in _DEFAULT_PROVIDERS:
             raise click.UsageError(f"[{section}]: unknown provider {provider!r}")
+        if provider == section and section != "classifier":
+            raise click.UsageError(
+                f"[{section}]: unknown section; expected [classifier] or [provider.<name>]"
+            )
     return parser
 
 
@@ -233,7 +238,7 @@ def cli() -> None:
     default="text",
     show_default=True,
 )
-@click.option("--jobs", type=click.IntRange(min=1), default=4, show_default=True, help="Threads for provider lookups; verdicts are made on the main thread.")
+@click.option("--jobs", type=click.IntRange(min=1), default=4, show_default=True, help="Threads for the citations' lookups; the arXiv pre-pass has a thread of its own, and verdicts are made on the main thread.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the report here instead of stdout.")
 @_runtime_options
 def cmd_verify(

@@ -49,10 +49,19 @@ class ProviderConfig:
     timeout: float = 10.0
 
     def __post_init__(self) -> None:
+        # threading.TIMEOUT_MAX is the longest wait socket.settimeout and
+        # time.sleep accept; a longer one raises OverflowError mid-run. A
+        # token bucket waits up to 1/rate_limit seconds for a token.
         if not (math.isfinite(self.rate_limit) and self.rate_limit >= 0):
             raise ValueError("rate_limit must be a finite number, not negative")
-        if not (math.isfinite(self.timeout) and self.timeout > 0):
-            raise ValueError("timeout must be a finite positive number")
+        if 0 < self.rate_limit < 1 / threading.TIMEOUT_MAX:
+            raise ValueError(
+                f"rate_limit must be 0 or at least 1/{threading.TIMEOUT_MAX:.0f} requests/s"
+            )
+        if not (math.isfinite(self.timeout) and 0 < self.timeout <= threading.TIMEOUT_MAX):
+            raise ValueError(
+                f"timeout must be a finite positive number, at most {threading.TIMEOUT_MAX:.0f} s"
+            )
 
 
 class LookupStatus(Enum):
@@ -322,6 +331,13 @@ class _HttpClient:
         self.name = config.name
         self.config = config
         self._session = session or _new_session()
+
+    def close(self) -> None:
+        """Close the connections the session keeps open, if it has a close();
+        the next request opens a new one."""
+        close = getattr(self._session, "close", None)
+        if close is not None:
+            close()
 
     def _get(self, url: str, params: dict | None = None) -> Reply | str:
         """The 200 reply, or the Unavailable cause: _send's "timeout" or
@@ -649,7 +665,9 @@ class Resolver:
     successful searches go into the cache; without a configured one the
     resolver keeps an in-memory LookupCache, so a key repeated within one
     run goes to the network once either way. Thread-safe: resolve_all runs
-    resolve_citation on a pool of lookup threads.
+    resolve_citation on a pool of lookup threads, and a thread that needs a
+    key another thread is sending waits for that request instead of sending
+    its own.
     """
 
     def __init__(
@@ -672,6 +690,9 @@ class Resolver:
         # arXiv ids whose own request failed in the last prefetch, by cache
         # key, so the read-through does not send them again that run.
         self._arxiv_failed: dict[str, LookupOutcome] = {}
+        # Keys being sent now, each with the event its sender sets when done.
+        self._in_flight: dict[str, threading.Event] = {}
+        self._in_flight_lock = threading.Lock()
 
     def _provider_for(self, op: str):
         return next((p for p in self._providers if hasattr(p, op)), None)
@@ -696,7 +717,12 @@ class Resolver:
     def _read_through(self, key: str, op: str, args: tuple, kind: tuple):
         """The outcome of provider.op(*args): this run's failed arXiv
         request, else the cached outcome, else the provider's answer, which
-        is cached unless it is Unavailable. kind is _LOOKUP or _SEARCH."""
+        is cached unless it is Unavailable. kind is _LOOKUP or _SEARCH.
+
+        While one thread sends a key, another that misses the cache on it
+        waits, then reads the sender's outcome from the cache; after an
+        Unavailable one, which is not cached, it sends its own request, as
+        it would have on its own."""
         failed = self._arxiv_failed.get(key)
         if failed is not None:
             return failed
@@ -707,12 +733,28 @@ class Resolver:
             return outcome
         if provider is None:
             return unavailable("no_provider")
-        if not self._acquire(provider):
-            return unavailable("rate_limited")
-        outcome = getattr(provider, op)(*args)
-        if not outcome.failed:
-            self.cache.put(key, encode(outcome))
-        return outcome
+        while True:
+            with self._in_flight_lock:
+                sending = self._in_flight.get(key)
+                if sending is None:
+                    # The last sender may have cached the key since the miss.
+                    outcome = self._cached(key, decode, provider)
+                    if outcome is not None:
+                        return outcome
+                    sending = self._in_flight[key] = threading.Event()
+                    break
+            sending.wait()
+        try:
+            if not self._acquire(provider):
+                return unavailable("rate_limited")
+            outcome = getattr(provider, op)(*args)
+            if not outcome.failed:
+                self.cache.put(key, encode(outcome))
+            return outcome
+        finally:
+            with self._in_flight_lock:
+                del self._in_flight[key]
+            sending.set()
 
     def lookup_doi(self, doi: str) -> LookupOutcome:
         return self._read_through(_doi_key(doi), "lookup_doi", (doi,), _LOOKUP)
@@ -742,18 +784,33 @@ class Resolver:
         by resolve_citation, as it would be without this pass.
         """
         self._arxiv_failed = {}
+        provider, ids, _ = self._pending_arxiv(citations)
+        self._fetch_arxiv(provider, ids)
+
+    def _pending_arxiv(self, citations) -> tuple[object, list[str], set[int]]:
+        """The provider that batches arXiv lookups, the arXiv ids of
+        citations that no cache entry settles, in first-appearance order,
+        and the positions of the citations that hold one. Without a batching
+        owner of lookup_arxiv, (None, [], set()), and no citation is read."""
         provider = self._provider_for("lookup_arxiv")
         if provider is None or not hasattr(provider, "lookup_arxiv_ids"):
-            return
+            return None, [], set()
         pending: dict[str, str] = {}
-        for citation in citations:
+        holders: set[int] = set()
+        for position, citation in enumerate(citations):
             for kind, value in _lookup_ids(citation):
                 if kind is not IdentifierKind.ARXIV:
                     continue
                 key = _arxiv_key(value)
-                if key not in pending and self._cached(key, _decode_lookup, provider) is None:
+                if key not in pending:
+                    if self._cached(key, _decode_lookup, provider) is not None:
+                        continue
                     pending[key] = value
-        ids = list(pending.values())
+                holders.add(position)
+        return provider, list(pending.values()), holders
+
+    def _fetch_arxiv(self, provider, ids: list[str]) -> None:
+        """prefetch's requests for ids, which no cache entry settles."""
         for start in range(0, len(ids), ARXIV_BATCH_SIZE):
             batch = ids[start : start + ARXIV_BATCH_SIZE]
             unsettled, cause = self._request_arxiv(provider, batch)
@@ -865,27 +922,55 @@ class Resolver:
     def resolve_all(
         self, citations: Sequence[ParsedCitation], jobs: int
     ) -> Iterator[ResolutionBundle | Exception]:
-        """Resolve a whole bibliography: the arXiv pre-pass, then each
-        citation's lookup ladder.
+        """Resolve a whole bibliography: each citation's lookup ladder on a
+        pool of ``jobs`` threads, beside the arXiv pre-pass on a thread of
+        its own.
 
-        Yields, in input order, each citation's bundle, or the exception its
-        resolve_citation raised, so a failure costs one citation, not the
-        batch. The pre-pass only saves requests: if it raises, the ids it did
-        not settle are looked up per citation. The ladders run on ``jobs``
-        threads.
+        A citation with no arXiv id left to the pre-pass starts its ladder
+        at once; one with such an id is queued after those, and its ladder
+        waits until the pre-pass is done. Yields, in input order, each
+        citation's bundle, or the exception its resolve_citation raised, so
+        a failure costs one citation, not the batch. The pre-pass only saves
+        requests: if it raises, the ids it did not settle are looked up per
+        citation. When the iteration ends, early or not, every thread has
+        finished and the HTTP clients' connections are closed.
         """
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        try:
-            self.prefetch(citations)
-        except Exception:  # noqa: BLE001 - the per-id path settles what is left
-            pass
+        self._arxiv_failed = {}
+        provider, ids, holders = self._pending_arxiv(citations)
+        settled = threading.Event()
 
-        def attempt(citation: ParsedCitation) -> ResolutionBundle | Exception:
+        def prepass() -> None:
             try:
+                self._fetch_arxiv(provider, ids)
+            except Exception:  # noqa: BLE001 - the per-id path settles what is left
+                pass
+            finally:
+                settled.set()
+
+        def attempt(citation: ParsedCitation, waits: bool) -> ResolutionBundle | Exception:
+            try:
+                if waits:
+                    settled.wait()
                 return self.resolve_citation(citation)
             except Exception as exc:  # noqa: BLE001 - reported as that citation's verdict
                 return exc
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(attempt, citations)
+        pool = ThreadPoolExecutor(max_workers=jobs)
+        prepass_thread = None
+        if ids:
+            prepass_thread = threading.Thread(target=prepass, name="citeaudit-arxiv-prepass")
+            prepass_thread.start()
+        try:
+            order = sorted(range(len(citations)), key=lambda i: i in holders)
+            futures = {i: pool.submit(attempt, citations[i], i in holders) for i in order}
+            for i in range(len(citations)):
+                yield futures[i].result()
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+            if prepass_thread is not None:
+                prepass_thread.join()
+            for p in self._providers:
+                if isinstance(p, _HttpClient):
+                    p.close()

@@ -43,7 +43,7 @@ class Reply:
 
 
 class HttpSession:
-    """GETs with one keep-alive connection per thread and host.
+    """GETs with one keep-alive connection per thread and host, until close().
 
     ``get`` follows up to MAX_REDIRECTS redirects and decodes a gzip body.
     It raises one of TRANSPORT_ERRORS when the request fails: TimeoutError,
@@ -56,7 +56,10 @@ class HttpSession:
     """
 
     def __init__(self):
-        self._local = threading.local()
+        # By (thread id, netloc). A thread id is reused only once its thread
+        # has ended, so no connection is ever used by two threads at once.
+        self._connections: dict[tuple[int, str], http.client.HTTPConnection] = {}
+        self._lock = threading.Lock()
         self._proxies = _env_proxies()
         self._headers = {
             "User-Agent": f"citeaudit/{__version__}",
@@ -74,6 +77,16 @@ class HttpSession:
             url = urljoin(url, location)
         raise http.client.HTTPException(f"more than {MAX_REDIRECTS} redirects")
 
+    def close(self) -> None:
+        """Close every connection the session has opened. The session stays
+        usable: a later request opens a new connection. Call it when no
+        request is in flight."""
+        with self._lock:
+            connections = list(self._connections.values())
+            self._connections.clear()
+        for conn in connections:
+            conn.close()
+
     def _fetch(self, url: str, timeout: float | None) -> tuple[Reply | None, str | None]:
         """One GET: the reply, or (None, Location) for a redirect."""
         parts = urlsplit(url)
@@ -89,10 +102,13 @@ class HttpSession:
             target = parts.path or "/"
             if parts.query:
                 target += f"?{parts.query}"
-        connections = self._local.__dict__.setdefault("connections", {})
-        conn = connections.get(parts.netloc)
+        key = (threading.get_ident(), parts.netloc)
+        with self._lock:
+            conn = self._connections.get(key)
         if conn is None:
-            conn = connections[parts.netloc] = _connection(parts, proxy)
+            conn = _connection(parts, proxy)
+            with self._lock:
+                self._connections[key] = conn
         while True:
             reused = conn.sock is not None
             conn.timeout = timeout

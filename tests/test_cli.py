@@ -304,6 +304,10 @@ class TestThresholdConfiguration:
             ("[provider.crossref]\nrate_limit = nan\n", "[provider.crossref] rate_limit"),
             ("[provider.arxiv]\ntimeout = nan\n", "[provider.arxiv] timeout"),
             ("[provider.openalex]\nenabled = sometimes\n", "[provider.openalex] enabled"),
+            ("[classifer]\nplausibility = 5\n", "[classifer]"),
+            ("[Provider.crossref]\nrate_limit = -3\n", "[Provider.crossref]"),
+            ("[provider.crossref]\ntimeout = 1e300\n", "[provider.crossref] timeout"),
+            ("[provider.arxiv]\nrate_limit = 1e-300\n", "[provider.arxiv] rate_limit"),
         ],
         ids=[
             "not-a-float",
@@ -318,6 +322,10 @@ class TestThresholdConfiguration:
             "nan-rate-limit",
             "nan-timeout",
             "enabled-not-a-boolean",
+            "misspelt-section",
+            "miscased-provider-section",
+            "timeout-past-timeout-max",
+            "rate-limit-below-one-per-timeout-max",
         ],
     )
     def test_malformed_config_is_usage_error(

@@ -46,6 +46,12 @@ class _Handler(BaseHTTPRequestHandler):
         with self.server.lock:
             self.server.connections += 1
 
+    def finish(self) -> None:
+        # Runs once the client has closed the connection.
+        super().finish()
+        with self.server.lock:
+            self.server.closed += 1
+
     def log_message(self, format, *args) -> None:  # noqa: A002 - stdlib signature
         pass
 
@@ -105,6 +111,7 @@ class _Server(ThreadingHTTPServer):
         super().__init__(("127.0.0.1", 0), _Handler)
         self.lock = threading.Lock()
         self.connections = 0
+        self.closed = 0
         self.log: list[tuple[str, dict]] = []
 
     @property
@@ -135,6 +142,20 @@ def _serving():
 
 
 @pytest.fixture
+def make_session():
+    """Makes transport sessions, each closed when the test ends."""
+    made = []
+
+    def make():
+        made.append(_new_session())
+        return made[-1]
+
+    yield make
+    for session in made:
+        session.close()
+
+
+@pytest.fixture
 def server():
     with _serving() as srv:
         yield srv
@@ -147,35 +168,35 @@ def proxy_server():
 
 
 class TestKeepAlive:
-    def test_sequential_gets_share_one_connection(self, server):
-        session = _new_session()
+    def test_sequential_gets_share_one_connection(self, make_session, server):
+        session = make_session()
         for i in range(20):
             reply = session.get(f"{server.url}/echo", params={"v": f"n{i}"}, timeout=5)
             assert (reply.status_code, reply.text) == (200, f"n{i}")
         assert server.connections == 1
 
-    def test_server_closed_idle_connection_is_sent_again_once(self, server):
-        session = _new_session()
+    def test_server_closed_idle_connection_is_sent_again_once(self, make_session, server):
+        session = make_session()
         assert session.get(f"{server.url}/drop", timeout=5).text == "dropped"
         reply = session.get(f"{server.url}/echo?v=again", timeout=5)
         assert reply.text == "again"
         assert server.connections == 2
         assert server.paths() == ["/drop", "/echo?v=again"]
 
-    def test_resend_happens_once(self, server):
-        session = _new_session()
+    def test_resend_happens_once(self, make_session, server):
+        session = make_session()
         session.get(f"{server.url}/echo?v=warm", timeout=5)
         assert _send(session, f"{server.url}/hangup", 5) == "connection"
         # The reused connection's failure is sent once more; the new
         # connection's failure is not.
         assert server.paths() == ["/echo?v=warm", "/hangup", "/hangup"]
 
-    def test_fresh_connection_is_never_resent(self, server):
-        assert _send(_new_session(), f"{server.url}/hangup", 5) == "connection"
+    def test_fresh_connection_is_never_resent(self, make_session, server):
+        assert _send(make_session(), f"{server.url}/hangup", 5) == "connection"
         assert server.paths() == ["/hangup"]
 
-    def test_threads_each_get_their_own_connection(self, server):
-        session = _new_session()
+    def test_threads_each_get_their_own_connection(self, make_session, server):
+        session = make_session()
         barrier = threading.Barrier(4)
         results: dict[int, list[str]] = {}
 
@@ -194,49 +215,73 @@ class TestKeepAlive:
         assert results == {n: [f"t{n}-{j}" for j in range(5)] for n in range(4)}
         assert server.connections == 4
 
+    def test_close_closes_the_connections_of_every_thread(self, make_session, server):
+        session = make_session()
+        # Each thread stays alive until all have sent, so each has its own id.
+        barrier = threading.Barrier(3)
+
+        def worker() -> None:
+            session.get(f"{server.url}/echo?v=x", timeout=5)
+            barrier.wait(timeout=10)
+
+        threads = [threading.Thread(target=worker) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert (server.connections, server.closed) == (3, 0)
+        session.close()
+        deadline = time.monotonic() + 5
+        while server.closed < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server.closed == 3
+        # The session stays usable: the next request opens a new connection.
+        assert session.get(f"{server.url}/echo?v=again", timeout=5).text == "again"
+        assert server.connections == 4
+
 
 class TestReplies:
-    def test_gzip_body_is_decoded(self, server):
-        reply = _new_session().get(f"{server.url}/gzip", timeout=5)
+    def test_gzip_body_is_decoded(self, make_session, server):
+        reply = make_session().get(f"{server.url}/gzip", timeout=5)
         assert reply.status_code == 200
         assert reply.json() == {"ok": "zipped"}
 
-    def test_undecodable_gzip_is_connection(self, server):
-        assert _send(_new_session(), f"{server.url}/bad-gzip", 5) == "connection"
+    def test_undecodable_gzip_is_connection(self, make_session, server):
+        assert _send(make_session(), f"{server.url}/bad-gzip", 5) == "connection"
 
-    def test_redirect_is_followed(self, server):
-        reply = _new_session().get(f"{server.url}/redirect", timeout=5)
+    def test_redirect_is_followed(self, make_session, server):
+        reply = make_session().get(f"{server.url}/redirect", timeout=5)
         assert reply.text == "landed"
         assert server.paths() == ["/redirect", "/echo?v=landed"]
 
-    def test_redirect_loop_is_connection(self, server):
-        assert _send(_new_session(), f"{server.url}/loop", 5) == "connection"
+    def test_redirect_loop_is_connection(self, make_session, server):
+        assert _send(make_session(), f"{server.url}/loop", 5) == "connection"
         assert server.paths() == ["/loop"] * (MAX_REDIRECTS + 1)
 
-    def test_status_is_passed_through(self, server):
-        assert _new_session().get(f"{server.url}/missing", timeout=5).status_code == 404
+    def test_status_is_passed_through(self, make_session, server):
+        assert make_session().get(f"{server.url}/missing", timeout=5).status_code == 404
 
 
 class TestFailures:
-    def test_slow_reply_is_timeout(self, server):
-        assert _send(_new_session(), f"{server.url}/slow", 0.2) == "timeout"
+    def test_slow_reply_is_timeout(self, make_session, server):
+        assert _send(make_session(), f"{server.url}/slow", 0.2) == "timeout"
 
-    def test_refused_port_is_connection(self):
+    def test_refused_port_is_connection(self, make_session):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
-        assert _send(_new_session(), f"http://127.0.0.1:{port}/", 5) == "connection"
+        assert _send(make_session(), f"http://127.0.0.1:{port}/", 5) == "connection"
 
     @pytest.mark.parametrize("url", ["ftp://example.org/x", "http:///no-host", "http://h:99999/"])
-    def test_unsendable_url_is_connection(self, url):
-        assert _send(_new_session(), url, 5) == "connection"
+    def test_unsendable_url_is_connection(self, make_session, url):
+        assert _send(make_session(), url, 5) == "connection"
 
 
 class TestProxies:
-    def test_http_proxy_gets_an_absolute_form_request(self, server, monkeypatch):
+    def test_http_proxy_gets_an_absolute_form_request(self, make_session, server, monkeypatch):
         proxy = server.url.replace("http://", "http://user:p%40ss@")
         monkeypatch.setenv("http_proxy", proxy)
-        reply = _new_session().get("http://works.example/echo?v=via-proxy", timeout=5)
+        reply = make_session().get("http://works.example/echo?v=via-proxy", timeout=5)
         assert reply.text == "via-proxy"
         line, headers = server.log[0]
         assert line == "GET http://works.example/echo?v=via-proxy HTTP/1.1"
@@ -244,17 +289,17 @@ class TestProxies:
         token = base64.b64encode(b"user:p@ss").decode()
         assert headers["Proxy-Authorization"] == f"Basic {token}"
 
-    def test_no_proxy_bypasses_the_proxy(self, server, proxy_server, monkeypatch):
+    def test_no_proxy_bypasses_the_proxy(self, make_session, server, proxy_server, monkeypatch):
         monkeypatch.setenv("HTTP_PROXY", proxy_server.url)
         monkeypatch.setenv("NO_PROXY", "127.0.0.1,localhost")
-        assert _new_session().get(f"{server.url}/echo?v=direct", timeout=5).text == "direct"
+        assert make_session().get(f"{server.url}/echo?v=direct", timeout=5).text == "direct"
         assert server.paths() == ["/echo?v=direct"]
         assert proxy_server.log == []
 
-    def test_https_proxy_tunnels_with_connect(self, server, monkeypatch):
+    def test_https_proxy_tunnels_with_connect(self, make_session, server, monkeypatch):
         monkeypatch.setenv("https_proxy", server.url)
         # The test proxy refuses the tunnel, so the request fails.
-        assert _send(_new_session(), "https://works.example/x", 5) == "connection"
+        assert _send(make_session(), "https://works.example/x", 5) == "connection"
         assert [line for line, _ in server.log] == ["CONNECT works.example:443 HTTP/1.0"]
 
 

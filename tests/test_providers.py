@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import http.client
 import math
+import threading
 import zlib
 
 import pytest
@@ -248,13 +249,27 @@ def test_http_status_maps_to_outcome(klass, status, expected):
         ("timeout", math.nan),
         ("timeout", math.inf),
         ("timeout", 0.0),
+        ("timeout", threading.TIMEOUT_MAX * 2),
+        ("timeout", 1e300),
+        ("rate_limit", 1e-300),
+        ("rate_limit", 0.5 / threading.TIMEOUT_MAX),
     ],
 )
 def test_provider_config_rejects_non_finite_and_out_of_range(field, value):
     # A NaN rate would build no token bucket (no limit at all); a NaN timeout
-    # would fail every request as "connection".
+    # would fail every request as "connection". A wait longer than
+    # threading.TIMEOUT_MAX (a timeout, or the 1/rate_limit a token takes)
+    # would raise OverflowError in socket.settimeout or time.sleep.
     with pytest.raises(ValueError, match=field):
         ProviderConfig(name="crossref", **{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("timeout", threading.TIMEOUT_MAX), ("rate_limit", 1 / threading.TIMEOUT_MAX), ("rate_limit", 0.0)],
+)
+def test_provider_config_accepts_the_longest_waits(field, value):
+    assert getattr(ProviderConfig(name="crossref", **{field: value}), field) == value
 
 
 _PAPERS = {

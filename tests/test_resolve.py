@@ -3,10 +3,12 @@ from __future__ import annotations
 import json
 import math
 import threading
+import time
 from importlib import resources
 
 import pytest
 
+from citeaudit import resolve as resolve_module
 from citeaudit.classify import ClassifierConfig
 from citeaudit.data import packaged_fixture_provider
 from citeaudit.identifiers import make_identifier
@@ -670,6 +672,240 @@ class TestResolveAll:
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
             list(Resolver(providers=[]).resolve_all([], jobs=0))
+
+    def test_doi_ladder_runs_while_the_batch_is_held(self):
+        papers = _papers(3)
+        session = _HeldArxivSession(papers)
+        dois = _DoiProvider()
+        resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session), dois])
+        # The DOI-only citation comes last in the input and is resolved first.
+        citations = _arxiv_citations(papers) + [_doi_citation("10.1000/doi-only")]
+        consumer, results = _consume(resolver, citations, jobs=2)
+        try:
+            assert dois.looked_up.wait(timeout=5)
+            assert not session.done.is_set()
+        finally:
+            session.release.set()
+            consumer.join(timeout=10)
+        assert not consumer.is_alive()
+        assert [b.citation_key for b in results] == [c.source_key for c in citations]
+        assert results[-1].identifier_outcomes[0][1].status is LookupStatus.FOUND
+
+    def test_arxiv_citations_get_the_batch_outcome(self):
+        papers = _papers(3)
+        ids = list(papers) + ["2101.99999"]
+        session = _HeldArxivSession(papers)
+        session.release.set()
+        resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session), _DoiProvider()])
+        citations = [_doi_citation("10.1000/first")] + _arxiv_citations(ids)
+        bundles = list(resolver.resolve_all(citations, jobs=4))
+        statuses = [b.identifier_outcomes[0][1].status for b in bundles[1:]]
+        assert statuses == [LookupStatus.FOUND] * 3 + [LookupStatus.NOT_FOUND]
+        # The ladders read what the one batch settled; no id went out alone.
+        assert session.requests == [{"id_list": ",".join(ids), "max_results": 4}]
+
+    def test_raising_prepass_releases_the_waiting_ladders(self):
+        class Raising(FakeArxivSession):
+            def get(self, url, params=None, timeout=None):
+                if "," in params["id_list"]:
+                    raise RuntimeError("session failed mid-request")
+                return super().get(url, params=params, timeout=timeout)
+
+        papers = _papers(3)
+        resolver = Resolver(providers=[ArxivClient(_ARXIV, session=Raising(papers))])
+        consumer, results = _consume(resolver, _arxiv_citations(papers), jobs=2)
+        consumer.join(timeout=10)
+        assert not consumer.is_alive()
+        statuses = [b.identifier_outcomes[0][1].status for b in results]
+        assert statuses == [LookupStatus.FOUND] * 3
+
+    def test_one_job_finishes(self):
+        papers = _papers(3)
+        session = FakeArxivSession(papers)
+        resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session), _DoiProvider()])
+        citations = _arxiv_citations(papers) + [_doi_citation("10.1000/x")]
+        consumer, results = _consume(resolver, citations, jobs=1)
+        consumer.join(timeout=10)
+        assert not consumer.is_alive()
+        assert [b.citation_key for b in results] == [c.source_key for c in citations]
+        assert len(session.requests) == 1
+
+    def test_no_thread_outlives_the_iteration(self):
+        baseline = threading.active_count()
+        papers = _papers(3)
+        citations = [_doi_citation("10.1000/x")] + _arxiv_citations(papers)
+
+        def resolver(session):
+            return Resolver(providers=[ArxivClient(_ARXIV, session=session), _DoiProvider()])
+
+        assert len(list(resolver(FakeArxivSession(papers)).resolve_all(citations, 2))) == 4
+        assert threading.active_count() == baseline
+        # Closed after the first bundle, while the pre-pass is still held.
+        session = _HeldArxivSession(papers)
+        bundles = resolver(session).resolve_all(citations, 2)
+        assert next(bundles).citation_key == "doi"
+        assert not session.done.is_set()
+        session.release.set()
+        bundles.close()
+        assert threading.active_count() == baseline
+
+    def test_http_sessions_are_closed_at_the_end(self):
+        class Closing(FakeArxivSession):
+            closed = 0
+
+            def close(self):
+                self.closed += 1
+
+        papers = _papers(2)
+        session = Closing(papers)
+        resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session)])
+        bundles = resolver.resolve_all(_arxiv_citations(papers), jobs=2)
+        next(bundles)
+        assert session.closed == 0
+        list(bundles)
+        assert session.closed == 1
+
+    def test_fixture_runs_scan_once_and_start_no_prepass(self, monkeypatch):
+        # A fixture owns lookup_arxiv without lookup_arxiv_ids: no pre-pass.
+        scanned, started = [], []
+        lookup_ids, start = resolve_module._lookup_ids, threading.Thread.start
+
+        def counting_lookup_ids(citation):
+            scanned.append(citation.source_key)
+            return lookup_ids(citation)
+
+        def recording_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(resolve_module, "_lookup_ids", counting_lookup_ids)
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        resolver = Resolver(providers=[packaged_fixture_provider()])
+        list(resolver.resolve_all(_arxiv_citations(_papers(3)), jobs=2))
+        assert sorted(scanned) == ["c0", "c1", "c2"]  # each ladder's own scan only
+        assert started and not any("prepass" in name for name in started)
+
+
+class _HeldArxivSession(FakeArxivSession):
+    """Holds every request until release is set (at most 10 s, so a broken
+    test fails rather than hangs); done is set when the first one returns."""
+
+    def __init__(self, papers):
+        super().__init__(papers)
+        self.release = threading.Event()
+        self.done = threading.Event()
+
+    def get(self, url, params=None, timeout=None):
+        self.release.wait(timeout=10)
+        try:
+            return super().get(url, params=params, timeout=timeout)
+        finally:
+            self.done.set()
+
+
+class _DoiProvider:
+    """Finds every DOI; looked_up is set after the first lookup."""
+
+    config = ProviderConfig(name="dois")
+
+    def __init__(self):
+        self.looked_up = threading.Event()
+
+    def lookup_doi(self, doi):
+        self.looked_up.set()
+        return LookupOutcome.found(make_record())
+
+
+def _doi_citation(doi: str):
+    return make_citation(key="doi", identifiers=(make_identifier(IdentifierKind.DOI, doi),))
+
+
+def _consume(resolver, citations, jobs):
+    """A started thread that collects resolve_all's bundles into the list
+    returned with it."""
+    results: list = []
+    thread = threading.Thread(target=lambda: results.extend(resolver.resolve_all(citations, jobs)))
+    thread.start()
+    return thread, results
+
+
+class _GatedDoiProvider:
+    """Counts its DOI lookups and holds each until release is set (at most
+    10 s); lookup n answers answers[n]."""
+
+    config = ProviderConfig(name="gated")
+
+    def __init__(self, *answers):
+        self.answers = answers
+        self.calls = 0
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def lookup_doi(self, doi):
+        answer = self.answers[self.calls]
+        self.calls += 1
+        self.entered.set()
+        self.release.wait(timeout=10)
+        return answer
+
+
+class _MissWatchingCache(LookupCache):
+    """Records the threads that missed it."""
+
+    def __init__(self):
+        super().__init__()
+        self.missed_by: set[int] = set()
+
+    def get(self, key, now=None):
+        payload = super().get(key, now)
+        if payload is None:
+            self.missed_by.add(threading.get_ident())
+        return payload
+
+
+class TestInFlight:
+    """A key one thread is sending is not sent again by another meanwhile."""
+
+    def _race(self, provider):
+        """Thread a sends the DOI and is held; thread b then misses the cache
+        on it; then a is released. Returns each thread's outcome."""
+        cache = _MissWatchingCache()
+        resolver = Resolver(providers=[provider], cache=cache)
+        results = {}
+
+        def look(name):
+            results[name] = resolver.lookup_doi("10.1/shared")
+
+        a = threading.Thread(target=look, args=("a",))
+        a.start()
+        assert provider.entered.wait(timeout=5)
+        b = threading.Thread(target=look, args=("b",))
+        b.start()
+        deadline = time.monotonic() + 5
+        while b.ident not in cache.missed_by and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert b.ident in cache.missed_by
+        provider.release.set()
+        for thread in (a, b):
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        return results
+
+    def test_waiter_reads_the_senders_outcome(self):
+        found = LookupOutcome.found(make_record())
+        provider = _GatedDoiProvider(found, found)
+        results = self._race(provider)
+        assert provider.calls == 1
+        assert results["a"].status is results["b"].status is LookupStatus.FOUND
+
+    def test_waiter_sends_its_own_after_an_unavailable_outcome(self):
+        provider = _GatedDoiProvider(
+            LookupOutcome.unavailable("http_5xx"), LookupOutcome.found(make_record())
+        )
+        results = self._race(provider)
+        assert provider.calls == 2
+        assert results["a"] == LookupOutcome.unavailable("http_5xx")
+        assert results["b"].status is LookupStatus.FOUND
 
 
 class TestResolutionBundle:
