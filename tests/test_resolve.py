@@ -694,8 +694,7 @@ class TestResolveAll:
     def test_arxiv_citations_get_the_batch_outcome(self):
         papers = _papers(3)
         ids = list(papers) + ["2101.99999"]
-        session = _HeldArxivSession(papers)
-        session.release.set()
+        session = FakeArxivSession(papers)
         resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session), _DoiProvider()])
         citations = [_doi_citation("10.1000/first")] + _arxiv_citations(ids)
         bundles = list(resolver.resolve_all(citations, jobs=4))
