@@ -10,7 +10,7 @@ import csv
 import io
 import json
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
 
@@ -186,22 +186,6 @@ def _ranked(counts: dict) -> list[tuple[str, int]]:
     return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-def summary_to_dict(s: DistributionSummary) -> dict:
-    return {
-        "n_citations": s.n_citations,
-        "n_papers": s.n_papers,
-        "primary_counts": dict(s.primary_counts),
-        "secondary_counts": dict(s.secondary_counts),
-        "per_paper": dict(s.per_paper),
-        "mean_per_paper": s.mean_per_paper,
-        "median_per_paper": s.median_per_paper,
-        "min_per_paper": s.min_per_paper,
-        "max_per_paper": s.max_per_paper,
-        "buckets": dict(s.buckets),
-        "compound_rate": s.compound_rate,
-    }
-
-
 def _render_text(s: DistributionSummary) -> str:
     lines = [f"Primary failure modes (n={s.n_citations})"]
     for code, count in _ranked(s.primary_counts):
@@ -249,5 +233,5 @@ def render_summary(s: DistributionSummary, format: str = "text") -> str:
     if format == "csv":
         return _render_csv(s)
     if format == "json":
-        return json.dumps(summary_to_dict(s), indent=2) + "\n"
+        return json.dumps(asdict(s), indent=2) + "\n"
     raise ValueError(f"unknown summary format {format!r}")

@@ -7,6 +7,7 @@ rather than aborting the file.
 """
 from __future__ import annotations
 
+import bisect
 import re
 
 from .identifiers import dedupe_identifiers, extract_identifiers, make_identifier
@@ -53,22 +54,11 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self._line_starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                self._line_starts.append(i + 1)
+        self._line_starts = [0, *(m.end() for m in re.finditer("\n", text))]
 
-    def location(self, pos: int | None = None) -> tuple[int, int]:
-        if pos is None:
-            pos = self.pos
-        lo, hi = 0, len(self._line_starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._line_starts[mid] <= pos:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1, pos - self._line_starts[lo] + 1
+    def location(self, pos: int) -> tuple[int, int]:
+        line = bisect.bisect_right(self._line_starts, pos) - 1
+        return line + 1, pos - self._line_starts[line] + 1
 
     def span(self, start: int, end: int) -> Span:
         sl, sc = self.location(start)

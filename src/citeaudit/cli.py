@@ -165,7 +165,8 @@ def _build_runtime(
         ]
 
     try:
-        lookup_cache = LookupCache(cache) if cache else None
+        # Fixtures are read in place, so a fixture run opens no cache.
+        lookup_cache = LookupCache(cache) if cache and not fixtures else None
     except UnicodeDecodeError as exc:
         raise click.UsageError(f"cache file {cache}: not UTF-8 text: {exc}") from exc
     resolver = Resolver(providers, thresholds=thresholds, cache=lookup_cache)
@@ -190,7 +191,7 @@ def _runtime_options(fn):
     decorators = [
         click.option("--offline", is_flag=True, help="Never touch the network; requires --fixtures."),
         click.option("--fixtures", type=click.Path(exists=True, dir_okay=False), default=None, help="JSON fixture file standing in for all providers."),
-        click.option("--cache", envvar="CITE_AUDIT_CACHE", type=click.Path(dir_okay=False), default=None, help="JSONL lookup cache path (env: CITE_AUDIT_CACHE)."),
+        click.option("--cache", envvar="CITE_AUDIT_CACHE", type=click.Path(dir_okay=False), default=None, help="JSONL cache of network lookups (env: CITE_AUDIT_CACHE). Rows are keyed by provider and endpoint; rows from older versions are fetched again. Not opened with --fixtures."),
         click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="INI file with [provider.*] and [classifier] sections."),
         click.option("--vocab", type=click.Path(exists=True, dir_okay=False), default=None, help="Newline-delimited token file for plausibility scoring."),
         click.option("--title-strong", type=float, default=None, help="Override strong-title threshold."),

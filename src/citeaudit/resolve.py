@@ -213,7 +213,8 @@ _LOOKUP = (_decode_lookup, _encode_lookup, LookupOutcome.unavailable)
 _SEARCH = (_decode_search, _encode_search, lambda cause: SearchOutcome(cause=cause))
 
 
-# The key of each op's outcome, in fixture files and in the cache.
+# The key of each op's outcome in a fixture file. A cache key adds the
+# source that answered (_cache_key).
 def _doi_key(doi: str) -> str:
     return f"doi:{doi.lower()}"
 
@@ -228,6 +229,22 @@ def _title_key(title: str) -> str:
 
 def _author_key(surname: str, year: int) -> str:
     return f"author:{surname.lower()}:{year}"
+
+
+# Each Resolver op's fixture key and outcome type.
+_OPS = {
+    "lookup_doi": (_doi_key, _LOOKUP),
+    "lookup_arxiv": (_arxiv_key, _LOOKUP),
+    "search_title": (_title_key, _SEARCH),
+    "search_author_year": (_author_key, _SEARCH),
+}
+
+
+def _cache_key(provider, op_key: str) -> str:
+    """The cache key of provider's answer under op_key. It names the provider
+    and its endpoint, so a row answers only the source that wrote it."""
+    config = provider.config
+    return json.dumps([config.name, config.base_endpoint, op_key], ensure_ascii=False)
 
 
 # What a fixture key that is not listed reads as. Both decode as a lookup
@@ -258,7 +275,6 @@ class FixtureProvider:
         except ValueError as exc:  # not UTF-8, not JSON, or _BadPayload
             raise ValueError(f"{label}: {exc}") from exc
         self.name = name
-        self.config = ProviderConfig(name=name)
 
     def _read(self, key: str, decode):
         """The entry under key, decoded; an unlisted key reads as a
@@ -626,7 +642,7 @@ class LookupCache:
                 fh.write(row + "\n")
 
 
-# Most arXiv ids Resolver.prefetch puts in one request.
+# Most arXiv ids the arXiv pre-pass puts in one request.
 ARXIV_BATCH_SIZE = 100
 
 
@@ -661,13 +677,13 @@ class Resolver:
     """Routes lookups to providers with rate limiting and caching.
 
     Providers are consulted in list order; the first provider that
-    implements an operation owns it. Found and NotFound outcomes and
-    successful searches go into the cache; without a configured one the
-    resolver keeps an in-memory LookupCache, so a key repeated within one
-    run goes to the network once either way. Thread-safe: resolve_all runs
-    resolve_citation on a pool of lookup threads, and a thread that needs a
-    key another thread is sending waits for that request instead of sending
-    its own.
+    implements an operation owns it. A FixtureProvider owner is read in
+    place. A network owner's Found and NotFound outcomes and successful
+    searches go into the cache; without a configured one the resolver keeps
+    an in-memory LookupCache, so a key repeated within one run goes to the
+    network once either way. Thread-safe: resolve_all runs resolve_citation
+    on a pool of lookup threads, and a thread that needs a key another
+    thread is sending waits for that request instead of sending its own.
     """
 
     def __init__(
@@ -683,11 +699,15 @@ class Resolver:
         self.max_rate_wait = max_rate_wait
         self._buckets: dict[int, TokenBucket] = {}
         for provider in self._providers:
-            rate = getattr(provider, "config", None)
-            rate = rate.rate_limit if rate else 0.0
-            if rate and rate > 0:
-                self._buckets[id(provider)] = TokenBucket(rate=rate)
-        # arXiv ids whose own request failed in the last prefetch, by cache
+            if isinstance(provider, FixtureProvider):
+                continue
+            # A network provider's config names it in every cache key.
+            config = getattr(provider, "config", None)
+            if not isinstance(config, ProviderConfig):
+                raise TypeError(f"provider {provider!r} has no ProviderConfig as .config")
+            if config.rate_limit > 0:
+                self._buckets[id(provider)] = TokenBucket(rate=config.rate_limit)
+        # arXiv ids whose own request failed in the last pre-pass, by cache
         # key, so the read-through does not send them again that run.
         self._arxiv_failed: dict[str, LookupOutcome] = {}
         # Keys being sent now, each with the event its sender sets when done.
@@ -711,28 +731,32 @@ class Resolver:
         payload = self.cache.get(key)
         if payload is None:
             return None
-        outcome = decode(payload, getattr(provider, "name", "cache"))
+        outcome = decode(payload, provider.config.name)
         return None if outcome.failed else outcome
 
-    def _read_through(self, key: str, op: str, args: tuple, kind: tuple):
-        """The outcome of provider.op(*args): this run's failed arXiv
-        request, else the cached outcome, else the provider's answer, which
-        is cached unless it is Unavailable. kind is _LOOKUP or _SEARCH.
+    def _read_through(self, op: str, *args):
+        """The outcome of owner.op(*args), owner being the first provider
+        with op, or Unavailable("no_provider"). A fixture answers in place.
+        A network owner gives this run's failed arXiv request, else the
+        cached outcome, else its answer, cached unless it is Unavailable.
 
         While one thread sends a key, another that misses the cache on it
         waits, then reads the sender's outcome from the cache; after an
         Unavailable one, which is not cached, it sends its own request, as
         it would have on its own."""
+        op_key, (decode, encode, unavailable) = _OPS[op]
+        provider = self._provider_for(op)
+        if provider is None:
+            return unavailable("no_provider")
+        if isinstance(provider, FixtureProvider):
+            return getattr(provider, op)(*args)
+        key = _cache_key(provider, op_key(*args))
         failed = self._arxiv_failed.get(key)
         if failed is not None:
             return failed
-        decode, encode, unavailable = kind
-        provider = self._provider_for(op)
         outcome = self._cached(key, decode, provider)
         if outcome is not None:
             return outcome
-        if provider is None:
-            return unavailable("no_provider")
         while True:
             with self._in_flight_lock:
                 sending = self._in_flight.get(key)
@@ -757,35 +781,16 @@ class Resolver:
             sending.set()
 
     def lookup_doi(self, doi: str) -> LookupOutcome:
-        return self._read_through(_doi_key(doi), "lookup_doi", (doi,), _LOOKUP)
+        return self._read_through("lookup_doi", doi)
 
     def lookup_arxiv(self, arxiv_id: str) -> LookupOutcome:
-        return self._read_through(_arxiv_key(arxiv_id), "lookup_arxiv", (arxiv_id,), _LOOKUP)
+        return self._read_through("lookup_arxiv", arxiv_id)
 
     def search_title(self, title: str) -> SearchOutcome:
-        return self._read_through(_title_key(title), "search_title", (title,), _SEARCH)
+        return self._read_through("search_title", title)
 
     def search_author_year(self, surname: str, year: int) -> SearchOutcome:
-        return self._read_through(
-            _author_key(surname, year), "search_author_year", (surname, year), _SEARCH
-        )
-
-    def prefetch(self, citations) -> None:
-        """Settle the arXiv ids of a whole bibliography in batched requests.
-
-        Runs only when the provider that owns lookup_arxiv also has
-        lookup_arxiv_ids. Ids already cached are skipped; the rest go out in
-        first-appearance order, ARXIV_BATCH_SIZE per request, each request
-        taking one rate-limit token. A batch refused with a 429 is sent once
-        more; a batch that failed otherwise is split in halves. What a batch
-        settles is cached as a lookup would cache it. An id whose request
-        failed on its own answers that Unavailable outcome until the next
-        prefetch; any other id left unsettled is looked up on its own later
-        by resolve_citation, as it would be without this pass.
-        """
-        self._arxiv_failed = {}
-        provider, ids, _ = self._pending_arxiv(citations)
-        self._fetch_arxiv(provider, ids)
+        return self._read_through("search_author_year", surname, year)
 
     def _pending_arxiv(self, citations) -> tuple[object, list[str], set[int]]:
         """The provider that batches arXiv lookups, the arXiv ids of
@@ -801,7 +806,7 @@ class Resolver:
             for kind, value in _lookup_ids(citation):
                 if kind is not IdentifierKind.ARXIV:
                     continue
-                key = _arxiv_key(value)
+                key = _cache_key(provider, _arxiv_key(value))
                 if key not in pending:
                     if self._cached(key, _decode_lookup, provider) is not None:
                         continue
@@ -810,7 +815,10 @@ class Resolver:
         return provider, list(pending.values()), holders
 
     def _fetch_arxiv(self, provider, ids: list[str]) -> None:
-        """prefetch's requests for ids, which no cache entry settles."""
+        """Send ids, which no cache entry settles, ARXIV_BATCH_SIZE per
+        request, one rate-limit token each, and cache what they settle. A
+        batch refused with a 429 is sent once more, whole; one that failed
+        otherwise is split in halves. resolve_citation looks up the rest."""
         for start in range(0, len(ids), ARXIV_BATCH_SIZE):
             batch = ids[start : start + ARXIV_BATCH_SIZE]
             unsettled, cause = self._request_arxiv(provider, batch)
@@ -830,7 +838,7 @@ class Resolver:
         cause = None
         for arxiv_id in ids:
             outcome = outcomes[arxiv_id]
-            key = _arxiv_key(arxiv_id)
+            key = _cache_key(provider, _arxiv_key(arxiv_id))
             if not outcome.failed:
                 self.cache.put(key, _encode_lookup(outcome))
                 continue

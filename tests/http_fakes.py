@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from urllib.parse import unquote
 from xml.sax.saxutils import escape
 
 
@@ -41,6 +42,7 @@ class Paper:
     title: str
     authors: tuple[str, ...]
     year: int
+    venue: str = ""
 
 
 def atom_entry(entry_id: str, title: str, authors=(), year: int | None = None) -> str:
@@ -105,3 +107,65 @@ class FakeArxivSession:
                     )
                 )
         return atom_feed(*entries)
+
+
+def _crossref_work(doi: str, paper: Paper) -> dict:
+    authors = []
+    for name in paper.authors:
+        *given, family = name.split()
+        authors.append({"given": " ".join(given), "family": family})
+    return {
+        "title": [paper.title],
+        "container-title": [paper.venue],
+        "author": authors,
+        "issued": {"date-parts": [[paper.year]]},
+        "DOI": doi,
+    }
+
+
+def _openalex_work(doi: str, paper: Paper) -> dict:
+    return {
+        "display_name": paper.title,
+        "authorships": [{"author": {"display_name": name}} for name in paper.authors],
+        "publication_year": paper.year,
+        "ids": {"doi": f"https://doi.org/{doi}"},
+        "primary_location": {"source": {"display_name": paper.venue}},
+    }
+
+
+class FakeWorksSession:
+    """Crossref's ``/works/<doi>`` and OpenAlex's ``/works`` search over a
+    table of papers keyed by lowercase DOI, under any endpoint.
+
+    A DOI not in the table is a 404. A title search (``search``) returns the
+    papers with that title, case aside; an author-year search (``filter``)
+    the papers of that year with an author of that surname. Any other
+    request is a 404. Every request is kept in ``requests`` as (url, params).
+    """
+
+    def __init__(self, papers: dict[str, Paper]):
+        self.papers = papers
+        self.requests: list[tuple[str, dict | None]] = []
+
+    def get(self, url, params=None, timeout=None):
+        self.requests.append((url, params))
+        head, _, doi = url.rpartition("/works/")
+        if head:
+            doi = unquote(doi).lower()
+            if doi not in self.papers:
+                return FakeResponse(404, "")
+            return json_response({"message": _crossref_work(doi, self.papers[doi])})
+        if not url.endswith("/works"):
+            return FakeResponse(404, "")
+        if "search" in params:
+            wanted = params["search"].lower()
+            hits = {d: p for d, p in self.papers.items() if p.title.lower() == wanted}
+        else:
+            terms = dict(term.split(":", 1) for term in params["filter"].split(","))
+            surname, year = terms["raw_author_name.search"].lower(), int(terms["publication_year"])
+            hits = {
+                d: p
+                for d, p in self.papers.items()
+                if p.year == year and any(a.split()[-1].lower() == surname for a in p.authors)
+            }
+        return json_response({"results": [_openalex_work(d, p) for d, p in hits.items()]})

@@ -2,7 +2,7 @@
 
 Nothing in citeaudit writes citations back out or reads a summary or a
 verdict in, so these live with the tests that check the parsers,
-summary_to_dict and verdict_to_dict against them.
+dataclasses.asdict of a summary and verdict_to_dict against them.
 """
 from __future__ import annotations
 
@@ -142,7 +142,7 @@ def semantic_fields(citation: ParsedCitation) -> dict:
 
 
 def summary_from_dict(d: dict) -> DistributionSummary:
-    """Inverse of analytics.summary_to_dict."""
+    """Inverse of dataclasses.asdict of a DistributionSummary."""
     return DistributionSummary(
         n_citations=d["n_citations"],
         n_papers=d["n_papers"],

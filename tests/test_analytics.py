@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given
@@ -16,7 +17,6 @@ from citeaudit.analytics import (
     percent,
     render_summary,
     summarize,
-    summary_to_dict,
 )
 from citeaudit.data import load_packaged_corpus
 from citeaudit.model import FailureMode
@@ -237,7 +237,7 @@ class TestRendering:
 
     def test_dict_round_trip(self, packaged_summary):
         assert (
-            summary_from_dict(summary_to_dict(packaged_summary)) == packaged_summary
+            summary_from_dict(asdict(packaged_summary)) == packaged_summary
         )
 
     def test_unknown_format(self, packaged_summary):

@@ -8,6 +8,7 @@ import sys
 import time
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import citeaudit
 from citeaudit import cli
+from citeaudit import resolve as resolve_module
 from citeaudit.cli import main
 from citeaudit.model import FailureMode, Verdict, VerdictStatus
 from citeaudit.resolve import LookupOutcome
@@ -28,6 +30,7 @@ from citeaudit.report import (
     render_report,
 )
 from tests.conftest import make_record
+from tests.http_fakes import FakeWorksSession, Paper, ReplySession
 
 DATA = Path(__file__).parent / "data"
 
@@ -438,8 +441,16 @@ class TestUsageErrors:
         fixtures = broken if option == "--fixtures" else fixtures_path
         target = str(bib_path) if command == "verify" else "A. Author. A title. 2020."
         args = [command, target, "--fixtures", str(fixtures)]
-        if option in ("--vocab", "--cache"):
+        if option == "--vocab":
             args += [option, str(broken)]
+        if option == "--cache":
+            # A fixture run opens no cache; a run with every provider left
+            # out still does.
+            ini = _write_ini(
+                tmp_path,
+                "".join(f"[provider.{name}]\nenabled = false\n" for name in cli._DEFAULT_PROVIDERS),
+            )
+            args = [command, target, "--config", ini, option, str(broken)]
         if command == "stats":
             args = [command, str(broken)]
         assert main(args) == EXIT_USAGE
@@ -611,8 +622,10 @@ class TestStatsCommand:
 
 
 _LECUN = "Y. LeCun, Y. Bengio, G. Hinton. Deep learning. Nature, 2015."
-_DOI_KEY = "doi:10.1038/nature14539"
-_TITLE_KEY = "title:deep learning"
+_LECUN_DOI = "10.1038/nature14539"
+# The op part of the rows a run writes for the DOI lookup and the title
+# search; a row's whole key also names the provider and its endpoint.
+_OP_KEYS = {"doi": f"doi:{_LECUN_DOI}", "title": "title:deep learning"}
 _NOW = time.time()
 
 
@@ -628,45 +641,69 @@ def _rows(cache: Path) -> list:
     return [json.loads(line) for line in cache.read_text(encoding="utf-8").splitlines()]
 
 
+def _provider_ini(tmp_path: Path, endpoint: str) -> str:
+    """An INI that puts every provider at endpoint/<name>, without a rate limit."""
+    return _write_ini(
+        tmp_path,
+        "".join(
+            f"[provider.{name}]\nendpoint = {endpoint}/{name}\nrate_limit = 0\n"
+            for name in cli._DEFAULT_PROVIDERS
+        ),
+    )
+
+
+@pytest.fixture()
+def online(tmp_path, monkeypatch) -> SimpleNamespace:
+    """A network run's options (args) and the one session every client
+    gets (session): a FakeWorksSession that holds the LeCun paper."""
+    authors = ("Yann LeCun", "Yoshua Bengio", "Geoffrey Hinton")
+    session = FakeWorksSession({_LECUN_DOI: Paper("Deep learning", authors, 2015, "Nature")})
+    monkeypatch.setattr(resolve_module, "_new_session", lambda: session)
+    monkeypatch.delenv("CITE_AUDIT_CACHE", raising=False)
+    return SimpleNamespace(
+        args=["--config", _provider_ini(tmp_path, "http://works.test")], session=session
+    )
+
+
 class TestCacheRows:
     """A --cache file is read through the fixture entry decoders. A row or a
     payload that does not decode is a miss: the run gives the verdict and
     exit code of a run without the cache, and the key is fetched again."""
 
     @staticmethod
-    def _classify(citation, fixtures_path, capsys, cache=None):
-        args = ["classify", citation, "--fixtures", fixtures_path, "--format", "json"]
+    def _classify(citation, online, capsys, cache=None):
+        args = ["classify", citation, *online.args, "--format", "json"]
         if cache is not None:
             args += ["--cache", str(cache)]
         return main(args), capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "key, row",
+        "op, row",
         [
-            (_DOI_KEY, _cache_row(_DOI_KEY, _found(title=5))),
-            (_DOI_KEY, _cache_row(_DOI_KEY, _found(year="2015"))),
-            (_DOI_KEY, _cache_row(_DOI_KEY, _found(authors="Yann LeCun"))),
-            (_DOI_KEY, _cache_row(_DOI_KEY, _found(authors=[{"raw": "Y. LeCun"}]))),
-            (_DOI_KEY, _cache_row(_DOI_KEY, _found(identifiers=[{"kind": "doi"}]))),
-            (_DOI_KEY, _cache_row(_DOI_KEY, _found(identifiers=[{"kind": "isbn"}]))),
-            (_DOI_KEY, _cache_row(_DOI_KEY, {"status": "found"})),
-            (_DOI_KEY, _cache_row(_DOI_KEY, {"status": "found", "record": ["Deep learning"]})),
-            (_DOI_KEY, _cache_row(_DOI_KEY, {"status": "bogus"})),
-            (_DOI_KEY, _cache_row(_DOI_KEY, {"status": ["not_found"]})),
-            (_DOI_KEY, _cache_row(_DOI_KEY, {"status": "unavailable", "cause": "http_5xx"})),
-            (_DOI_KEY, _cache_row(_DOI_KEY, {"status": "unavailable", "cause": 5})),
-            (_TITLE_KEY, _cache_row(_TITLE_KEY, {"records": {"title": "Deep learning"}})),
-            (_TITLE_KEY, _cache_row(_TITLE_KEY, {"records": ["Deep learning"]})),
-            (_TITLE_KEY, _cache_row(_TITLE_KEY, {"status": "unavailable"})),
-            (_TITLE_KEY, _cache_row(_TITLE_KEY, [])),
-            (_DOI_KEY, _cache_row(_DOI_KEY, "not_found")),
-            (_DOI_KEY, _cache_row([_DOI_KEY], {"status": "not_found"})),
-            (_DOI_KEY, {"key": _DOI_KEY, "stored_at": "now", "payload": {"status": "not_found"}}),
-            (_DOI_KEY, {**_cache_row(_DOI_KEY, {"status": "not_found"}), "stored_at": math.inf}),
-            (_DOI_KEY, {**_cache_row(_DOI_KEY, {"status": "not_found"}), "stored_at": 10**400}),
-            (_DOI_KEY, {**_cache_row(_DOI_KEY, {"status": "not_found"}), "stored_at": 1e300}),
-            (_DOI_KEY, {"key": _DOI_KEY, "stored_at": _NOW}),
-            (_DOI_KEY, [_DOI_KEY, _NOW, {"status": "not_found"}]),
+            ("doi", lambda key: _cache_row(key, _found(title=5))),
+            ("doi", lambda key: _cache_row(key, _found(year="2015"))),
+            ("doi", lambda key: _cache_row(key, _found(authors="Yann LeCun"))),
+            ("doi", lambda key: _cache_row(key, _found(authors=[{"raw": "Y. LeCun"}]))),
+            ("doi", lambda key: _cache_row(key, _found(identifiers=[{"kind": "doi"}]))),
+            ("doi", lambda key: _cache_row(key, _found(identifiers=[{"kind": "isbn"}]))),
+            ("doi", lambda key: _cache_row(key, {"status": "found"})),
+            ("doi", lambda key: _cache_row(key, {"status": "found", "record": ["Deep learning"]})),
+            ("doi", lambda key: _cache_row(key, {"status": "bogus"})),
+            ("doi", lambda key: _cache_row(key, {"status": ["not_found"]})),
+            ("doi", lambda key: _cache_row(key, {"status": "unavailable", "cause": "http_5xx"})),
+            ("doi", lambda key: _cache_row(key, {"status": "unavailable", "cause": 5})),
+            ("title", lambda key: _cache_row(key, {"records": {"title": "Deep learning"}})),
+            ("title", lambda key: _cache_row(key, {"records": ["Deep learning"]})),
+            ("title", lambda key: _cache_row(key, {"status": "unavailable"})),
+            ("title", lambda key: _cache_row(key, [])),
+            ("doi", lambda key: _cache_row(key, "not_found")),
+            ("doi", lambda key: _cache_row([key], {"status": "not_found"})),
+            ("doi", lambda key: {"key": key, "stored_at": "now", "payload": {"status": "not_found"}}),
+            ("doi", lambda key: {**_cache_row(key, {"status": "not_found"}), "stored_at": math.inf}),
+            ("doi", lambda key: {**_cache_row(key, {"status": "not_found"}), "stored_at": 10**400}),
+            ("doi", lambda key: {**_cache_row(key, {"status": "not_found"}), "stored_at": 1e300}),
+            ("doi", lambda key: {"key": key, "stored_at": _NOW}),
+            ("doi", lambda key: [key, _NOW, {"status": "not_found"}]),
         ],
         ids=[
             "record-title-not-a-string",
@@ -695,49 +732,88 @@ class TestCacheRows:
             "row-not-an-object",
         ],
     )
-    def test_row_that_does_not_decode_is_a_miss(
-        self, key, row, fixtures_path, tmp_path, capsys
-    ):
+    def test_row_that_does_not_decode_is_a_miss(self, op, row, online, tmp_path, capsys):
         # The DOI row is read for the citation with its DOI; the title row
-        # for the citation without one, which goes to title search.
-        citation = f"{_LECUN} doi:10.1038/nature14539" if key == _DOI_KEY else _LECUN
-        expected = self._classify(citation, fixtures_path, capsys)
+        # for the citation without one, which goes to title search. The
+        # row's key is the one a fresh run writes for that op.
+        citation = f"{_LECUN} doi:{_LECUN_DOI}" if op == "doi" else _LECUN
+        expected = self._classify(citation, online, capsys)
         fresh = tmp_path / "fresh.jsonl"
-        assert self._classify(citation, fixtures_path, capsys, fresh) == expected
+        assert self._classify(citation, online, capsys, fresh) == expected
         written = {r["key"]: r["payload"] for r in _rows(fresh)}
+        (key,) = [k for k in written if _OP_KEYS[op] in k]
 
         cache = tmp_path / "cache.jsonl"
-        cache.write_text(json.dumps(row) + "\n", encoding="utf-8")
-        assert self._classify(citation, fixtures_path, capsys, cache) == expected
+        cache.write_text(json.dumps(row(key)) + "\n", encoding="utf-8")
+        assert self._classify(citation, online, capsys, cache) == expected
         appended = {r["key"]: r["payload"] for r in _rows(cache)[1:]}
         assert appended[key] == written[key]
 
     def test_record_without_provider_is_credited_to_the_provider(
-        self, fixtures_path, tmp_path, capsys
+        self, online, tmp_path, capsys
     ):
         # As in a fixture file, "provider" may be left out of a record.
-        citation = f"{_LECUN} doi:10.1038/nature14539"
-        expected = self._classify(citation, fixtures_path, capsys)
+        citation = f"{_LECUN} doi:{_LECUN_DOI}"
+        expected = self._classify(citation, online, capsys)
         cache = tmp_path / "cache.jsonl"
-        self._classify(citation, fixtures_path, capsys, cache)
+        self._classify(citation, online, capsys, cache)
         (row,) = _rows(cache)
         del row["payload"]["record"]["provider"]
         cache.write_text(json.dumps(row) + "\n", encoding="utf-8")
-        assert self._classify(citation, fixtures_path, capsys, cache) == expected
+        sent = len(online.session.requests)
+        assert self._classify(citation, online, capsys, cache) == expected
         assert len(_rows(cache)) == 1
+        assert len(online.session.requests) == sent
 
 
 class TestCacheEnvironment:
-    def test_env_variable_supplies_cache_path(
-        self, fixtures_path, capsys, tmp_path, monkeypatch
-    ):
+    def test_env_variable_supplies_cache_path(self, online, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "lookups.jsonl"
         monkeypatch.setenv("CITE_AUDIT_CACHE", str(cache))
-        main(["verify", str(DATA / "exemplars.txt"), "--fixtures", fixtures_path])
+        main(["classify", _LECUN, *online.args])
         first = capsys.readouterr().out
         assert cache.exists() and cache.stat().st_size > 0
-        main(["verify", str(DATA / "exemplars.txt"), "--fixtures", fixtures_path])
+        sent = len(online.session.requests)
+        main(["classify", _LECUN, *online.args])
         assert capsys.readouterr().out == first
+        assert len(online.session.requests) == sent
+
+
+class TestFixtureRunsOpenNoCache:
+    """Fixtures are read in place: a --fixtures run neither writes nor reads
+    the lookup cache, so a fixture's answers never become evidence for a
+    later network run."""
+
+    def test_fixture_answers_do_not_condemn_a_later_online_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        citation = f"{_LECUN} doi:{_LECUN_DOI}"
+        cache = tmp_path / "c.jsonl"
+        closed = tmp_path / "closed.json"
+        closed.write_text(json.dumps({"closed_world": True, "outcomes": {}}), encoding="utf-8")
+        code = main(["classify", citation, "--fixtures", str(closed), "--cache", str(cache)])
+        assert code == EXIT_HALLUCINATED
+        assert not cache.exists()
+        # Every endpoint is down: each request is refused, as the transport's is.
+        monkeypatch.setattr(
+            resolve_module, "_new_session", lambda: ReplySession(ConnectionRefusedError())
+        )
+        ini = _provider_ini(tmp_path, "http://127.0.0.1:9")
+        capsys.readouterr()
+        code = main(["classify", citation, "--config", ini, "--cache", str(cache)])
+        assert code == EXIT_UNVERIFIABLE
+        assert "UNVERIFIABLE" in capsys.readouterr().out
+
+    def test_fixture_run_ignores_the_cache_environment(
+        self, fixtures_path, tmp_path, monkeypatch, capsys
+    ):
+        # A cache file that is not UTF-8 is a usage error where it is opened.
+        cache = tmp_path / "lookups.jsonl"
+        cache.write_bytes(b"\xff\xfe{}\n")
+        monkeypatch.setenv("CITE_AUDIT_CACHE", str(cache))
+        code = main(["verify", str(DATA / "exemplars.txt"), "--fixtures", fixtures_path])
+        assert code == EXIT_HALLUCINATED
+        assert cache.read_bytes() == b"\xff\xfe{}\n"
 
 
 # --- exit-code contract ------------------------------------------------------

@@ -4,7 +4,6 @@ import json
 import math
 import threading
 import time
-from importlib import resources
 
 import pytest
 
@@ -26,6 +25,7 @@ from citeaudit.resolve import (
     ResolutionBundle,
     Resolver,
     SearchOutcome,
+    _cache_key,
     _decode_lookup,
     _decode_search,
 )
@@ -207,8 +207,10 @@ class CountingProvider:
         outcomes: dict | None = None,
         rate_limit: float = 0.0,
         fixture: FixtureProvider | None = None,
+        name: str = "counting",
+        endpoint: str = "",
     ):
-        self.config = ProviderConfig(name="counting", rate_limit=rate_limit)
+        self.config = ProviderConfig(name=name, base_endpoint=endpoint, rate_limit=rate_limit)
         self.calls: list[str] = []
         self._fx = fixture or FixtureProvider(
             {"closed_world": True, "outcomes": outcomes or {}}, name="counting"
@@ -259,7 +261,7 @@ class TestResolver:
         assert resolver.lookup_doi("10.1/x").status is LookupStatus.UNAVAILABLE
         assert resolver.lookup_doi("10.1/x").status is LookupStatus.UNAVAILABLE
         assert len(flaky.calls) == 2
-        assert cache.get("doi:10.1/x") is None
+        assert cache.get(_cache_key(flaky, "doi:10.1/x")) is None
         assert not cache.path.exists()
 
     def test_repeated_lookup_memoized_without_cache(self):
@@ -288,18 +290,19 @@ class TestResolver:
     def test_payload_that_does_not_decode_is_fetched_again(self, tmp_path):
         path = tmp_path / "c.jsonl"
         cache = LookupCache(path)
-        cache.put("doi:10.1/x", {"status": "bogus"})
-        cache.put("title:some title", {"records": "Some Title"})
         provider = CountingProvider(
             outcomes={"title:some title": {"records": [{"title": "Some Title"}]}}
         )
+        doi_key = _cache_key(provider, "doi:10.1/x")
+        cache.put(doi_key, {"status": "bogus"})
+        cache.put(_cache_key(provider, "title:some title"), {"records": "Some Title"})
         resolver = Resolver(providers=[provider], cache=cache)
         for _ in range(2):
             assert resolver.lookup_doi("10.1/x") == LookupOutcome.not_found()
             assert resolver.search_title("Some Title").records[0].title == "Some Title"
         assert provider.calls == ["doi:10.1/x", "title"]
         # The fresh rows are the newest, so they win in the next run too.
-        assert LookupCache(path).get("doi:10.1/x") == {"status": "not_found", "record": None}
+        assert LookupCache(path).get(doi_key) == {"status": "not_found", "record": None}
 
     def test_written_payloads_decode_to_the_outcomes_put(self, tmp_path, data_dir):
         # Cache payloads are fixture entries: each payload the resolver puts
@@ -308,45 +311,96 @@ class TestResolver:
         given: list = []
         put: list = []
 
-        class Recording(FixtureProvider):
-            def lookup_doi(self, doi):
-                given.append(super().lookup_doi(doi))
+        class Recording:
+            """A network provider that answers from the packaged fixture."""
+
+            config = ProviderConfig(name="recording", base_endpoint="http://recording")
+
+            def __init__(self):
+                self._fx = packaged_fixture_provider()
+
+            def _answer(self, op, *args):
+                given.append(getattr(self._fx, op)(*args))
                 return given[-1]
+
+            def lookup_doi(self, doi):
+                return self._answer("lookup_doi", doi)
 
             def lookup_arxiv(self, arxiv_id):
-                given.append(super().lookup_arxiv(arxiv_id))
-                return given[-1]
+                return self._answer("lookup_arxiv", arxiv_id)
 
             def search_title(self, title):
-                given.append(super().search_title(title))
-                return given[-1]
+                return self._answer("search_title", title)
 
             def search_author_year(self, surname, year):
-                given.append(super().search_author_year(surname, year))
-                return given[-1]
+                return self._answer("search_author_year", surname, year)
 
         class RecordingCache(LookupCache):
             def put(self, key, payload, now=None):
                 put.append((key, payload))
                 super().put(key, payload, now)
 
-        fixtures = json.loads((resources.files("citeaudit") / "data/fixtures.json").read_text())
         citations = [
             c
             for name in ("exemplars.txt", "clean.bib")
             for c in parse_file(data_dir / name).citations
         ]
         resolver = Resolver(
-            providers=[Recording(fixtures)], cache=RecordingCache(tmp_path / "c.jsonl")
+            providers=[Recording()], cache=RecordingCache(tmp_path / "c.jsonl")
         )
         bundles = list(resolver.resolve_all(citations, jobs=1))
         assert len(put) == len(given) > len(citations)
         for (key, payload), outcome in zip(put, given):
-            decode = _decode_lookup if key.startswith(("doi:", "arxiv:")) else _decode_search
+            decode = _decode_lookup if isinstance(outcome, LookupOutcome) else _decode_search
             assert decode(payload, "unused") == outcome, key
-        # A second run reads every answer from the file and asks no provider.
-        rerun = Resolver(providers=[], cache=LookupCache(tmp_path / "c.jsonl"))
+        # A second run from the same source reads every answer from the file
+        # and asks the provider nothing.
+        same = CountingProvider(name="recording", endpoint="http://recording")
+        rerun = Resolver(providers=[same], cache=LookupCache(tmp_path / "c.jsonl"))
         assert list(rerun.resolve_all(citations, jobs=1)) == bundles
+        assert same.calls == []
+
+    def test_fixture_answers_never_reach_the_cache(self, exemplar_citations):
+        class Refusing(LookupCache):
+            def get(self, key, now=None):
+                raise AssertionError(f"cache read for {key}")
+
+            def put(self, key, payload, now=None):
+                raise AssertionError(f"cache write for {key}")
+
+        resolver = Resolver(providers=[packaged_fixture_provider()], cache=Refusing())
+        bundles = list(resolver.resolve_all(exemplar_citations, jobs=2))
+        assert all(isinstance(b, ResolutionBundle) for b in bundles)
+        assert all(b.identifier_outcomes or b.title_search for b in bundles)
+
+    @pytest.mark.parametrize(
+        "name, endpoint",
+        [("counting", "http://other"), ("other", "http://first")],
+        ids=["other-endpoint", "other-name"],
+    )
+    def test_row_answers_only_the_source_that_wrote_it(self, tmp_path, name, endpoint):
+        path = tmp_path / "c.jsonl"
+        outcomes = {"doi:10.1/x": {"record": {"title": "Some Title"}}}
+        first = CountingProvider(outcomes, name="counting", endpoint="http://first")
+        Resolver(providers=[first], cache=LookupCache(path)).lookup_doi("10.1/x")
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+        second = CountingProvider(name=name, endpoint=endpoint)
+        outcome = Resolver(providers=[second], cache=LookupCache(path)).lookup_doi("10.1/x")
+        assert outcome == LookupOutcome.not_found()
+        assert second.calls == ["doi:10.1/x"]
+        # The same source reads the first row and is not asked.
+        same = CountingProvider(name="counting", endpoint="http://first")
+        outcome = Resolver(providers=[same], cache=LookupCache(path)).lookup_doi("10.1/x")
+        assert outcome.record.title == "Some Title"
+        assert same.calls == []
+
+    def test_network_provider_needs_a_config(self):
+        class Bare:
+            def lookup_doi(self, doi):
+                return LookupOutcome.not_found()
+
+        with pytest.raises(TypeError, match="ProviderConfig"):
+            Resolver(providers=[Bare()])
 
     def test_no_provider_for_op(self):
         resolver = Resolver(providers=[])
@@ -443,7 +497,15 @@ def _arxiv_citations(ids) -> list:
     ]
 
 
+def _arxiv_outcomes(bundles) -> list[LookupOutcome]:
+    """The arXiv lookup outcome of each bundle of _arxiv_citations."""
+    return [b.identifier_outcomes[0][1] for b in bundles]
+
+
 class TestPrefetch:
+    """The batched arXiv pre-pass (the prefetch) of resolve_all. The ladders
+    of citations with an arXiv id wait for it, so its requests come first."""
+
     @pytest.mark.parametrize("n, sizes", [(1, [1]), (100, [100]), (101, [100, 1])])
     def test_clean_ids_take_one_request_per_hundred(self, n, sizes):
         papers = _papers(n)
@@ -451,13 +513,12 @@ class TestPrefetch:
         session = FakeArxivSession(papers)
         resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session)])
         # Each id is cited twice and goes out once, in first-appearance order.
-        resolver.prefetch(_arxiv_citations(ids + ids))
+        bundles = list(resolver.resolve_all(_arxiv_citations(ids + ids), jobs=1))
         assert session.requests == [
             {"id_list": ",".join(ids[start : start + size]), "max_results": size}
             for start, size in zip((0, 100), sizes)
         ]
-        assert all(resolver.lookup_arxiv(i).status is LookupStatus.FOUND for i in ids)
-        assert len(session.requests) == len(sizes)
+        assert all(o.status is LookupStatus.FOUND for o in _arxiv_outcomes(bundles))
 
     def test_failing_id_alone_is_unavailable(self, tmp_path):
         papers = _papers(10)
@@ -465,22 +526,21 @@ class TestPrefetch:
         bad = ids[6]
         session = FakeArxivSession(papers, failing={bad})
         cache = LookupCache(tmp_path / "c.jsonl")
-        resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session)], cache=cache)
-        resolver.prefetch(_arxiv_citations(ids))
-        # Halving a failed batch isolates the failing id in a request of its own.
+        client = ArxivClient(_ARXIV, session=session)
+        resolver = Resolver(providers=[client], cache=cache)
+        bundles = list(resolver.resolve_all(_arxiv_citations(ids), jobs=1))
+        # Halving a failed batch isolates the failing id in a request of its
+        # own, which is sent once: its ladder reads that outcome.
         assert session.requests[0]["max_results"] == 10
-        assert {"id_list": bad, "max_results": 1} in session.requests
+        assert session.requests.count({"id_list": bad, "max_results": 1}) == 1
         assert len(session.requests) <= 1 + 2 * math.ceil(math.log2(len(ids)))
-        assert [i for i in ids if cache.get(f"arxiv:{i}") is None] == [bad]
-        sent = len(session.requests)
+        assert [i for i in ids if cache.get(_cache_key(client, f"arxiv:{i}")) is None] == [bad]
 
         single = ArxivClient(_ARXIV, session=FakeArxivSession(papers, failing={bad}))
-        got = {i: resolver.lookup_arxiv(i) for i in ids}
+        got = dict(zip(ids, _arxiv_outcomes(bundles)))
         assert got == {i: single.lookup_arxiv(i) for i in ids}
         assert got[bad] == LookupOutcome.unavailable("http_5xx")
         assert all(got[i].status is LookupStatus.FOUND for i in ids if i != bad)
-        # The id whose own request failed is not sent again this run.
-        assert session.requests[sent:] == []
 
     @pytest.mark.parametrize("n", [2, 3, 10, 100])
     def test_outage_stops_splitting(self, n):
@@ -488,30 +548,27 @@ class TestPrefetch:
         ids = list(papers)
         session = FakeArxivSession(papers, failing=ids)
         resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session)])
-        resolver.prefetch(_arxiv_citations(ids))
+        bundles = list(resolver.resolve_all(_arxiv_citations(ids), jobs=1))
         # The batch, then its two halves: both fail whole, so no more splits.
-        assert [r["max_results"] for r in session.requests] == [n, (n + 1) // 2, n // 2]
-        assert len(session.requests) <= n + 2
+        assert [r["max_results"] for r in session.requests[:3]] == [n, (n + 1) // 2, n // 2]
+        assert _arxiv_outcomes(bundles) == [LookupOutcome.unavailable("http_5xx")] * n
         # Ids that failed in a request of their own are not sent again; the
         # rest go out once each on the per-id path.
-        sent = len(session.requests)
-        for i in ids:
-            assert resolver.lookup_arxiv(i) == LookupOutcome.unavailable("http_5xx")
         alone = [i for i in (ids[: (n + 1) // 2], ids[(n + 1) // 2 :]) if len(i) == 1]
-        assert len(session.requests) - sent == n - len(alone)
+        assert len(session.requests) - 3 == n - len(alone)
+        assert all(r["max_results"] == 1 for r in session.requests[3:])
 
     def test_rate_limited_batch_is_sent_once_more_whole(self):
         papers = _papers(10)
         ids = list(papers)
         session = FakeArxivSession(papers, failing=ids, failing_status=429)
         resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session)])
-        resolver.prefetch(_arxiv_citations(ids))
+        bundles = list(resolver.resolve_all(_arxiv_citations(ids), jobs=1))
         whole = {"id_list": ",".join(ids), "max_results": 10}
-        assert session.requests == [whole, whole]
+        assert session.requests[:2] == [whole, whole]
         # Every id then goes out once on the per-id path: n + 2 requests.
-        for i in ids:
-            assert resolver.lookup_arxiv(i) == LookupOutcome.unavailable("rate_limited")
-        assert len(session.requests) == len(ids) + 2
+        assert _arxiv_outcomes(bundles) == [LookupOutcome.unavailable("rate_limited")] * 10
+        assert [r["id_list"] for r in session.requests[2:]] == ids
 
     @pytest.mark.parametrize("status, sizes", [(429, [10, 10]), (503, [10, 5, 5])])
     def test_flaky_id_settles_the_batch(self, status, sizes):
@@ -521,58 +578,77 @@ class TestPrefetch:
         ids = list(papers)
         session = FakeArxivSession(papers, failing_status=status, fail_once={ids[3]})
         resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session)])
-        resolver.prefetch(_arxiv_citations(ids))
+        bundles = list(resolver.resolve_all(_arxiv_citations(ids), jobs=1))
         assert [r["max_results"] for r in session.requests] == sizes
-        assert all(resolver.lookup_arxiv(i).status is LookupStatus.FOUND for i in ids)
-        assert len(session.requests) == len(sizes)
+        assert all(o.status is LookupStatus.FOUND for o in _arxiv_outcomes(bundles))
 
     def test_failed_ids_are_retried_after_the_next_prefetch(self):
         papers = _papers(1)
         (only,) = papers
         session = FakeArxivSession(papers, failing={only})
         resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session)])
-        resolver.prefetch(_arxiv_citations([only]))
-        assert resolver.lookup_arxiv(only).status is LookupStatus.UNAVAILABLE
+        (bundle,) = resolver.resolve_all(_arxiv_citations([only]), jobs=1)
+        assert _arxiv_outcomes([bundle])[0].status is LookupStatus.UNAVAILABLE
         assert len(session.requests) == 1
-        resolver.prefetch([])
         session.failing = frozenset()
-        assert resolver.lookup_arxiv(only).status is LookupStatus.FOUND
+        (bundle,) = resolver.resolve_all(_arxiv_citations([only]), jobs=1)
+        assert _arxiv_outcomes([bundle])[0].status is LookupStatus.FOUND
         assert len(session.requests) == 2
 
     def test_skips_settled_and_cached_ids(self, tmp_path):
         papers = _papers(3)
         ids = list(papers)
         session = FakeArxivSession(papers)
+        client = ArxivClient(_ARXIV, session=session)
         cache = LookupCache(tmp_path / "c.jsonl")
-        cache.put(f"arxiv:{ids[0]}", {"kind": "lookup", "status": "not_found", "record": None})
-        resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session)], cache=cache)
+        cache.put(
+            _cache_key(client, f"arxiv:{ids[0]}"),
+            {"kind": "lookup", "status": "not_found", "record": None},
+        )
+        resolver = Resolver(providers=[client], cache=cache)
         resolver.lookup_arxiv(ids[1])
-        resolver.prefetch(_arxiv_citations(ids))
+        bundles = list(resolver.resolve_all(_arxiv_citations(ids), jobs=1))
         assert session.requests == [
             {"id_list": ids[1], "max_results": 1},
             {"id_list": ids[2], "max_results": 1},
         ]
-        assert resolver.lookup_arxiv(ids[0]).status is LookupStatus.NOT_FOUND
+        assert [o.status for o in _arxiv_outcomes(bundles)] == [
+            LookupStatus.NOT_FOUND, LookupStatus.FOUND, LookupStatus.FOUND
+        ]
 
     def test_cached_id_that_does_not_decode_is_sent(self, tmp_path):
         papers = _papers(2)
         ids = list(papers)
         session = FakeArxivSession(papers)
+        client = ArxivClient(_ARXIV, session=session)
         cache = LookupCache(tmp_path / "c.jsonl")
-        cache.put(f"arxiv:{ids[0]}", {"status": "found", "record": {"title": 5}})
-        resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session)], cache=cache)
-        resolver.prefetch(_arxiv_citations(ids))
+        cache.put(_cache_key(client, f"arxiv:{ids[0]}"), {"status": "found", "record": {"title": 5}})
+        resolver = Resolver(providers=[client], cache=cache)
+        bundles = list(resolver.resolve_all(_arxiv_citations(ids), jobs=1))
         assert session.requests == [{"id_list": ",".join(ids), "max_results": 2}]
-        assert resolver.lookup_arxiv(ids[0]).status is LookupStatus.FOUND
-        assert len(session.requests) == 1
+        assert all(o.status is LookupStatus.FOUND for o in _arxiv_outcomes(bundles))
+
+    def test_row_of_another_arxiv_endpoint_is_sent(self, tmp_path):
+        papers = _papers(2)
+        ids = list(papers)
+        cache = LookupCache(tmp_path / "c.jsonl")
+        other = ArxivClient(ProviderConfig(name="arxiv", base_endpoint="http://other"))
+        cache.put(_cache_key(other, f"arxiv:{ids[0]}"), {"status": "not_found"})
+        session = FakeArxivSession(papers)
+        resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session)], cache=cache)
+        bundles = list(resolver.resolve_all(_arxiv_citations(ids), jobs=1))
+        assert session.requests == [{"id_list": ",".join(ids), "max_results": 2}]
+        assert all(o.status is LookupStatus.FOUND for o in _arxiv_outcomes(bundles))
 
     def test_needs_a_batching_arxiv_owner(self):
+        ids = list(_papers(3))
         session = FakeArxivSession(_papers(3))
         counting = CountingProvider()
         resolver = Resolver(providers=[counting, ArxivClient(_ARXIV, session=session)])
-        resolver.prefetch(_arxiv_citations(_papers(3)))
+        list(resolver.resolve_all(_arxiv_citations(ids), jobs=1))
+        # No pre-pass: each ladder asks the owner for its own id.
         assert session.requests == []
-        assert counting.calls == []
+        assert [c for c in counting.calls if c.startswith("arxiv:")] == [f"arxiv:{i}" for i in ids]
 
 
 class TestArxivDoi:
@@ -624,7 +700,7 @@ class TestArxivDoi:
                 identifiers=(make_identifier(IdentifierKind.DOI, f"10.48550/arXiv.{ids[2]}"),),
             )
         ]
-        resolver.prefetch(citations)
+        list(resolver.resolve_all(citations, jobs=1))
         assert session.requests == [{"id_list": ",".join(ids), "max_results": 3}]
 
 
@@ -730,7 +806,13 @@ class TestResolveAll:
         assert len(session.requests) == 1
 
     def test_no_thread_outlives_the_iteration(self):
-        baseline = threading.active_count()
+        # Threads left by earlier tests may end meanwhile; only a thread
+        # started here and still alive fails the test.
+        before = set(threading.enumerate())
+
+        def started_here():
+            return [t for t in threading.enumerate() if t not in before]
+
         papers = _papers(3)
         citations = [_doi_citation("10.1000/x")] + _arxiv_citations(papers)
 
@@ -738,7 +820,7 @@ class TestResolveAll:
             return Resolver(providers=[ArxivClient(_ARXIV, session=session), _DoiProvider()])
 
         assert len(list(resolver(FakeArxivSession(papers)).resolve_all(citations, 2))) == 4
-        assert threading.active_count() == baseline
+        assert started_here() == []
         # Closed after the first bundle, while the pre-pass is still held.
         session = _HeldArxivSession(papers)
         bundles = resolver(session).resolve_all(citations, 2)
@@ -746,7 +828,7 @@ class TestResolveAll:
         assert not session.done.is_set()
         session.release.set()
         bundles.close()
-        assert threading.active_count() == baseline
+        assert started_here() == []
 
     def test_http_sessions_are_closed_at_the_end(self):
         class Closing(FakeArxivSession):
