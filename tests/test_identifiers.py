@@ -139,6 +139,34 @@ class TestPlaceholders:
         assert not ident.syntactically_valid
 
 
+class TestClaimedForms:
+    """The stored value, syntax and lookup form of awkward claimed forms.
+
+    make_identifier strips one prefix from the value and the grammar strips
+    one more, so a doubled prefix stays in the value yet is valid."""
+
+    @pytest.mark.parametrize(
+        "kind,raw,value,syntax,normalized",
+        [
+            (DOI, "doi: doi:10.1000/ABC", "doi:10.1000/ABC", IdentifierSyntax.VALID,
+             "10.1000/abc"),
+            (DOI, "https://doi.org/doi:10.1000/x", "doi:10.1000/x", IdentifierSyntax.VALID,
+             "10.1000/x"),
+            (ARXIV, "arXiv:arXiv:2101.00001v3", "arXiv:2101.00001v3", IdentifierSyntax.VALID,
+             "2101.00001"),
+            (ARXIV, "HEP-TH/9901001", "HEP-TH/9901001", IdentifierSyntax.VALID,
+             "hep-th/9901001"),
+            (DOI, "10.1000/xxxx", "10.1000/xxxx", IdentifierSyntax.PLACEHOLDER, None),
+        ],
+    )
+    def test_value_syntax_and_lookup_form(self, kind, raw, value, syntax, normalized):
+        ident = make_identifier(kind, raw)
+        check = check_identifier(ident)
+        assert ident.value == value
+        assert check.syntax is syntax
+        assert check.normalized == normalized
+
+
 class TestScanPlaceholders:
     def test_template_authors_flagged(self):
         c = make_citation(authors=("Firstname Lastname", "Others"))

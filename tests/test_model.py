@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import json
 import string
+import types
 import unicodedata
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import citeaudit
 from citeaudit.model import (
     FailureMode,
     EvidenceItem,
@@ -210,3 +212,14 @@ def test_verdict_constructor_never_allows_equal_codes(status, primary, secondary
         v = Verdict(**kwargs)
         if v.status is VerdictStatus.HALLUCINATED:
             assert v.primary is not v.secondary
+
+
+def test_package_exports_are_exactly_its_public_names():
+    for name in citeaudit.__all__:
+        assert hasattr(citeaudit, name), name
+    public = {
+        name
+        for name, value in vars(citeaudit).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(citeaudit.__all__)
