@@ -20,14 +20,7 @@ from .data import (
     load_packaged_vocab,
     packaged_fixture_provider,
 )
-from .identifiers import (
-    IdentifierCheck,
-    IdentifierSyntax,
-    check_identifier,
-    extract_identifiers,
-    make_identifier,
-    scan_placeholders,
-)
+from .identifiers import extract_identifiers, make_identifier, scan_placeholders
 from .matching import (
     MatchThresholds,
     author_similarity,
@@ -46,6 +39,7 @@ from .model import (
     FieldMatchProfile,
     Identifier,
     IdentifierKind,
+    IdentifierSyntax,
     ParsedCitation,
     ParseWarning,
     ResolvedRecord,
@@ -87,7 +81,6 @@ __all__ = [
     "FieldMatchProfile",
     "FixtureProvider",
     "Identifier",
-    "IdentifierCheck",
     "IdentifierKind",
     "IdentifierSyntax",
     "LookupCache",
@@ -111,7 +104,6 @@ __all__ = [
     "best_candidate",
     "build_report",
     "build_vocab",
-    "check_identifier",
     "classify_batch",
     "detect_format",
     "exit_code_for",

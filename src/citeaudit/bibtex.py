@@ -17,8 +17,8 @@ from .model import (
     ParsedCitation,
     ParseWarning,
     Span,
+    normalize_name,
 )
-from .model import normalize_name
 
 _ENTRY_TYPE_RE = re.compile(r"[A-Za-z]+")
 _FIELD_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_:\-]*")
@@ -237,10 +237,7 @@ def parse_bibtex(text: str) -> tuple[list[ParsedCitation], list[ParseWarning]]:
                 raise BibtexError(f"expected '{{' after @{entry_type}", sc.pos)
             closer = "}" if opener == "{" else ")"
 
-            if entry_type == "comment":
-                _read_braced(sc) if opener == "{" else _skip_paren(sc)
-                continue
-            if entry_type == "preamble":
+            if entry_type in ("comment", "preamble"):
                 _read_braced(sc) if opener == "{" else _skip_paren(sc)
                 continue
             if entry_type == "string":

@@ -45,6 +45,12 @@ SECONDARY_ORDER = (
     FailureMode.TF,
 )
 
+# TF evidence, whether observed or the fallback primary. Frozen, so shared.
+_TF_EVIDENCE = EvidenceItem(
+    mode=FailureMode.TF,
+    detail="no source returned a record matching title or authors",
+)
+
 
 @dataclass(frozen=True)
 class ClassifierConfig:
@@ -250,12 +256,7 @@ def classify(
     # Total fabrication: nothing anywhere shares this citation's title or
     # author list.
     if not strong_match_exists:
-        evidence.append(
-            EvidenceItem(
-                mode=FailureMode.TF,
-                detail="no source returned a record matching title or authors",
-            )
-        )
+        evidence.append(_TF_EVIDENCE)
 
     modes_present = {e.mode for e in evidence}
 
@@ -271,12 +272,7 @@ def classify(
     if primary is None:
         primary = FailureMode.TF
         if FailureMode.TF not in modes_present:
-            evidence.append(
-                EvidenceItem(
-                    mode=FailureMode.TF,
-                    detail="no source returned a record matching title or authors",
-                )
-            )
+            evidence.append(_TF_EVIDENCE)
             modes_present.add(FailureMode.TF)
 
     secondary = None

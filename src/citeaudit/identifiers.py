@@ -6,8 +6,6 @@ Pure functions: no network. URL checks cover well-formedness only
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from enum import Enum
 from urllib.parse import urlparse
 
 from .model import (
@@ -15,6 +13,7 @@ from .model import (
     FailureMode,
     Identifier,
     IdentifierKind,
+    IdentifierSyntax,
     ParsedCitation,
 )
 
@@ -36,21 +35,6 @@ _ARXIV_PREFIX_RE = re.compile(
 _PLACEHOLDER_VALUE_RE = re.compile(r"xxx+|nnnn|to be updated|todo", re.IGNORECASE)
 
 
-class IdentifierSyntax(Enum):
-    VALID = "valid"
-    INVALID = "invalid"
-    PLACEHOLDER = "placeholder"
-
-
-@dataclass(frozen=True)
-class IdentifierCheck:
-    """Syntax verdict for one identifier, with its normalized form when valid."""
-
-    identifier: Identifier
-    syntax: IdentifierSyntax
-    normalized: str | None = None
-
-
 def strip_identifier_prefix(kind: IdentifierKind, value: str) -> str:
     """Drop "doi:", "arXiv:", and resolver-URL prefixes from a claimed value."""
     value = value.strip()
@@ -61,59 +45,43 @@ def strip_identifier_prefix(kind: IdentifierKind, value: str) -> str:
     return value
 
 
-def _classify_syntax(kind: IdentifierKind, value: str) -> IdentifierSyntax:
-    if _PLACEHOLDER_VALUE_RE.search(value):
-        return IdentifierSyntax.PLACEHOLDER
-    bare = strip_identifier_prefix(kind, value)
-    if kind is IdentifierKind.DOI:
-        ok = bool(_DOI_RE.match(bare))
-    elif kind is IdentifierKind.ARXIV:
-        ok = bool(_ARXIV_NEW_RE.match(bare) or _ARXIV_OLD_RE.match(bare))
-    else:
-        parsed = urlparse(bare)
-        ok = parsed.scheme in ("http", "https") and bool(parsed.netloc)
-    return IdentifierSyntax.VALID if ok else IdentifierSyntax.INVALID
-
-
-def make_identifier(kind: IdentifierKind, value: str) -> Identifier:
-    """Construct an Identifier with grammar-derived syntactic validity.
-
-    Placeholder fragments ("XXXX", "to be updated") force validity to False.
-    """
-    value = strip_identifier_prefix(kind, value.strip())
-    return Identifier(
-        kind=kind,
-        value=value,
-        syntactically_valid=_classify_syntax(kind, value) is IdentifierSyntax.VALID,
-    )
-
-
-def check_identifier(identifier: Identifier) -> IdentifierCheck:
-    """Apply the identifier grammar and compute the normalized lookup form.
+def _apply_grammar(kind: IdentifierKind, value: str) -> tuple[IdentifierSyntax, str | None]:
+    """The syntax of a claimed value and, when valid, its lookup form.
 
     DOIs are lowercased with any "doi.org/" prefix stripped; arXiv IDs lose
     their "arXiv:" prefix and any "vN" suffix.
     """
-    syntax = _classify_syntax(identifier.kind, identifier.value)
-    if syntax is not IdentifierSyntax.VALID:
-        return IdentifierCheck(identifier=identifier, syntax=syntax)
-
-    bare = strip_identifier_prefix(identifier.kind, identifier.value)
-    if identifier.kind is IdentifierKind.DOI:
-        normalized = bare.lower()
-    elif identifier.kind is IdentifierKind.ARXIV:
+    if _PLACEHOLDER_VALUE_RE.search(value):
+        return IdentifierSyntax.PLACEHOLDER, None
+    bare = strip_identifier_prefix(kind, value)
+    normalized = None
+    if kind is IdentifierKind.DOI:
+        if _DOI_RE.match(bare):
+            normalized = bare.lower()
+    elif kind is IdentifierKind.ARXIV:
         m = _ARXIV_NEW_RE.match(bare)
         if m:
             normalized = f"{m.group(1)}.{m.group(2)}"
-        else:
+        elif _ARXIV_OLD_RE.match(bare):
             normalized = bare.lower()
     else:
-        normalized = bare
-    return IdentifierCheck(
-        identifier=identifier,
-        syntax=syntax,
-        normalized=normalized,
-    )
+        parsed = urlparse(bare)
+        if parsed.scheme in ("http", "https") and parsed.netloc:
+            normalized = bare
+    if normalized is None:
+        return IdentifierSyntax.INVALID, None
+    return IdentifierSyntax.VALID, normalized
+
+
+def make_identifier(kind: IdentifierKind, value: str) -> Identifier:
+    """Construct an Identifier, the one place the grammar runs.
+
+    Placeholder fragments ("XXXX", "to be updated") make it a placeholder,
+    which is never valid.
+    """
+    value = strip_identifier_prefix(kind, value.strip())
+    syntax, normalized = _apply_grammar(kind, value)
+    return Identifier(kind=kind, value=value, syntax=syntax, normalized=normalized)
 
 
 _TO_BE_UPDATED_RE = re.compile(r"to be updated", re.IGNORECASE)
@@ -167,7 +135,7 @@ def scan_placeholders(citation: ParsedCitation) -> list[EvidenceItem]:
         )
 
     for identifier in citation.identifiers:
-        if check_identifier(identifier).syntax is IdentifierSyntax.PLACEHOLDER:
+        if identifier.syntax is IdentifierSyntax.PLACEHOLDER:
             evidence.append(
                 EvidenceItem(
                     mode=FailureMode.PH,
@@ -227,9 +195,7 @@ def dedupe_identifiers(found: list[Identifier]) -> list[Identifier]:
     "1706.03762v5" and "arXiv:1706.03762" are one id."""
     deduped: dict[tuple[IdentifierKind, str], Identifier] = {}
     for ident in found:
-        check = check_identifier(ident)
-        key = (ident.kind, check.normalized or ident.value.lower())
-        deduped.setdefault(key, ident)
+        deduped.setdefault((ident.kind, ident.normalized or ident.value.lower()), ident)
     return list(deduped.values())
 
 

@@ -33,6 +33,12 @@ class IdentifierKind(Enum):
     URL = "url"
 
 
+class IdentifierSyntax(Enum):
+    VALID = "valid"
+    INVALID = "invalid"
+    PLACEHOLDER = "placeholder"
+
+
 class VerdictStatus(Enum):
     VERIFIED = "verified"
     HALLUCINATED = "hallucinated"
@@ -149,11 +155,17 @@ def normalize_name(raw: str) -> AuthorName:
 @dataclass(frozen=True)
 class Identifier:
     """A claimed scholarly identifier. Build via identifiers.make_identifier,
-    which computes syntactic validity from the grammar."""
+    which runs the grammar once: syntax is its verdict, and normalized the
+    lookup form, set only when the identifier is valid."""
 
     kind: IdentifierKind
     value: str
-    syntactically_valid: bool
+    syntax: IdentifierSyntax
+    normalized: str | None
+
+    @property
+    def syntactically_valid(self) -> bool:
+        return self.syntax is IdentifierSyntax.VALID
 
 
 @dataclass(frozen=True)

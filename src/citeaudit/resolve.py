@@ -24,7 +24,7 @@ from xml.etree import ElementTree
 if TYPE_CHECKING:
     from .transport import HttpSession, Reply
 
-from .identifiers import check_identifier, IdentifierSyntax, make_identifier
+from .identifiers import make_identifier
 from .matching import FieldMatchProfile, MatchThresholds, normalize_title, profile_match
 from .model import (
     AuthorName,
@@ -657,17 +657,13 @@ def _lookup_ids(citation: ParsedCitation):
     each once. An arXiv DOI is looked up as its arXiv id."""
     seen = set()
     for ident in citation.identifiers:
-        if ident.kind is IdentifierKind.URL:
+        if ident.kind is IdentifierKind.URL or not ident.syntactically_valid:
             continue
-        check = check_identifier(ident)
-        if check.syntax is not IdentifierSyntax.VALID or check.normalized is None:
-            continue
-        kind, value = ident.kind, check.normalized
+        kind, value = ident.kind, ident.normalized
         if kind is IdentifierKind.DOI and value.startswith(_ARXIV_DOI_PREFIX):
-            arxiv_id = value[len(_ARXIV_DOI_PREFIX) :]
-            arxiv = check_identifier(make_identifier(IdentifierKind.ARXIV, arxiv_id))
-            if arxiv.syntax is IdentifierSyntax.VALID:
-                kind, value = IdentifierKind.ARXIV, arxiv.normalized
+            arxiv = make_identifier(IdentifierKind.ARXIV, value[len(_ARXIV_DOI_PREFIX) :])
+            if arxiv.syntactically_valid:
+                kind, value = arxiv.kind, arxiv.normalized
         if (kind, value) not in seen:
             seen.add((kind, value))
             yield kind, value

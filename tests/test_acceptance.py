@@ -16,7 +16,7 @@ from citeaudit.analytics import summarize
 from citeaudit.classify import ClassifierConfig, classify, classify_batch
 from citeaudit.cli import main
 from citeaudit.data import load_packaged_corpus, load_packaged_vocab, packaged_fixture_provider
-from citeaudit.identifiers import IdentifierSyntax, check_identifier, make_identifier
+from citeaudit.identifiers import IdentifierSyntax, make_identifier
 from citeaudit.matching import levenshtein
 from citeaudit.model import FailureMode, IdentifierKind, VerdictStatus
 from citeaudit.report import EXIT_UNVERIFIABLE
@@ -305,7 +305,7 @@ def test_criterion_7_identifier_grammar():
         for value, kind in placeholder_values:
             ident = make_identifier(kind, value)
             assert not ident.syntactically_valid
-            assert check_identifier(ident).syntax is IdentifierSyntax.PLACEHOLDER
+            assert ident.syntax is IdentifierSyntax.PLACEHOLDER
 
 
 def test_criterion_8_rate_limited_concurrency():

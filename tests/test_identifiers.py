@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from citeaudit.identifiers import (
     IdentifierSyntax,
-    check_identifier,
     extract_identifiers,
     identifier_mask_spans,
     make_identifier,
@@ -23,7 +22,7 @@ URL = IdentifierKind.URL
 
 
 def syntax_of(kind, value):
-    return check_identifier(make_identifier(kind, value)).syntax
+    return make_identifier(kind, value).syntax
 
 
 class TestDoiGrammar:
@@ -65,8 +64,8 @@ class TestDoiGrammar:
             assert syntax_of(DOI, raw) is IdentifierSyntax.VALID
 
     def test_normalized_is_lowercase(self):
-        check = check_identifier(make_identifier(DOI, "10.1109/TNNLS.2021.3084827"))
-        assert check.normalized == "10.1109/tnnls.2021.3084827"
+        ident = make_identifier(DOI, "10.1109/TNNLS.2021.3084827")
+        assert ident.normalized == "10.1109/tnnls.2021.3084827"
 
 
 class TestArxivGrammar:
@@ -101,8 +100,8 @@ class TestArxivGrammar:
         assert syntax_of(ARXIV, value) is IdentifierSyntax.INVALID
 
     def test_version_split_out(self):
-        check = check_identifier(make_identifier(ARXIV, "2107.13586v3"))
-        assert check.normalized == "2107.13586"
+        ident = make_identifier(ARXIV, "2107.13586v3")
+        assert ident.normalized == "2107.13586"
 
     def test_prefixes_stripped(self):
         for raw in ("arXiv:2107.13586", "https://arxiv.org/abs/2107.13586"):
@@ -161,10 +160,9 @@ class TestClaimedForms:
     )
     def test_value_syntax_and_lookup_form(self, kind, raw, value, syntax, normalized):
         ident = make_identifier(kind, raw)
-        check = check_identifier(ident)
         assert ident.value == value
-        assert check.syntax is syntax
-        assert check.normalized == normalized
+        assert ident.syntax is syntax
+        assert ident.normalized == normalized
 
 
 class TestScanPlaceholders:

@@ -10,10 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import citeaudit
+from citeaudit.identifiers import make_identifier
 from citeaudit.model import (
     FailureMode,
     EvidenceItem,
-    Identifier,
     IdentifierKind,
     Span,
     Verdict,
@@ -179,9 +179,8 @@ class TestSerialization:
         assert _decode_record(record_to_dict(r), "") == r
 
     def test_identifier_round_trip(self):
-        i = Identifier(
-            kind=IdentifierKind.DOI, value="10.1038/nature14539", syntactically_valid=True
-        )
+        i = make_identifier(IdentifierKind.DOI, "10.1038/nature14539")
+        assert i.syntactically_valid
         r = make_record(identifiers=(i,))
         assert _decode_record(record_to_dict(r), "") == r
 
