@@ -322,11 +322,10 @@ def classify_batch(
 ) -> list[Verdict]:
     """Resolve and classify a bibliography, preserving input order.
 
-    The resolver looks the citations up on up to ``jobs`` threads
-    (Resolver.resolve_all); each verdict is made here, on the calling thread,
-    as its bundle arrives. A citation whose resolution or classification
-    raises is Unverifiable with cause ``internal_error:<stage>:<type>``; the
-    others are unaffected.
+    Resolver.resolve_all sends up to ``jobs`` requests per provider at once;
+    each verdict is made here, on the calling thread, as its bundle arrives.
+    A citation whose resolution or classification raises is Unverifiable
+    with cause ``internal_error:<stage>:<type>``; the others are unaffected.
     """
     citations = list(citations)
     verdicts = []

@@ -239,7 +239,7 @@ def cli() -> None:
     default="text",
     show_default=True,
 )
-@click.option("--jobs", type=click.IntRange(min=1), default=4, show_default=True, help="Threads for the citations' lookups; the arXiv pre-pass has a thread of its own, and verdicts are made on the main thread.")
+@click.option("--jobs", type=click.IntRange(min=1), default=4, show_default=True, help="Requests each provider may have in flight at once; lookups are planned and verdicts made on the main thread.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the report here instead of stdout.")
 @_runtime_options
 def cmd_verify(

@@ -36,38 +36,37 @@ _PLACEHOLDER_VALUE_RE = re.compile(r"xxx+|nnnn|to be updated|todo", re.IGNORECAS
 
 
 def strip_identifier_prefix(kind: IdentifierKind, value: str) -> str:
-    """Drop "doi:", "arXiv:", and resolver-URL prefixes from a claimed value."""
+    """Drop "doi:", "arXiv:", and resolver-URL prefixes from a claimed value,
+    until none is left: "doi: doi:10.1000/x" is "10.1000/x"."""
     value = value.strip()
-    if kind is IdentifierKind.DOI:
-        return _DOI_PREFIX_RE.sub("", value)
-    if kind is IdentifierKind.ARXIV:
-        return _ARXIV_PREFIX_RE.sub("", value)
+    prefix = {IdentifierKind.DOI: _DOI_PREFIX_RE, IdentifierKind.ARXIV: _ARXIV_PREFIX_RE}.get(kind)
+    while prefix is not None and (bare := prefix.sub("", value)) != value:
+        value = bare
     return value
 
 
 def _apply_grammar(kind: IdentifierKind, value: str) -> tuple[IdentifierSyntax, str | None]:
     """The syntax of a claimed value and, when valid, its lookup form.
 
-    DOIs are lowercased with any "doi.org/" prefix stripped; arXiv IDs lose
-    their "arXiv:" prefix and any "vN" suffix.
+    value has no prefix left (make_identifier strips them). DOIs are
+    lowercased; arXiv IDs lose any "vN" suffix.
     """
     if _PLACEHOLDER_VALUE_RE.search(value):
         return IdentifierSyntax.PLACEHOLDER, None
-    bare = strip_identifier_prefix(kind, value)
     normalized = None
     if kind is IdentifierKind.DOI:
-        if _DOI_RE.match(bare):
-            normalized = bare.lower()
+        if _DOI_RE.match(value):
+            normalized = value.lower()
     elif kind is IdentifierKind.ARXIV:
-        m = _ARXIV_NEW_RE.match(bare)
+        m = _ARXIV_NEW_RE.match(value)
         if m:
             normalized = f"{m.group(1)}.{m.group(2)}"
-        elif _ARXIV_OLD_RE.match(bare):
-            normalized = bare.lower()
+        elif _ARXIV_OLD_RE.match(value):
+            normalized = value.lower()
     else:
-        parsed = urlparse(bare)
+        parsed = urlparse(value)
         if parsed.scheme in ("http", "https") and parsed.netloc:
-            normalized = bare
+            normalized = value
     if normalized is None:
         return IdentifierSyntax.INVALID, None
     return IdentifierSyntax.VALID, normalized
@@ -79,7 +78,7 @@ def make_identifier(kind: IdentifierKind, value: str) -> Identifier:
     Placeholder fragments ("XXXX", "to be updated") make it a placeholder,
     which is never valid.
     """
-    value = strip_identifier_prefix(kind, value.strip())
+    value = strip_identifier_prefix(kind, value)
     syntax, normalized = _apply_grammar(kind, value)
     return Identifier(kind=kind, value=value, syntax=syntax, normalized=normalized)
 

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 import math
+import queue
 import re
 import threading
 import time
-from collections.abc import Iterator, Sequence
+from collections.abc import Generator, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -642,7 +643,7 @@ class LookupCache:
                 fh.write(row + "\n")
 
 
-# Most arXiv ids the arXiv pre-pass puts in one request.
+# Most arXiv ids one batched arXiv request asks for.
 ARXIV_BATCH_SIZE = 100
 
 
@@ -677,9 +678,8 @@ class Resolver:
     place. A network owner's Found and NotFound outcomes and successful
     searches go into the cache; without a configured one the resolver keeps
     an in-memory LookupCache, so a key repeated within one run goes to the
-    network once either way. Thread-safe: resolve_all runs resolve_citation
-    on a pool of lookup threads, and a thread that needs a key another
-    thread is sending waits for that request instead of sending its own.
+    network once either way. Each lookup_* caller sends from its own thread;
+    resolve_all sends a key once for all the ladders waiting on it.
     """
 
     def __init__(
@@ -687,12 +687,10 @@ class Resolver:
         providers: list | tuple,
         thresholds: MatchThresholds | None = None,
         cache: LookupCache | None = None,
-        max_rate_wait: float | None = None,
     ):
         self._providers = list(providers)
         self.thresholds = thresholds or MatchThresholds()
         self.cache = cache if cache is not None else LookupCache()
-        self.max_rate_wait = max_rate_wait
         self._buckets: dict[int, TokenBucket] = {}
         for provider in self._providers:
             if isinstance(provider, FixtureProvider):
@@ -703,21 +701,17 @@ class Resolver:
                 raise TypeError(f"provider {provider!r} has no ProviderConfig as .config")
             if config.rate_limit > 0:
                 self._buckets[id(provider)] = TokenBucket(rate=config.rate_limit)
-        # arXiv ids whose own request failed in the last pre-pass, by cache
-        # key, so the read-through does not send them again that run.
+        # arXiv ids whose own request failed in this run's batch, by cache
+        # key, so they are not sent again that run.
         self._arxiv_failed: dict[str, LookupOutcome] = {}
-        # Keys being sent now, each with the event its sender sets when done.
-        self._in_flight: dict[str, threading.Event] = {}
-        self._in_flight_lock = threading.Lock()
 
     def _provider_for(self, op: str):
         return next((p for p in self._providers if hasattr(p, op)), None)
 
-    def _acquire(self, provider) -> bool:
+    def _wait_for_token(self, provider) -> None:
         bucket = self._buckets.get(id(provider))
-        if bucket is None:
-            return True
-        return bucket.acquire(timeout=self.max_rate_wait)
+        if bucket is not None:
+            bucket.acquire()
 
     def _cached(self, key: str, decode, provider):
         """The outcome the cache holds under key, decoded as a fixture entry
@@ -730,51 +724,30 @@ class Resolver:
         outcome = decode(payload, provider.config.name)
         return None if outcome.failed else outcome
 
-    def _read_through(self, op: str, *args):
-        """The outcome of owner.op(*args), owner being the first provider
-        with op, or Unavailable("no_provider"). A fixture answers in place.
-        A network owner gives this run's failed arXiv request, else the
-        cached outcome, else its answer, cached unless it is Unavailable.
-
-        While one thread sends a key, another that misses the cache on it
-        waits, then reads the sender's outcome from the cache; after an
-        Unavailable one, which is not cached, it sends its own request, as
-        it would have on its own."""
-        op_key, (decode, encode, unavailable) = _OPS[op]
+    def _settle(self, op: str, args: tuple):
+        """(owner, cache key, outcome) of owner.op(*args), owner being the
+        first provider with op: Unavailable("no_provider") without one, a
+        fixture's answer, a network owner's failed arXiv request of this run
+        or cached outcome, or None when the key has to be sent."""
+        op_key, (decode, _, unavailable) = _OPS[op]
         provider = self._provider_for(op)
         if provider is None:
-            return unavailable("no_provider")
+            return None, None, unavailable("no_provider")
         if isinstance(provider, FixtureProvider):
-            return getattr(provider, op)(*args)
+            return provider, None, getattr(provider, op)(*args)
         key = _cache_key(provider, op_key(*args))
-        failed = self._arxiv_failed.get(key)
-        if failed is not None:
-            return failed
-        outcome = self._cached(key, decode, provider)
-        if outcome is not None:
-            return outcome
-        while True:
-            with self._in_flight_lock:
-                sending = self._in_flight.get(key)
-                if sending is None:
-                    # The last sender may have cached the key since the miss.
-                    outcome = self._cached(key, decode, provider)
-                    if outcome is not None:
-                        return outcome
-                    sending = self._in_flight[key] = threading.Event()
-                    break
-            sending.wait()
-        try:
-            if not self._acquire(provider):
-                return unavailable("rate_limited")
+        return provider, key, self._arxiv_failed.get(key) or self._cached(key, decode, provider)
+
+    def _read_through(self, op: str, *args):
+        """What _settle knows of owner.op(*args), else the owner's answer on
+        its next token, cached unless it is Unavailable."""
+        provider, key, outcome = self._settle(op, args)
+        if outcome is None:
+            self._wait_for_token(provider)
             outcome = getattr(provider, op)(*args)
             if not outcome.failed:
-                self.cache.put(key, encode(outcome))
-            return outcome
-        finally:
-            with self._in_flight_lock:
-                del self._in_flight[key]
-            sending.set()
+                self.cache.put(key, _OPS[op][1][1](outcome))
+        return outcome
 
     def lookup_doi(self, doi: str) -> LookupOutcome:
         return self._read_through("lookup_doi", doi)
@@ -788,33 +761,27 @@ class Resolver:
     def search_author_year(self, surname: str, year: int) -> SearchOutcome:
         return self._read_through("search_author_year", surname, year)
 
-    def _pending_arxiv(self, citations) -> tuple[object, list[str], set[int]]:
-        """The provider that batches arXiv lookups, the arXiv ids of
-        citations that no cache entry settles, in first-appearance order,
-        and the positions of the citations that hold one. Without a batching
-        owner of lookup_arxiv, (None, [], set()), and no citation is read."""
+    def _pending_arxiv(self, citations) -> tuple[object, dict[str, str]]:
+        """The provider that batches arXiv lookups, and the arXiv ids of
+        citations that no cache entry settles by cache key, in order of first
+        appearance. Without a batching owner, (None, {}): no citation is read."""
         provider = self._provider_for("lookup_arxiv")
         if provider is None or not hasattr(provider, "lookup_arxiv_ids"):
-            return None, [], set()
+            return None, {}
         pending: dict[str, str] = {}
-        holders: set[int] = set()
-        for position, citation in enumerate(citations):
+        for citation in citations:
             for kind, value in _lookup_ids(citation):
-                if kind is not IdentifierKind.ARXIV:
-                    continue
-                key = _cache_key(provider, _arxiv_key(value))
-                if key not in pending:
-                    if self._cached(key, _decode_lookup, provider) is not None:
-                        continue
-                    pending[key] = value
-                holders.add(position)
-        return provider, list(pending.values()), holders
+                if kind is IdentifierKind.ARXIV:
+                    key = _cache_key(provider, _arxiv_key(value))
+                    if key not in pending and self._cached(key, _decode_lookup, provider) is None:
+                        pending[key] = value
+        return provider, pending
 
     def _fetch_arxiv(self, provider, ids: list[str]) -> None:
         """Send ids, which no cache entry settles, ARXIV_BATCH_SIZE per
         request, one rate-limit token each, and cache what they settle. A
         batch refused with a 429 is sent once more, whole; one that failed
-        otherwise is split in halves. resolve_citation looks up the rest."""
+        otherwise is split in halves. A ladder sends the rest one by one."""
         for start in range(0, len(ids), ARXIV_BATCH_SIZE):
             batch = ids[start : start + ARXIV_BATCH_SIZE]
             unsettled, cause = self._request_arxiv(provider, batch)
@@ -827,8 +794,7 @@ class Resolver:
     def _request_arxiv(self, provider, ids: list[str]) -> tuple[list[str], str | None]:
         """Send one batch request and cache what it settles. Returns the ids
         left unsettled and the cause of their failure."""
-        if not self._acquire(provider):
-            return ids, "rate_limited"
+        self._wait_for_token(provider)
         outcomes = provider.lookup_arxiv_ids(ids)
         unsettled = []
         cause = None
@@ -863,8 +829,9 @@ class Resolver:
         for _, unsettled, part_cause in results:
             self._split_failed(provider, unsettled, part_cause)
 
-    def resolve_citation(self, citation: ParsedCitation) -> ResolutionBundle:
-        """Run the lookup ladder for one citation.
+    def _ladder(self, citation: ParsedCitation) -> Generator[tuple, object, ResolutionBundle]:
+        """The lookup ladder of one citation. It yields each op it needs as
+        (op, args), takes the outcome back, and returns the bundle.
 
         Identifiers first; a Found record that agrees on author, title, and
         year short-circuits the searches. Otherwise title search, then
@@ -880,10 +847,8 @@ class Resolver:
             return [(r, profile_match(citation, r, self.thresholds)) for r in search.records]
 
         for kind, value in _lookup_ids(citation):
-            if kind is IdentifierKind.DOI:
-                outcome = self.lookup_doi(value)
-            else:
-                outcome = self.lookup_arxiv(value)
+            op = "lookup_doi" if kind is IdentifierKind.DOI else "lookup_arxiv"
+            outcome = yield op, (value,)
             label = f"{kind.value}:{value}"
             id_outcomes.append((label, outcome))
             if outcome.status is LookupStatus.FOUND and outcome.record is not None:
@@ -897,19 +862,13 @@ class Resolver:
         author_search = None
         if not short:
             if citation.title.strip():
-                title_search = self.search_title(citation.title)
+                title_search = yield "search_title", (citation.title,)
                 search_profiles = profiles(title_search)
                 short = any(p.core_all_match() for _, p in search_profiles)
             if not short:
-                usable = [
-                    a
-                    for a in citation.authors
-                    if not a.is_placeholder and a.surname
-                ]
+                usable = [a for a in citation.authors if not a.is_placeholder and a.surname]
                 if usable and citation.year is not None:
-                    author_search = self.search_author_year(
-                        usable[0].surname, citation.year
-                    )
+                    author_search = yield "search_author_year", (usable[0].surname, citation.year)
                     search_profiles += profiles(author_search)
 
         return ResolutionBundle(
@@ -923,58 +882,98 @@ class Resolver:
             thresholds=self.thresholds,
         )
 
+    def resolve_citation(self, citation: ParsedCitation) -> ResolutionBundle:
+        """Run the lookup ladder for one citation, on resolve_all's driver."""
+        (result,) = self.resolve_all([citation], jobs=1)
+        if isinstance(result, Exception):
+            raise result
+        return result
+
     def resolve_all(
         self, citations: Sequence[ParsedCitation], jobs: int
     ) -> Iterator[ResolutionBundle | Exception]:
-        """Resolve a whole bibliography: each citation's lookup ladder on a
-        pool of ``jobs`` threads, beside the arXiv pre-pass on a thread of
-        its own.
+        """Resolve a whole bibliography. A driver on the calling thread steps
+        every citation's lookup ladder and answers in place each op _settle
+        answers. Any other goes, by key, to its owner's lane: each network
+        provider's FIFO, served by up to ``jobs`` threads, so ``jobs`` is the
+        most requests one provider has in flight at once. A ladder asking
+        for a key already queued waits on that request. Of the ladders that
+        waited on a key which came back Unavailable, the first takes that
+        outcome and each other asks again, so sends its own request, as it
+        would have alone. The arXiv lane's first job is one batch of every
+        arXiv id no cache entry settles; it only saves requests, so after it,
+        raised or not, its ladders ask again.
 
-        A citation with no arXiv id left to the pre-pass starts its ladder
-        at once; one with such an id is queued after those, and its ladder
-        waits until the pre-pass is done. Yields, in input order, each
-        citation's bundle, or the exception its resolve_citation raised, so
-        a failure costs one citation, not the batch. The pre-pass only saves
-        requests: if it raises, the ids it did not settle are looked up per
-        citation. When the iteration ends, early or not, every thread has
-        finished and the HTTP clients' connections are closed.
+        Yields, in input order, each citation's bundle or the exception its
+        ladder or an op it waited on raised. When the iteration ends, early
+        or not, every lane thread has finished and the HTTP clients'
+        connections are closed.
         """
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
         self._arxiv_failed = {}
-        provider, ids, holders = self._pending_arxiv(citations)
-        settled = threading.Event()
+        ladders = [self._ladder(c) for c in citations]
+        results: dict[int, ResolutionBundle | Exception] = {}
+        # Each key on a lane, with the (position, op, args) of its ladders.
+        waiting: dict[str, list[tuple[int, str, tuple]]] = {}
+        lanes: dict[int, ThreadPoolExecutor] = {}
+        done: queue.SimpleQueue = queue.SimpleQueue()
 
-        def prepass() -> None:
-            try:
-                self._fetch_arxiv(provider, ids)
-            except Exception:  # noqa: BLE001 - the per-id path settles what is left
-                pass
-            finally:
-                settled.set()
+        def queue_job(provider, keys, job, *args):
+            if id(provider) not in lanes:
+                name = f"citeaudit-{provider.config.name}"
+                lanes[id(provider)] = ThreadPoolExecutor(jobs, thread_name_prefix=name)
+            future = lanes[id(provider)].submit(job, *args)
+            future.add_done_callback(lambda future: done.put((keys, future)))
+            return future
 
-        def attempt(citation: ParsedCitation, waits: bool) -> ResolutionBundle | Exception:
+        def step(i: int, outcome=None, asked: tuple | None = None) -> None:
+            """Send outcome to ladder i (or ask again), until it waits or ends."""
             try:
-                if waits:
-                    settled.wait()
-                return self.resolve_citation(citation)
+                while True:
+                    op, args = asked or ladders[i].send(outcome)
+                    provider, key, outcome = self._settle(op, args)
+                    if outcome is None:
+                        break
+                    asked = None
+            except StopIteration as stop:
+                results[i] = stop.value
             except Exception as exc:  # noqa: BLE001 - reported as that citation's verdict
-                return exc
+                results[i] = exc
+            else:
+                if key not in waiting:
+                    waiting[key] = []
+                    queue_job(provider, (key,), self._read_through, op, *args)
+                waiting[key].append((i, op, args))
 
-        pool = ThreadPoolExecutor(max_workers=jobs)
-        prepass_thread = None
-        if ids:
-            prepass_thread = threading.Thread(target=prepass, name="citeaudit-arxiv-prepass")
-            prepass_thread.start()
+        def finish(keys, future) -> None:
+            # The batch only saves requests: after it, its ladders ask again.
+            result = None if future is batch else future.exception() or future.result()
+            for key in keys:
+                for n, (i, op, args) in enumerate(waiting.pop(key, ())):
+                    if isinstance(result, Exception):
+                        results[i] = result
+                    elif result is None or (n and result.failed):
+                        step(i, asked=(op, args))
+                    else:
+                        step(i, result)
+
+        provider, pending = self._pending_arxiv(citations)
+        batch = None
         try:
-            order = sorted(range(len(citations)), key=lambda i: i in holders)
-            futures = {i: pool.submit(attempt, citations[i], i in holders) for i in order}
+            if pending:
+                waiting.update((key, []) for key in pending)
+                ids = list(pending.values())
+                batch = queue_job(provider, list(pending), self._fetch_arxiv, provider, ids)
             for i in range(len(citations)):
-                yield futures[i].result()
+                step(i)
+            for i in range(len(citations)):
+                while i not in results or not done.empty():
+                    finish(*done.get())
+                yield results.pop(i)
         finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-            if prepass_thread is not None:
-                prepass_thread.join()
+            for lane in lanes.values():
+                lane.shutdown(cancel_futures=True)
             for p in self._providers:
                 if isinstance(p, _HttpClient):
                     p.close()

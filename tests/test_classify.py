@@ -495,13 +495,13 @@ def _arxiv_citations(exemplar_citations) -> list:
     return list(exemplar_citations) + extra
 
 
-def _arxiv_resolver(session, resolver_class=Resolver) -> Resolver:
+def _arxiv_resolver(session, *providers) -> Resolver:
     """arXiv lookups go to a batching client over session; every other op to
-    the packaged fixture."""
+    the first of providers that has it, else to the packaged fixture."""
     arxiv = ArxivClient(
         ProviderConfig(name="arxiv", base_endpoint="http://stub"), session=session
     )
-    return resolver_class(providers=[arxiv, packaged_fixture_provider()])
+    return Resolver(providers=[arxiv, *providers, packaged_fixture_provider()])
 
 
 def _classify_with_arxiv(citations, config, session, jobs=2):
@@ -509,7 +509,8 @@ def _classify_with_arxiv(citations, config, session, jobs=2):
 
 
 def _one_by_one(citations, config, session):
-    """Each citation resolved and classified alone: no pre-pass, no threads."""
+    """Each citation resolved and classified alone, so each arXiv id goes
+    out in a request of its own."""
     resolver = _arxiv_resolver(session)
     return [classify_citation(c, resolver, config) for c in citations]
 
@@ -517,7 +518,7 @@ def _one_by_one(citations, config, session):
 class _BrokenBatchSession(FakeArxivSession):
     """Raises on every request of more than one id. The error is not one
     the transport raises, which the client would map to Unavailable, so it
-    escapes the pre-pass."""
+    escapes the batch."""
 
     def get(self, url, params=None, timeout=None):
         if "," in params["id_list"]:
@@ -526,18 +527,28 @@ class _BrokenBatchSession(FakeArxivSession):
         return super().get(url, params=params, timeout=timeout)
 
 
-class _FailingResolver(Resolver):
-    """Raises for the citation keyed "2" and resolves every other one."""
+class _FailingSearch:
+    """A network provider of title searches: raises on the one for "title"
+    and answers every other from the packaged fixture. calls counts them."""
 
-    def resolve_citation(self, citation):
-        if citation.source_key == "2":
+    config = ProviderConfig(name="failing-search")
+
+    def __init__(self, title: str):
+        self.title = title
+        self.calls: list[str] = []
+        self._fixture = packaged_fixture_provider()
+
+    def search_title(self, title):
+        self.calls.append(title)
+        if title == self.title:
             raise RuntimeError("boom")
-        return super().resolve_citation(citation)
+        return self._fixture.search_title(title)
 
 
 @pytest.fixture()
 def threads_of(monkeypatch):
-    """The threads that called classify() and Resolver.resolve_citation, by name."""
+    """The threads that called classify(), the ladders' profile_match and
+    the arXiv requests (ArxivClient.lookup_arxiv_ids), by name."""
     seen: dict[str, set[int]] = {}
 
     def record(owner, name):
@@ -550,7 +561,8 @@ def threads_of(monkeypatch):
         monkeypatch.setattr(owner, name, recording)
 
     record(classify_module, "classify")
-    record(Resolver, "resolve_citation")
+    record(resolve_module, "profile_match")
+    record(ArxivClient, "lookup_arxiv_ids")
     return seen
 
 
@@ -589,7 +601,9 @@ class TestBatch:
         verdicts = _classify_with_arxiv(citations, config, session, jobs=4)
         assert len(verdicts) == len(citations)
         assert threads_of["classify"] == {threading.get_ident()}
-        assert threading.get_ident() not in threads_of["resolve_citation"]
+        # The ladders run here; the requests go out on the arXiv lane.
+        assert threads_of["profile_match"] == {threading.get_ident()}
+        assert threading.get_ident() not in threads_of["lookup_arxiv_ids"]
 
     def test_prefetch_leaves_verdicts_unchanged(self, exemplar_citations, config):
         papers = _fixture_arxiv_papers()
@@ -615,7 +629,7 @@ class TestBatch:
         citations = _arxiv_citations(exemplar_citations)
         session = _BrokenBatchSession(papers)
         verdicts = _classify_with_arxiv(citations, config, session)
-        # The pre-pass raised on its one batch; each id then went out alone.
+        # The batch raised; each id then went out alone.
         assert session.requests[0]["max_results"] == 4
         assert len(session.requests) == 5
         assert [v.citation_key for v in verdicts] == [c.source_key for c in citations]
@@ -625,7 +639,7 @@ class TestBatch:
         # Only the citation whose resolution raised loses its verdict.
         citations = _arxiv_citations(exemplar_citations)
         session = FakeArxivSession(_fixture_arxiv_papers())
-        resolver = _arxiv_resolver(session, _FailingResolver)
+        resolver = _arxiv_resolver(session, _FailingSearch(citations[1].title))
         verdicts = classify_batch(citations, resolver, config, jobs=2)
         reference = _classify_with_arxiv(citations, config, session)
         assert citations[1].source_key == "2"
@@ -635,6 +649,27 @@ class TestBatch:
             cause="internal_error:resolve:RuntimeError",
         )
         assert verdicts[:1] + verdicts[2:] == reference[:1] + reference[2:]
+
+    def test_raising_op_costs_only_the_citations_waiting_on_its_key(self, config):
+        # The search raises on its lane once, for both citations that wait on
+        # it; the third citation is unaffected, and the driver does not hang.
+        title = "A benchmark model for power system stability controls"
+        citations = [
+            make_citation(key=key, title=title, authors=(), year=None) for key in ("a", "b")
+        ] + [make_citation(key="c", title="Attention Is All You Need", authors=(), year=None)]
+        search = _FailingSearch(title)
+        resolver = Resolver(providers=[search, packaged_fixture_provider()])
+        verdicts: list = []
+        worker = threading.Thread(
+            target=lambda: verdicts.extend(classify_batch(citations, resolver, config, jobs=2))
+        )
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert search.calls.count(title) == 1
+        assert [v.cause for v in verdicts[:2]] == ["internal_error:resolve:RuntimeError"] * 2
+        alone = Resolver(providers=[packaged_fixture_provider()])
+        assert verdicts[2:] == classify_batch(citations[2:], alone, config)
 
     def test_classify_error_becomes_unverifiable(
         self, exemplar_citations, config, monkeypatch

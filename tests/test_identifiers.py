@@ -141,17 +141,17 @@ class TestPlaceholders:
 class TestClaimedForms:
     """The stored value, syntax and lookup form of awkward claimed forms.
 
-    make_identifier strips one prefix from the value and the grammar strips
-    one more, so a doubled prefix stays in the value yet is valid."""
+    make_identifier strips prefixes from the value until none is left, so a
+    doubled prefix is stored bare, and the grammar reads that value."""
 
     @pytest.mark.parametrize(
         "kind,raw,value,syntax,normalized",
         [
-            (DOI, "doi: doi:10.1000/ABC", "doi:10.1000/ABC", IdentifierSyntax.VALID,
+            (DOI, "doi: doi:10.1000/ABC", "10.1000/ABC", IdentifierSyntax.VALID,
              "10.1000/abc"),
-            (DOI, "https://doi.org/doi:10.1000/x", "doi:10.1000/x", IdentifierSyntax.VALID,
+            (DOI, "https://doi.org/doi:10.1000/x", "10.1000/x", IdentifierSyntax.VALID,
              "10.1000/x"),
-            (ARXIV, "arXiv:arXiv:2101.00001v3", "arXiv:2101.00001v3", IdentifierSyntax.VALID,
+            (ARXIV, "arXiv:arXiv:2101.00001v3", "2101.00001v3", IdentifierSyntax.VALID,
              "2101.00001"),
             (ARXIV, "HEP-TH/9901001", "HEP-TH/9901001", IdentifierSyntax.VALID,
              "hep-th/9901001"),

@@ -407,15 +407,6 @@ class TestResolver:
         assert resolver.lookup_doi("10.1/x").cause == "no_provider"
         assert resolver.search_title("t").cause == "no_provider"
 
-    def test_rate_limit_timeout_maps_to_unavailable(self):
-        provider = CountingProvider(rate_limit=0.001)
-        resolver = Resolver(providers=[provider], max_rate_wait=0.0)
-        first = resolver.lookup_doi("10.1/x")
-        second = resolver.lookup_doi("10.2/y")
-        assert first.status is LookupStatus.NOT_FOUND
-        assert second.status is LookupStatus.UNAVAILABLE
-        assert second.cause == "rate_limited"
-
     def test_short_circuit_skips_searches(self):
         record = {
             "title": "Deep learning",
@@ -503,8 +494,9 @@ def _arxiv_outcomes(bundles) -> list[LookupOutcome]:
 
 
 class TestPrefetch:
-    """The batched arXiv pre-pass (the prefetch) of resolve_all. The ladders
-    of citations with an arXiv id wait for it, so its requests come first."""
+    """The arXiv lane's first job, one batch of every pending id (the
+    prefetch). A ladder that asks for an id in it waits on it, so its
+    requests come first."""
 
     @pytest.mark.parametrize("n, sizes", [(1, [1]), (100, [100]), (101, [100, 1])])
     def test_clean_ids_take_one_request_per_hundred(self, n, sizes):
@@ -646,7 +638,7 @@ class TestPrefetch:
         counting = CountingProvider()
         resolver = Resolver(providers=[counting, ArxivClient(_ARXIV, session=session)])
         list(resolver.resolve_all(_arxiv_citations(ids), jobs=1))
-        # No pre-pass: each ladder asks the owner for its own id.
+        # No batch: each ladder asks the owner for its own id.
         assert session.requests == []
         assert [c for c in counting.calls if c.startswith("arxiv:")] == [f"arxiv:{i}" for i in ids]
 
@@ -706,7 +698,6 @@ class TestArxivDoi:
 
 class TestResolveAll:
     def test_bundles_in_input_order(self):
-        # A batching client does I/O, so the ladders run on the lookup threads.
         papers = _papers(6)
         ids = list(papers) + ["2101.99999"]
         citations = _arxiv_citations(ids)
@@ -715,7 +706,7 @@ class TestResolveAll:
         bundles = list(resolver.resolve_all(citations, jobs=3))
         assert bundles == [resolver.resolve_citation(c) for c in citations]
         assert [b.citation_key for b in bundles] == [c.source_key for c in citations]
-        # One pre-pass request settled every id; the ladders read the cache.
+        # One batch request settled every id; the ladders read the cache.
         assert session.requests == [{"id_list": ",".join(ids), "max_results": 7}]
 
     def test_failed_prepass_leaves_ids_to_the_per_id_path(self):
@@ -734,14 +725,15 @@ class TestResolveAll:
         assert sorted(r["id_list"] for r in session.requests) == sorted(papers)
 
     def test_raising_citation_yields_its_exception(self):
-        class Failing(Resolver):
-            def resolve_citation(self, citation):
-                if citation.source_key == "c1":
+        class Failing(CountingProvider):
+            def lookup_arxiv(self, arxiv_id):
+                if arxiv_id == ids[1]:
                     raise RuntimeError("boom")
-                return super().resolve_citation(citation)
+                return super().lookup_arxiv(arxiv_id)
 
-        resolver = Failing(providers=[FixtureProvider({"closed_world": True})])
-        results = list(resolver.resolve_all(_arxiv_citations(_papers(3)), jobs=2))
+        ids = list(_papers(3))
+        resolver = Resolver(providers=[Failing()])
+        results = list(resolver.resolve_all(_arxiv_citations(ids), jobs=2))
         assert isinstance(results[1], RuntimeError)
         assert [r.citation_key for r in (results[0], results[2])] == ["c0", "c2"]
 
@@ -821,7 +813,7 @@ class TestResolveAll:
 
         assert len(list(resolver(FakeArxivSession(papers)).resolve_all(citations, 2))) == 4
         assert started_here() == []
-        # Closed after the first bundle, while the pre-pass is still held.
+        # Closed after the first bundle, while the batch is still held.
         session = _HeldArxivSession(papers)
         bundles = resolver(session).resolve_all(citations, 2)
         assert next(bundles).citation_key == "doi"
@@ -847,7 +839,8 @@ class TestResolveAll:
         assert session.closed == 1
 
     def test_fixture_runs_scan_once_and_start_no_prepass(self, monkeypatch):
-        # A fixture owns lookup_arxiv without lookup_arxiv_ids: no pre-pass.
+        # A fixture owns lookup_arxiv without lookup_arxiv_ids: no batch, and
+        # a fixture is read in place, so no lane and no thread.
         scanned, started = [], []
         lookup_ids, start = resolve_module._lookup_ids, threading.Thread.start
 
@@ -864,7 +857,7 @@ class TestResolveAll:
         resolver = Resolver(providers=[packaged_fixture_provider()])
         list(resolver.resolve_all(_arxiv_citations(_papers(3)), jobs=2))
         assert sorted(scanned) == ["c0", "c1", "c2"]  # each ladder's own scan only
-        assert started and not any("prepass" in name for name in started)
+        assert started == []
 
 
 class _HeldArxivSession(FakeArxivSession):
@@ -945,7 +938,8 @@ class _MissWatchingCache(LookupCache):
 
 
 class TestInFlight:
-    """A key one thread is sending is not sent again by another meanwhile."""
+    """Concurrent lookup_* callers: each that misses the cache sends its own
+    request, also while another caller's request for the key is in flight."""
 
     def _race(self, provider):
         """Thread a sends the DOI and is held; thread b then misses the cache
@@ -972,13 +966,6 @@ class TestInFlight:
             assert not thread.is_alive()
         return results
 
-    def test_waiter_reads_the_senders_outcome(self):
-        found = LookupOutcome.found(make_record())
-        provider = _GatedDoiProvider(found, found)
-        results = self._race(provider)
-        assert provider.calls == 1
-        assert results["a"].status is results["b"].status is LookupStatus.FOUND
-
     def test_waiter_sends_its_own_after_an_unavailable_outcome(self):
         provider = _GatedDoiProvider(
             LookupOutcome.unavailable("http_5xx"), LookupOutcome.found(make_record())
@@ -987,6 +974,121 @@ class TestInFlight:
         assert provider.calls == 2
         assert results["a"] == LookupOutcome.unavailable("http_5xx")
         assert results["b"].status is LookupStatus.FOUND
+
+
+class _OneOp:
+    """A network provider that owns op alone and answers each call with
+    answer, once release is set (at most 10 s) when one is given. entered is
+    set at the first call; threads holds every thread that called."""
+
+    def __init__(self, name, op, answer, release=None):
+        self.config = ProviderConfig(name=name)
+        self.entered = threading.Event()
+        self.threads: set[threading.Thread] = set()
+
+        def call(*args):
+            self.threads.add(threading.current_thread())
+            self.entered.set()
+            if release is not None:
+                release.wait(timeout=10)
+            return answer
+
+        setattr(self, op, call)
+
+
+def _doi_citations(n: int, doi=None) -> list:
+    """n citations with a DOI each (doi for all of them when given)."""
+    return [
+        make_citation(
+            key=f"c{i}",
+            title=f"Title {i}",
+            identifiers=(make_identifier(IdentifierKind.DOI, doi or f"10.1000/{i}"),),
+        )
+        for i in range(n)
+    ]
+
+
+class TestLanes:
+    """Each network provider has a lane of its own: up to jobs threads that
+    send its requests, while the ladders run on the calling thread."""
+
+    def test_one_job_still_keeps_two_providers_busy(self):
+        release = threading.Event()
+        dois = _OneOp("dois", "lookup_doi", LookupOutcome.not_found(), release)
+        titles = _OneOp("titles", "search_title", SearchOutcome(), release)
+        citations = [_doi_citation("10.1000/held"), make_citation(key="titled")]
+        consumer, results = _consume(Resolver(providers=[dois, titles]), citations, jobs=1)
+        try:
+            # The DOI lookup is held, and the other citation's search starts.
+            assert dois.entered.wait(timeout=5)
+            assert titles.entered.wait(timeout=5)
+        finally:
+            release.set()
+            consumer.join(timeout=10)
+        assert not consumer.is_alive()
+        assert [b.citation_key for b in results] == ["doi", "titled"]
+
+    def test_each_provider_has_at_most_jobs_threads_of_its_own(self, monkeypatch):
+        started, start = [], threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        dois = _OneOp("dois", "lookup_doi", LookupOutcome.not_found())
+        titles = _OneOp("titles", "search_title", SearchOutcome())
+        resolver = Resolver(providers=[dois, titles])
+        assert len(list(resolver.resolve_all(_doi_citations(200), jobs=2))) == 200
+        assert 1 <= len(dois.threads) <= 2
+        assert 1 <= len(titles.threads) <= 2
+        assert not dois.threads & titles.threads
+        assert len(started) <= 4
+
+    def test_arxiv_id_after_a_doi_goes_out_in_the_batch(self):
+        papers = _papers(3)
+        ids = list(papers)
+        session = _HeldArxivSession(papers)
+        dois = CountingProvider()
+        resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session), dois])
+        both = make_citation(
+            key="both",
+            identifiers=(
+                make_identifier(IdentifierKind.DOI, "10.1000/first"),
+                make_identifier(IdentifierKind.ARXIV, ids[2]),
+            ),
+        )
+        consumer, results = _consume(resolver, _arxiv_citations(ids[:2]) + [both], jobs=1)
+        try:
+            # The DOI goes out while the batch, which holds the id after it,
+            # is held.
+            deadline = time.monotonic() + 5
+            while "doi:10.1000/first" not in dois.calls and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert "doi:10.1000/first" in dois.calls
+            assert not session.done.is_set()
+        finally:
+            session.release.set()
+            consumer.join(timeout=10)
+        assert not consumer.is_alive()
+        assert session.requests == [{"id_list": ",".join(ids), "max_results": 3}]
+        statuses = [outcome.status for _, outcome in results[2].identifier_outcomes]
+        assert statuses == [LookupStatus.NOT_FOUND, LookupStatus.FOUND]
+
+    @pytest.mark.parametrize(
+        "answer, requests",
+        [(LookupOutcome.found(make_record()), 1), (LookupOutcome.unavailable("http_5xx"), 2)],
+        ids=["found", "unavailable"],
+    )
+    def test_citations_sharing_a_key(self, answer, requests):
+        # A key asked for twice goes out once, unless it comes back
+        # Unavailable: then the second citation sends its own request.
+        provider = _GatedDoiProvider(answer, answer)
+        provider.release.set()
+        citations = _doi_citations(2, doi="10.1000/shared")
+        bundles = list(Resolver(providers=[provider]).resolve_all(citations, jobs=1))
+        assert provider.calls == requests
+        assert [b.identifier_outcomes for b in bundles] == [(("doi:10.1000/shared", answer),)] * 2
 
 
 class TestResolutionBundle:
