@@ -924,7 +924,7 @@ class Resolver:
                 name = f"citeaudit-{provider.config.name}"
                 lanes[id(provider)] = ThreadPoolExecutor(jobs, thread_name_prefix=name)
             future = lanes[id(provider)].submit(job, *args)
-            future.add_done_callback(lambda future: done.put((keys, future)))
+            future.add_done_callback(lambda finished: done.put((keys, finished)))
             return future
 
         def step(i: int, outcome=None, asked: tuple | None = None) -> None:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import threading
 import time
 
@@ -1074,6 +1075,26 @@ class TestLanes:
         assert session.requests == [{"id_list": ",".join(ids), "max_results": 3}]
         statuses = [outcome.status for _, outcome in results[2].identifier_outcomes]
         assert statuses == [LookupStatus.NOT_FOUND, LookupStatus.FOUND]
+
+    def test_many_lane_threads_send_each_key_once(self):
+        # More lane threads than cores, switching often: each key still goes
+        # out once however many citations share it, and every bundle comes
+        # back in input order.
+        provider = CountingProvider()
+        citations = _doi_citations(300) + _doi_citations(300)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            consumer, bundles = _consume(Resolver(providers=[provider]), citations, jobs=8)
+            consumer.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not consumer.is_alive()
+        assert [b.citation_key for b in bundles] == [c.source_key for c in citations]
+        dois = sorted(c for c in provider.calls if c.startswith("doi:"))
+        assert dois == sorted(f"doi:10.1000/{i}" for i in range(300))
+        assert provider.calls.count("title") == 300
+        assert provider.calls.count("author") == 1
 
     @pytest.mark.parametrize(
         "answer, requests",
