@@ -883,7 +883,7 @@ class Resolver:
         )
 
     def resolve_citation(self, citation: ParsedCitation) -> ResolutionBundle:
-        """Run the lookup ladder for one citation, on resolve_all's driver."""
+        """Run the lookup ladder for one citation: resolve_all over it alone."""
         (result,) = self.resolve_all([citation], jobs=1)
         if isinstance(result, Exception):
             raise result
@@ -892,8 +892,8 @@ class Resolver:
     def resolve_all(
         self, citations: Sequence[ParsedCitation], jobs: int
     ) -> Iterator[ResolutionBundle | Exception]:
-        """Resolve a whole bibliography. A driver on the calling thread steps
-        every citation's lookup ladder and answers in place each op _settle
+        """Resolve a whole bibliography. The calling thread steps every
+        citation's lookup ladder and answers in place each op _settle
         answers. Any other goes, by key, to its owner's lane: each network
         provider's FIFO, served by up to ``jobs`` threads, so ``jobs`` is the
         most requests one provider has in flight at once. A ladder asking

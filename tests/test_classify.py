@@ -652,7 +652,7 @@ class TestBatch:
 
     def test_raising_op_costs_only_the_citations_waiting_on_its_key(self, config):
         # The search raises on its lane once, for both citations that wait on
-        # it; the third citation is unaffected, and the driver does not hang.
+        # it; the third citation is unaffected, and resolve_all does not hang.
         title = "A benchmark model for power system stability controls"
         citations = [
             make_citation(key=key, title=title, authors=(), year=None) for key in ("a", "b")
