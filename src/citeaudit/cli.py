@@ -164,11 +164,18 @@ def _build_runtime(
             _CLIENTS[name](config) for name, config in provider_configs.items() if config
         ]
 
-    try:
-        # Fixtures are read in place, so a fixture run opens no cache.
-        lookup_cache = LookupCache(cache) if cache and not fixtures else None
-    except UnicodeDecodeError as exc:
-        raise click.UsageError(f"cache file {cache}: not UTF-8 text: {exc}") from exc
+    # Fixtures are read in place, so a fixture run opens no cache. A network
+    # run opens it for append here: an unwritable path fails at start.
+    lookup_cache = None
+    if cache and not fixtures:
+        try:
+            Path(cache).parent.mkdir(parents=True, exist_ok=True)
+            Path(cache).open("a", encoding="utf-8").close()
+            lookup_cache = LookupCache(cache)
+        except UnicodeDecodeError as exc:
+            raise click.UsageError(f"cache file {cache}: not UTF-8 text: {exc}") from exc
+        except OSError as exc:
+            raise click.UsageError(f"cache file {cache}: not writable: {exc}") from exc
     resolver = Resolver(providers, thresholds=thresholds, cache=lookup_cache)
     return resolver, classifier_config
 

@@ -577,24 +577,17 @@ class LookupCache:
 
     Unavailable outcomes are never written: an outage is a statement about
     the moment, not about the work, and must not poison later runs. On read,
-    the newest entry per key wins and entries older than the TTL are
-    ignored; so is a row that is not {"key": str, "stored_at": finite
-    number, "payload": object}, and one stamped later than the file was
-    read, which would never expire. The Resolver writes payloads in the
-    fixture entry format and reads them back through the same decoders.
-    Without a path the cache lives in memory only, for the life of the
-    object.
+    the newest entry per key wins and entries older than
+    DEFAULT_CACHE_TTL_SECONDS are ignored; so is a row that is not
+    {"key": str, "stored_at": finite number, "payload": object}, and one
+    stamped later than the file was read, which would never expire. The
+    Resolver writes payloads in the fixture entry format and reads them back
+    through the same decoders. Without a path the cache lives in memory
+    only, for the life of the object.
     """
 
-    def __init__(
-        self,
-        path: str | Path | None = None,
-        ttl_seconds: float = DEFAULT_CACHE_TTL_SECONDS,
-    ):
-        if ttl_seconds <= 0:
-            raise ValueError("ttl_seconds must be positive")
+    def __init__(self, path: str | Path | None = None):
         self.path = None if path is None else Path(path)
-        self.ttl_seconds = ttl_seconds
         self._lock = threading.Lock()
         self._entries: dict[str, tuple[float, dict]] = {}
         self._load()
@@ -625,7 +618,7 @@ class LookupCache:
             if hit is None:
                 return None
             stored_at, payload = hit
-            if now - stored_at > self.ttl_seconds:
+            if now - stored_at > DEFAULT_CACHE_TTL_SECONDS:
                 return None
             return payload
 
@@ -678,8 +671,8 @@ class Resolver:
     place. A network owner's Found and NotFound outcomes and successful
     searches go into the cache; without a configured one the resolver keeps
     an in-memory LookupCache, so a key repeated within one run goes to the
-    network once either way. Each lookup_* caller sends from its own thread;
-    resolve_all sends a key once for all the ladders waiting on it.
+    network once either way. resolve_all is the one way in: it sends a key
+    once for all the ladders waiting on it.
     """
 
     def __init__(
@@ -701,9 +694,6 @@ class Resolver:
                 raise TypeError(f"provider {provider!r} has no ProviderConfig as .config")
             if config.rate_limit > 0:
                 self._buckets[id(provider)] = TokenBucket(rate=config.rate_limit)
-        # arXiv ids whose own request failed in this run's batch, by cache
-        # key, so they are not sent again that run.
-        self._arxiv_failed: dict[str, LookupOutcome] = {}
 
     def _provider_for(self, op: str):
         return next((p for p in self._providers if hasattr(p, op)), None)
@@ -738,28 +728,14 @@ class Resolver:
         key = _cache_key(provider, op_key(*args))
         return provider, key, self._arxiv_failed.get(key) or self._cached(key, decode, provider)
 
-    def _read_through(self, op: str, *args):
-        """What _settle knows of owner.op(*args), else the owner's answer on
-        its next token, cached unless it is Unavailable."""
-        provider, key, outcome = self._settle(op, args)
-        if outcome is None:
-            self._wait_for_token(provider)
-            outcome = getattr(provider, op)(*args)
-            if not outcome.failed:
-                self.cache.put(key, _OPS[op][1][1](outcome))
+    def _fetch(self, provider, key: str, op: str, args: tuple):
+        """provider.op(*args) on the provider's next token, cached under key
+        unless it is Unavailable. A lane job: _settle has already missed."""
+        self._wait_for_token(provider)
+        outcome = getattr(provider, op)(*args)
+        if not outcome.failed:
+            self.cache.put(key, _OPS[op][1][1](outcome))
         return outcome
-
-    def lookup_doi(self, doi: str) -> LookupOutcome:
-        return self._read_through("lookup_doi", doi)
-
-    def lookup_arxiv(self, arxiv_id: str) -> LookupOutcome:
-        return self._read_through("lookup_arxiv", arxiv_id)
-
-    def search_title(self, title: str) -> SearchOutcome:
-        return self._read_through("search_title", title)
-
-    def search_author_year(self, surname: str, year: int) -> SearchOutcome:
-        return self._read_through("search_author_year", surname, year)
 
     def _pending_arxiv(self, citations) -> tuple[object, dict[str, str]]:
         """The provider that batches arXiv lookups, and the arXiv ids of
@@ -892,17 +868,19 @@ class Resolver:
     def resolve_all(
         self, citations: Sequence[ParsedCitation], jobs: int
     ) -> Iterator[ResolutionBundle | Exception]:
-        """Resolve a whole bibliography. The calling thread steps every
-        citation's lookup ladder and answers in place each op _settle
-        answers. Any other goes, by key, to its owner's lane: each network
-        provider's FIFO, served by up to ``jobs`` threads, so ``jobs`` is the
-        most requests one provider has in flight at once. A ladder asking
-        for a key already queued waits on that request. Of the ladders that
-        waited on a key which came back Unavailable, the first takes that
-        outcome and each other asks again, so sends its own request, as it
-        would have alone. The arXiv lane's first job is one batch of every
-        arXiv id no cache entry settles; it only saves requests, so after it,
-        raised or not, its ladders ask again.
+        """Resolve a whole bibliography: the resolver's one way to look
+        anything up. The calling thread steps every citation's lookup ladder
+        and answers in place each op _settle answers. Any other goes, by key,
+        to its owner's lane: each network provider's FIFO, served by up to
+        ``jobs`` threads, so ``jobs`` is the most requests one provider has
+        in flight at once. A lane job only waits for a token, sends and
+        caches; it looks nothing up first. A ladder asking for a key already
+        queued waits on that request. Of the ladders that waited on a key
+        which came back Unavailable, the first takes that outcome and each
+        other asks again, so sends its own request, as it would have alone.
+        The arXiv lane's first job is one batch of every arXiv id no cache
+        entry settles; it only saves requests, so after it, raised or not,
+        its ladders ask again.
 
         Yields, in input order, each citation's bundle or the exception its
         ladder or an op it waited on raised. When the iteration ends, early
@@ -911,7 +889,9 @@ class Resolver:
         """
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        self._arxiv_failed = {}
+        # arXiv ids whose own request failed in this run's batch, by cache
+        # key, so they are not sent again that run.
+        self._arxiv_failed: dict[str, LookupOutcome] = {}
         ladders = [self._ladder(c) for c in citations]
         results: dict[int, ResolutionBundle | Exception] = {}
         # Each key on a lane, with the (position, op, args) of its ladders.
@@ -943,7 +923,7 @@ class Resolver:
             else:
                 if key not in waiting:
                     waiting[key] = []
-                    queue_job(provider, (key,), self._read_through, op, *args)
+                    queue_job(provider, (key,), self._fetch, provider, key, op, args)
                 waiting[key].append((i, op, args))
 
         def finish(keys, future) -> None:

@@ -42,3 +42,41 @@ def jaccard(tokens_a: set[str], tokens_b: set[str]) -> float:
     if not union:
         return 1.0
     return len(tokens_a & tokens_b) / len(union)
+
+
+def resolve_in_order(ladder_of, providers, citations) -> tuple[list, dict]:
+    """Reference model of Resolver.resolve_all: no lanes, no threads.
+
+    Steps each citation's lookup ladder (ladder_of(citation), the
+    generator Resolver._ladder returns) to its end before the next one
+    starts, in input order. Each op the ladder yields is answered by the
+    first of providers that has it, called directly; every op must have
+    one. A dict memo keyed by (op, args) keeps every Found, NotFound and
+    search result, as the cache does, and never an Unavailable outcome or
+    a raise. A raise ends that citation's ladder and is its result.
+
+    Returns each citation's bundle or exception, and how many ladders asked
+    for each (op, args).
+    """
+    memo: dict = {}
+    asks: dict = {}
+    results = []
+    for citation in citations:
+        ladder = ladder_of(citation)
+        outcome = None
+        try:
+            while True:
+                op, args = ladder.send(outcome)
+                asks[op, args] = asks.get((op, args), 0) + 1
+                if (op, args) in memo:
+                    outcome = memo[op, args]
+                    continue
+                owner = next(p for p in providers if hasattr(p, op))
+                outcome = getattr(owner, op)(*args)
+                if not outcome.failed:
+                    memo[op, args] = outcome
+        except StopIteration as stop:
+            results.append(stop.value)
+        except Exception as exc:  # noqa: BLE001 - the citation's result
+            results.append(exc)
+    return results, asks

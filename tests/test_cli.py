@@ -18,7 +18,8 @@ import citeaudit
 from citeaudit import cli
 from citeaudit import resolve as resolve_module
 from citeaudit.cli import main
-from citeaudit.model import FailureMode, Verdict, VerdictStatus
+from citeaudit.identifiers import make_identifier
+from citeaudit.model import FailureMode, IdentifierKind, Verdict, VerdictStatus
 from citeaudit.resolve import LookupOutcome
 from citeaudit.report import (
     EXIT_HALLUCINATED,
@@ -29,7 +30,7 @@ from citeaudit.report import (
     exit_code_for,
     render_report,
 )
-from tests.conftest import make_record
+from tests.conftest import make_citation, make_record
 from tests.http_fakes import FakeWorksSession, Paper, ReplySession
 
 DATA = Path(__file__).parent / "data"
@@ -483,7 +484,12 @@ class TestProviderSections:
     def test_disabled_provider_owns_no_op(self, tmp_path):
         ini = _write_ini(tmp_path, "[provider.crossref]\nenabled = false\n")
         resolver, _ = cli._build_runtime(False, None, None, ini, None, {})
-        assert resolver.lookup_doi("10.1/x") == LookupOutcome.unavailable("no_provider")
+        doi_only = make_citation(
+            authors=(), title="", identifiers=(make_identifier(IdentifierKind.DOI, "10.1000/x"),)
+        )
+        (bundle,) = resolver.resolve_all([doi_only], jobs=1)
+        no_provider = LookupOutcome.unavailable("no_provider")
+        assert bundle.identifier_outcomes == (("doi:10.1000/x", no_provider),)
         assert resolver._provider_for("search_title").name == "openalex"
 
     def test_all_providers_disabled_is_unverifiable_without_a_transport(self, tmp_path):
@@ -777,6 +783,21 @@ class TestCacheEnvironment:
         main(["classify", _LECUN, *online.args])
         assert capsys.readouterr().out == first
         assert len(online.session.requests) == sent
+
+
+class TestUnwritableCache:
+    def test_cache_under_a_file_is_a_usage_error_before_any_request(
+        self, online, tmp_path, capsys
+    ):
+        # Found answers would be written from a lane thread; the path is
+        # opened for append at start instead, so the run never begins.
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("", encoding="utf-8")
+        cache = blocker / "cache.jsonl"
+        citation = f"{_LECUN} doi:{_LECUN_DOI}"
+        assert main(["classify", citation, *online.args, "--cache", str(cache)]) == EXIT_USAGE
+        assert str(cache) in capsys.readouterr().err
+        assert online.session.requests == []
 
 
 class TestFixtureRunsOpenNoCache:

@@ -7,16 +7,19 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citeaudit import resolve as resolve_module
 from citeaudit.classify import ClassifierConfig
 from citeaudit.data import packaged_fixture_provider
 from citeaudit.identifiers import make_identifier
 from citeaudit.matching import profile_match
-from citeaudit.model import IdentifierKind
+from citeaudit.model import IdentifierKind, normalize_name
 from citeaudit.parsing import parse_file
 from citeaudit.ratelimit import TokenBucket
 from citeaudit.resolve import (
+    DEFAULT_CACHE_TTL_SECONDS,
     ArxivClient,
     FixtureProvider,
     LookupCache,
@@ -32,6 +35,7 @@ from citeaudit.resolve import (
 )
 from tests.conftest import classify_citation, make_citation, make_record
 from tests.http_fakes import FakeArxivSession, Paper
+from tests.oracles import resolve_in_order
 
 
 class FakeClock:
@@ -52,56 +56,51 @@ class TestTokenBucket:
         with pytest.raises(ValueError):
             TokenBucket(rate=-1)
 
+    @staticmethod
+    def _wait(bucket, clock) -> float:
+        """How far one acquire() moves the fake clock: its wait for a token."""
+        before = clock.now
+        assert bucket.acquire() is None
+        return clock.now - before
+
     def test_first_token_is_free(self):
         clock = FakeClock()
         bucket = TokenBucket(rate=1.0, clock=clock, sleep=clock.sleep)
-        assert bucket.acquire(timeout=0)
-        assert not bucket.acquire(timeout=0)
+        assert self._wait(bucket, clock) == 0
+        assert self._wait(bucket, clock) == pytest.approx(1.0)
 
     def test_refills_at_rate(self):
         clock = FakeClock()
         bucket = TokenBucket(rate=2.0, clock=clock, sleep=clock.sleep)
-        assert bucket.acquire(timeout=0)
+        assert self._wait(bucket, clock) == 0
         clock.now += 0.49
-        assert not bucket.acquire(timeout=0)
-        clock.now += 0.02
-        assert bucket.acquire(timeout=0)
+        assert self._wait(bucket, clock) == pytest.approx(0.01)
+        clock.now += 0.5
+        assert self._wait(bucket, clock) == 0
 
     def test_capacity_caps_burst(self):
         clock = FakeClock()
         bucket = TokenBucket(rate=10.0, clock=clock, sleep=clock.sleep)
-        assert bucket.acquire(timeout=0)
+        assert self._wait(bucket, clock) == 0
         clock.now += 100.0
-        assert bucket.acquire(timeout=0)
-        assert not bucket.acquire(timeout=0)
+        assert self._wait(bucket, clock) == 0
+        assert self._wait(bucket, clock) == pytest.approx(0.1)
 
     def test_acquire_blocks_until_refill(self):
         clock = FakeClock()
         bucket = TokenBucket(rate=4.0, clock=clock, sleep=clock.sleep)
-        assert bucket.acquire()
-        assert bucket.acquire()
+        bucket.acquire()
+        bucket.acquire()
         assert clock.now == pytest.approx(0.25)
-
-    def test_acquire_timeout(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=0.5, clock=clock, sleep=clock.sleep)
-        assert bucket.acquire()
-        assert not bucket.acquire(timeout=1.0)
-        assert bucket.acquire(timeout=3.0)
-
-    def test_zero_timeout_never_blocks(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=1.0, clock=clock, sleep=clock.sleep)
-        assert bucket.acquire(timeout=0)
-        assert not bucket.acquire(timeout=0)
 
     def test_concurrent_acquires_never_oversubscribe(self):
         bucket = TokenBucket(rate=1000.0)
+        start = time.monotonic()
         got = []
 
         def worker():
-            if bucket.acquire(timeout=1.0):
-                got.append(1)
+            bucket.acquire()
+            got.append(1)
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for t in threads:
@@ -109,6 +108,8 @@ class TestTokenBucket:
         for t in threads:
             t.join()
         assert len(got) == 8
+        # The bucket holds one token, so the other seven come at its rate.
+        assert time.monotonic() - start >= 7 / 1000.0
 
 
 class TestFixtureProvider:
@@ -168,10 +169,10 @@ class TestLookupCache:
         assert LookupCache(path).get("k") == {"v": 1}
 
     def test_ttl_expiry(self, tmp_path):
-        cache = LookupCache(tmp_path / "cache.jsonl", ttl_seconds=100)
+        cache = LookupCache(tmp_path / "cache.jsonl")
         cache.put("k", {"v": 1}, now=1000.0)
-        assert cache.get("k", now=1099.0) == {"v": 1}
-        assert cache.get("k", now=1101.0) is None
+        assert cache.get("k", now=1000.0 + DEFAULT_CACHE_TTL_SECONDS - 1) == {"v": 1}
+        assert cache.get("k", now=1000.0 + DEFAULT_CACHE_TTL_SECONDS + 1) is None
 
     def test_newest_entry_wins(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -186,16 +187,12 @@ class TestLookupCache:
         path.write_text("not json\n" + good + "\n{}\n", encoding="utf-8")
         assert LookupCache(path).get("k", now=2.0) == {"v": 1}
 
-    def test_rejects_nonpositive_ttl(self, tmp_path):
-        with pytest.raises(ValueError):
-            LookupCache(tmp_path / "c.jsonl", ttl_seconds=0)
-
     def test_without_path_lives_in_memory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        cache = LookupCache(ttl_seconds=100)
+        cache = LookupCache()
         cache.put("k", {"v": 1}, now=1000.0)
-        assert cache.get("k", now=1099.0) == {"v": 1}
-        assert cache.get("k", now=1101.0) is None
+        assert cache.get("k", now=1000.0 + DEFAULT_CACHE_TTL_SECONDS - 1) == {"v": 1}
+        assert cache.get("k", now=1000.0 + DEFAULT_CACHE_TTL_SECONDS + 1) is None
         assert list(tmp_path.iterdir()) == []
 
 
@@ -234,23 +231,46 @@ class CountingProvider:
         return self._fx.search_author_year(surname, year)
 
 
+def _asking(doi=None, title="", author=None, year=None):
+    """A citation whose ladder asks for the DOI, a title search and an
+    author-year search, each only when given (unless an answer ends it)."""
+    return make_citation(
+        authors=(author,) if author else (),
+        title=title,
+        year=year,
+        identifiers=(make_identifier(IdentifierKind.DOI, doi),) if doi else (),
+    )
+
+
+def _resolve(resolver, *citations) -> list:
+    """resolve_all's bundles for citations, with one request in flight per
+    provider."""
+    return list(resolver.resolve_all(citations, jobs=1))
+
+
+def _doi_outcome(resolver, doi) -> LookupOutcome:
+    """The outcome of a lookup_doi(doi) that resolve_all sends or settles."""
+    (bundle,) = _resolve(resolver, _asking(doi=doi))
+    return bundle.identifier_outcomes[0][1]
+
+
 class TestResolver:
     def test_cache_prevents_second_network_op(self, tmp_path):
         provider = CountingProvider()
         cache = LookupCache(tmp_path / "c.jsonl")
         resolver = Resolver(providers=[provider], cache=cache)
-        resolver.lookup_doi("10.1/x")
-        resolver.lookup_doi("10.1/x")
+        _doi_outcome(resolver, "10.1000/x")
+        _doi_outcome(resolver, "10.1000/x")
         assert len(provider.calls) == 1
 
     def test_cache_shared_across_resolvers(self, tmp_path):
         path = tmp_path / "c.jsonl"
         provider = CountingProvider()
         first = Resolver(providers=[provider], cache=LookupCache(path))
-        first.lookup_doi("10.1/x")
+        _doi_outcome(first, "10.1000/x")
         other = CountingProvider()
         second = Resolver(providers=[other], cache=LookupCache(path))
-        outcome = second.lookup_doi("10.1/x")
+        outcome = _doi_outcome(second, "10.1000/x")
         assert outcome.status is LookupStatus.NOT_FOUND
         assert other.calls == []
 
@@ -259,10 +279,10 @@ class TestResolver:
         flaky._fx = FixtureProvider({"closed_world": False, "outcomes": {}})
         cache = LookupCache(tmp_path / "c.jsonl")
         resolver = Resolver(providers=[flaky], cache=cache)
-        assert resolver.lookup_doi("10.1/x").status is LookupStatus.UNAVAILABLE
-        assert resolver.lookup_doi("10.1/x").status is LookupStatus.UNAVAILABLE
+        assert _doi_outcome(resolver, "10.1000/x").status is LookupStatus.UNAVAILABLE
+        assert _doi_outcome(resolver, "10.1000/x").status is LookupStatus.UNAVAILABLE
         assert len(flaky.calls) == 2
-        assert cache.get(_cache_key(flaky, "doi:10.1/x")) is None
+        assert cache.get(_cache_key(flaky, "doi:10.1000/x")) is None
         assert not cache.path.exists()
 
     def test_repeated_lookup_memoized_without_cache(self):
@@ -270,22 +290,22 @@ class TestResolver:
             outcomes={"title:some title": {"records": [{"title": "Some Title"}]}}
         )
         resolver = Resolver(providers=[provider])
-        first = resolver.lookup_doi("10.1/x")
-        assert resolver.lookup_doi("10.1/X") == first
-        resolver.search_title("Some Title")
-        resolver.search_title("Some Title")
-        resolver.search_author_year("Lovelace", 2020)
-        resolver.search_author_year("Lovelace", 2020)
-        assert provider.calls == ["doi:10.1/x", "title", "author"]
+        first = _doi_outcome(resolver, "10.1000/x")
+        assert _doi_outcome(resolver, "10.1000/X") == first
+        searches = [_asking(title="Some Title"), _asking(author="Ada Lovelace", year=2020)]
+        for citation in searches * 2:
+            _resolve(resolver, citation)
+        assert provider.calls == ["doi:10.1000/x", "title", "author"]
 
     def test_search_results_cached(self, tmp_path):
         provider = CountingProvider(
             outcomes={"title:some title": {"records": [{"title": "Some Title"}]}}
         )
         resolver = Resolver(providers=[provider], cache=LookupCache(tmp_path / "c.jsonl"))
-        first = resolver.search_title("Some Title")
-        second = resolver.search_title("Some Title")
-        assert first.records[0].title == second.records[0].title == "Some Title"
+        (first,) = _resolve(resolver, _asking(title="Some Title"))
+        (second,) = _resolve(resolver, _asking(title="Some Title"))
+        assert first.title_search.records[0].title == "Some Title"
+        assert second.title_search.records[0].title == "Some Title"
         assert provider.calls == ["title"]
 
     def test_payload_that_does_not_decode_is_fetched_again(self, tmp_path):
@@ -294,14 +314,15 @@ class TestResolver:
         provider = CountingProvider(
             outcomes={"title:some title": {"records": [{"title": "Some Title"}]}}
         )
-        doi_key = _cache_key(provider, "doi:10.1/x")
+        doi_key = _cache_key(provider, "doi:10.1000/x")
         cache.put(doi_key, {"status": "bogus"})
         cache.put(_cache_key(provider, "title:some title"), {"records": "Some Title"})
         resolver = Resolver(providers=[provider], cache=cache)
         for _ in range(2):
-            assert resolver.lookup_doi("10.1/x") == LookupOutcome.not_found()
-            assert resolver.search_title("Some Title").records[0].title == "Some Title"
-        assert provider.calls == ["doi:10.1/x", "title"]
+            (bundle,) = _resolve(resolver, _asking(doi="10.1000/x", title="Some Title"))
+            assert bundle.identifier_outcomes == (("doi:10.1000/x", LookupOutcome.not_found()),)
+            assert bundle.title_search.records[0].title == "Some Title"
+        assert provider.calls == ["doi:10.1000/x", "title"]
         # The fresh rows are the newest, so they win in the next run too.
         assert LookupCache(path).get(doi_key) == {"status": "not_found", "record": None}
 
@@ -381,17 +402,17 @@ class TestResolver:
     )
     def test_row_answers_only_the_source_that_wrote_it(self, tmp_path, name, endpoint):
         path = tmp_path / "c.jsonl"
-        outcomes = {"doi:10.1/x": {"record": {"title": "Some Title"}}}
+        outcomes = {"doi:10.1000/x": {"record": {"title": "Some Title"}}}
         first = CountingProvider(outcomes, name="counting", endpoint="http://first")
-        Resolver(providers=[first], cache=LookupCache(path)).lookup_doi("10.1/x")
+        _doi_outcome(Resolver(providers=[first], cache=LookupCache(path)), "10.1000/x")
         assert len(path.read_text(encoding="utf-8").splitlines()) == 1
         second = CountingProvider(name=name, endpoint=endpoint)
-        outcome = Resolver(providers=[second], cache=LookupCache(path)).lookup_doi("10.1/x")
+        outcome = _doi_outcome(Resolver(providers=[second], cache=LookupCache(path)), "10.1000/x")
         assert outcome == LookupOutcome.not_found()
-        assert second.calls == ["doi:10.1/x"]
+        assert second.calls == ["doi:10.1000/x"]
         # The same source reads the first row and is not asked.
         same = CountingProvider(name="counting", endpoint="http://first")
-        outcome = Resolver(providers=[same], cache=LookupCache(path)).lookup_doi("10.1/x")
+        outcome = _doi_outcome(Resolver(providers=[same], cache=LookupCache(path)), "10.1000/x")
         assert outcome.record.title == "Some Title"
         assert same.calls == []
 
@@ -405,8 +426,9 @@ class TestResolver:
 
     def test_no_provider_for_op(self):
         resolver = Resolver(providers=[])
-        assert resolver.lookup_doi("10.1/x").cause == "no_provider"
-        assert resolver.search_title("t").cause == "no_provider"
+        (bundle,) = _resolve(resolver, _asking(doi="10.1000/x", title="t"))
+        assert bundle.identifier_outcomes[0][1].cause == "no_provider"
+        assert bundle.title_search.cause == "no_provider"
 
     def test_short_circuit_skips_searches(self):
         record = {
@@ -599,7 +621,7 @@ class TestPrefetch:
             {"kind": "lookup", "status": "not_found", "record": None},
         )
         resolver = Resolver(providers=[client], cache=cache)
-        resolver.lookup_arxiv(ids[1])
+        _resolve(resolver, *_arxiv_citations([ids[1]]))
         bundles = list(resolver.resolve_all(_arxiv_citations(ids), jobs=1))
         assert session.requests == [
             {"id_list": ids[1], "max_results": 1},
@@ -904,77 +926,33 @@ def _consume(resolver, citations, jobs):
     return thread, results
 
 
-class _GatedDoiProvider:
-    """Counts its DOI lookups and holds each until release is set (at most
-    10 s); lookup n answers answers[n]."""
+class _ScriptedDoiProvider:
+    """Counts its DOI lookups; lookup n answers answers[n]."""
 
-    config = ProviderConfig(name="gated")
+    config = ProviderConfig(name="scripted")
 
     def __init__(self, *answers):
         self.answers = answers
         self.calls = 0
-        self.entered = threading.Event()
-        self.release = threading.Event()
 
     def lookup_doi(self, doi):
-        answer = self.answers[self.calls]
         self.calls += 1
-        self.entered.set()
-        self.release.wait(timeout=10)
-        return answer
-
-
-class _MissWatchingCache(LookupCache):
-    """Records the threads that missed it."""
-
-    def __init__(self):
-        super().__init__()
-        self.missed_by: set[int] = set()
-
-    def get(self, key, now=None):
-        payload = super().get(key, now)
-        if payload is None:
-            self.missed_by.add(threading.get_ident())
-        return payload
+        return self.answers[self.calls - 1]
 
 
 class TestInFlight:
-    """Concurrent lookup_* callers: each that misses the cache sends its own
-    request, also while another caller's request for the key is in flight."""
-
-    def _race(self, provider):
-        """Thread a sends the DOI and is held; thread b then misses the cache
-        on it; then a is released. Returns each thread's outcome."""
-        cache = _MissWatchingCache()
-        resolver = Resolver(providers=[provider], cache=cache)
-        results = {}
-
-        def look(name):
-            results[name] = resolver.lookup_doi("10.1/shared")
-
-        a = threading.Thread(target=look, args=("a",))
-        a.start()
-        assert provider.entered.wait(timeout=5)
-        b = threading.Thread(target=look, args=("b",))
-        b.start()
-        deadline = time.monotonic() + 5
-        while b.ident not in cache.missed_by and time.monotonic() < deadline:
-            time.sleep(0.001)
-        assert b.ident in cache.missed_by
-        provider.release.set()
-        for thread in (a, b):
-            thread.join(timeout=10)
-            assert not thread.is_alive()
-        return results
+    """Citations that wait on one request for a key: when it comes back
+    Unavailable, the first takes that outcome and each other sends its own."""
 
     def test_waiter_sends_its_own_after_an_unavailable_outcome(self):
-        provider = _GatedDoiProvider(
+        provider = _ScriptedDoiProvider(
             LookupOutcome.unavailable("http_5xx"), LookupOutcome.found(make_record())
         )
-        results = self._race(provider)
+        citations = _doi_citations(2, "10.1000/shared")
+        first, second = _resolve(Resolver(providers=[provider]), *citations)
         assert provider.calls == 2
-        assert results["a"] == LookupOutcome.unavailable("http_5xx")
-        assert results["b"].status is LookupStatus.FOUND
+        assert first.identifier_outcomes[0][1] == LookupOutcome.unavailable("http_5xx")
+        assert second.identifier_outcomes[0][1].status is LookupStatus.FOUND
 
 
 class _OneOp:
@@ -1104,12 +1082,135 @@ class TestLanes:
     def test_citations_sharing_a_key(self, answer, requests):
         # A key asked for twice goes out once, unless it comes back
         # Unavailable: then the second citation sends its own request.
-        provider = _GatedDoiProvider(answer, answer)
-        provider.release.set()
+        provider = _ScriptedDoiProvider(answer, answer)
         citations = _doi_citations(2, doi="10.1000/shared")
         bundles = list(Resolver(providers=[provider]).resolve_all(citations, jobs=1))
         assert provider.calls == requests
         assert [b.identifier_outcomes for b in bundles] == [(("doi:10.1000/shared", answer),)] * 2
+
+
+# A small world of works for TestReferenceModel. Work k has DOI 10.1000/w<k>,
+# one title and one author; citations mix their fields, so one citation's
+# DOI is another's second identifier and keys repeat across ladders. Every
+# op argument is already in its lookup form (lowercase DOI, normalized
+# title, lowercase surname), so (op, args) is the cache's key.
+_TITLES = (
+    "graph kernels for molecules",
+    "a survey of citation errors",
+    "deep residual learning",
+    "sparse attention at scale",
+)
+_AUTHORS = ("Ada Lovelace", "Alan Turing", "Grace Hopper", "Emmy Noether")
+_YEARS = (2001, 2002, 2003, 2004)
+_WORKS = range(len(_TITLES))
+_KEYS = (
+    [("lookup_doi", (f"10.1000/w{k}",)) for k in _WORKS]
+    + [("search_title", (t,)) for t in _TITLES]
+    + [("search_author_year", (normalize_name(a).surname, y)) for a in _AUTHORS for y in _YEARS]
+)
+_FATES = ("match", "other", "not_found", "unavailable", "raise")
+
+
+def _work_record(k: int):
+    return make_record(
+        title=_TITLES[k],
+        authors=(_AUTHORS[k],),
+        year=_YEARS[k],
+        identifiers=(make_identifier(IdentifierKind.DOI, f"10.1000/w{k}"),),
+    )
+
+
+class _PureProvider:
+    """A network provider that owns ops and answers each as a pure function
+    of its (op, args): fates[key] picks the work it names ("match"),
+    another work ("other"), NotFound or no records, Unavailable, or a
+    raise. sent lists each call; each one first sleeps delays[key]."""
+
+    def __init__(self, name, ops, fates, delays=None):
+        self.config = ProviderConfig(name=name)
+        self.sent: list = []
+        self._fates, self._delays = fates, delays or {}
+        for op in ops:
+            setattr(self, op, lambda *args, op=op: self._answer(op, args))
+
+    def _answer(self, op, args):
+        self.sent.append((op, args))
+        time.sleep(self._delays.get((op, args), 0))
+        fate = self._fates[op, args]
+        if fate == "raise":
+            raise RuntimeError(f"{op}{args} raised")
+        # The work the key names; for an author-year key, the year's work.
+        k = _KEYS.index((op, args)) % len(_TITLES)
+        record = _work_record(k if fate == "match" else (k + 1) % len(_TITLES))
+        if op == "lookup_doi":
+            if fate == "unavailable":
+                return LookupOutcome.unavailable("http_5xx")
+            return LookupOutcome.not_found() if fate == "not_found" else LookupOutcome.found(record)
+        if fate == "unavailable":
+            return SearchOutcome(cause="http_5xx")
+        return SearchOutcome() if fate == "not_found" else SearchOutcome(records=(record,))
+
+
+def _providers(fates, delays=None) -> list:
+    return [
+        _PureProvider("dois", ("lookup_doi",), fates, delays),
+        _PureProvider("works", ("search_title", "search_author_year"), fates, delays),
+    ]
+
+
+@st.composite
+def _bibliographies(draw):
+    n = draw(st.integers(1, 8))
+    pick = st.sampled_from(_WORKS)
+    citations = [
+        make_citation(
+            key=f"c{i}",
+            title=_TITLES[draw(pick)],
+            authors=(_AUTHORS[draw(pick)],),
+            year=_YEARS[draw(pick)],
+            identifiers=tuple(
+                make_identifier(IdentifierKind.DOI, f"10.1000/w{k}")
+                for k in draw(st.lists(pick, max_size=2, unique=True))
+            ),
+        )
+        for i in range(n)
+    ]
+    fates = {key: draw(st.sampled_from(_FATES)) for key in _KEYS}
+    delays = {key: draw(st.sampled_from((0, 0.0002, 0.001))) for key in _KEYS}
+    return citations, fates, delays
+
+
+def _comparable(results) -> list:
+    """results with each exception as its type and message."""
+    return [(type(r), str(r)) if isinstance(r, Exception) else r for r in results]
+
+
+class TestReferenceModel:
+    """resolve_all against tests.oracles.resolve_in_order, a sequential
+    model with a plain memo, over providers that answer each key as a pure
+    function of it."""
+
+    @settings(max_examples=40)
+    @given(case=_bibliographies(), jobs=st.integers(1, 8))
+    def test_lanes_agree_with_the_sequential_model(self, case, jobs):
+        citations, fates, delays = case
+        model = _providers(fates)
+        expected, asks = resolve_in_order(Resolver(model)._ladder, model, citations)
+
+        before = set(threading.enumerate())
+        providers = _providers(fates, delays)
+        got = list(Resolver(providers).resolve_all(citations, jobs))
+        assert _comparable(got) == _comparable(expected)
+        sent = [key for p in providers for key in p.sent]
+        for key in set(sent):
+            # A settled key goes out once; an unavailable or raising one at
+            # most once for each ladder that asked for it.
+            settled = fates[key] in ("match", "other", "not_found")
+            assert sent.count(key) <= (1 if settled else asks[key]), key
+        assert not [
+            t for t in threading.enumerate()
+            if t not in before and t.name.startswith("citeaudit-")
+        ]
 
 
 class TestResolutionBundle:
