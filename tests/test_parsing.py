@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from citeaudit.model import IdentifierKind
+from citeaudit.model import IdentifierKind, Span
 from citeaudit.parsing import (
     FORMAT_BIBTEX,
     FORMAT_PLAINTEXT,
@@ -95,6 +95,24 @@ class TestBibtex:
         keys = [c.source_key for c in report.citations]
         assert "good" in keys
         assert report.warnings
+
+    @pytest.mark.parametrize(
+        ("head", "entry_type", "end_col"),
+        [
+            ("@article{broken, title = {Unclosed", "article", 26),
+            ('@article{broken, title = "Unclosed', "article", 26),
+            ("@comment(never closed", "comment", 9),
+            ("@string{ = {x}}", "string", 10),
+        ],
+        ids=["brace", "quote", "comment-paren", "nameless-string"],
+    )
+    def test_malformed_entry_warns_once_and_next_entry_parses(self, head, entry_type, end_col):
+        report = parse_text(f"{head}\n\n@article{{good, title = {{Fine}}, year = {{2020}}}}\n")
+        (warning,) = report.warnings
+        assert warning.message.startswith(f"malformed @{entry_type} entry")
+        assert warning.span == Span(1, 1, 1, end_col)
+        (c,) = report.citations
+        assert (c.source_key, c.title, c.year) == ("good", "Fine", 2020)
 
     def test_comment_and_preamble_skipped(self):
         text = (
