@@ -24,6 +24,7 @@ _ENTRY_TYPE_RE = re.compile(r"[A-Za-z]+")
 _FIELD_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_:\-]*")
 _KEY_RE = re.compile(r"[^\s,{}()]+")
 _BARE_VALUE_RE = re.compile(r"[^\s,#(){}]+")
+_AUTHOR_SPLIT_RE = re.compile(r"[{}]|\s+and\s+", re.IGNORECASE)
 
 # Month macros every BibTeX style predefines.
 _MONTHS = {
@@ -33,16 +34,22 @@ _MONTHS = {
 }
 
 _ACCENT_RE = re.compile(r"\\[`'\"^~=.uvHtcdbkr]\s*\{?\s*(\\?[A-Za-z])\s*\}?")
-_COMMAND_RE = re.compile(r"\\[A-Za-z]+\s*")
+_COMMAND_RE = re.compile(r"\\([A-Za-z]+)\s*")
+# Commands that typeset a letter, as the ASCII letters fold_diacritics folds
+# that letter to, case kept. Every other command is dropped.
+_LETTERS = {
+    "o": "o", "O": "O", "l": "l", "L": "L", "i": "i", "j": "j", "ss": "ss",
+    "aa": "a", "AA": "A", "ae": "ae", "AE": "AE", "oe": "oe", "OE": "OE",
+}
 _ESCAPED_RE = re.compile(r"\\([&%$#_{}])")
 
 
 def _strip_latex(value: str) -> str:
-    """Fold accent commands to their base letter and drop grouping braces."""
+    """Fold accent and letter commands to ASCII letters, drop other commands
+    and grouping braces."""
     value = _ACCENT_RE.sub(lambda m: m.group(1).lstrip("\\"), value)
     value = _ESCAPED_RE.sub(lambda m: m.group(1), value)
-    value = value.replace(r"\ss", "ss")
-    value = _COMMAND_RE.sub("", value)
+    value = _COMMAND_RE.sub(lambda m: _LETTERS.get(m.group(1), ""), value)
     value = value.replace("{", "").replace("}", "")
     value = value.replace("~", " ")
     return re.sub(r"\s+", " ", value).strip()
@@ -84,46 +91,29 @@ class BibtexError(Exception):
         self.pos = pos
 
 
-def _read_braced(sc: _Scanner) -> str:
-    """Read a {...} group with nesting; cursor sits on the opening brace."""
-    assert sc.peek() == "{"
-    start = sc.pos
+def _read_group(sc: _Scanner, closer: str) -> str:
+    """Read a delimited group; the cursor sits on its opener. {...} and (...)
+    nest their own delimiters, "..." nests braces, and a backslash escapes
+    the next character. Returns the text between the delimiters."""
+    text, start = sc.text, sc.pos
+    opener = sc.peek()
+    nest_open, nest_close = ("{", "}") if opener == '"' else (opener, closer)
     depth = 0
-    while sc.pos < len(sc.text):
-        ch = sc.text[sc.pos]
-        if ch == "\\" and sc.pos + 1 < len(sc.text):
-            sc.pos += 2
+    pos = start + 1
+    while pos < len(text):
+        ch = text[pos]
+        if ch == "\\":
+            pos += 2
             continue
-        if ch == "{":
+        if ch == closer and depth == 0:
+            sc.pos = pos + 1
+            return text[start + 1 : pos]
+        if ch == nest_open:
             depth += 1
-        elif ch == "}":
+        elif ch == nest_close:
             depth -= 1
-            if depth == 0:
-                sc.pos += 1
-                return sc.text[start + 1 : sc.pos - 1]
-        sc.pos += 1
-    raise BibtexError("unterminated brace group", start)
-
-
-def _read_quoted(sc: _Scanner) -> str:
-    assert sc.peek() == '"'
-    start = sc.pos
-    sc.pos += 1
-    depth = 0
-    while sc.pos < len(sc.text):
-        ch = sc.text[sc.pos]
-        if ch == "\\" and sc.pos + 1 < len(sc.text):
-            sc.pos += 2
-            continue
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        elif ch == '"' and depth == 0:
-            sc.pos += 1
-            return sc.text[start + 1 : sc.pos - 1]
-        sc.pos += 1
-    raise BibtexError("unterminated quoted string", start)
+        pos += 1
+    raise BibtexError(f"unterminated {opener}...{closer} group", start)
 
 
 def _read_value(
@@ -136,10 +126,8 @@ def _read_value(
     while True:
         sc.skip_ws()
         ch = sc.peek()
-        if ch == "{":
-            parts.append(_read_braced(sc))
-        elif ch == '"':
-            parts.append(_read_quoted(sc))
+        if ch in ("{", '"'):
+            parts.append(_read_group(sc, "}" if ch == "{" else '"'))
         else:
             m = _BARE_VALUE_RE.match(sc.text, sc.pos)
             if not m:
@@ -166,27 +154,38 @@ def _read_value(
         return "".join(parts)
 
 
+def _read_assignment(
+    sc: _Scanner,
+    macros: dict[str, str],
+    warnings: list[ParseWarning],
+) -> tuple[str, str]:
+    """Read `name = value`, for a field or a @string macro; the cursor sits
+    on the name. Returns the lowercased name and the value."""
+    m = _FIELD_NAME_RE.match(sc.text, sc.pos)
+    if not m:
+        raise BibtexError(f"expected a field name, found {sc.peek()!r}", sc.pos)
+    name = m.group(0).lower()
+    sc.pos = m.end()
+    sc.skip_ws()
+    if sc.peek() != "=":
+        raise BibtexError(f"{name!r} missing '='", sc.pos)
+    sc.pos += 1
+    return name, _read_value(sc, macros, warnings)
+
+
 def _split_authors(value: str) -> list[str]:
-    """Split an author field on top-level ' and '."""
+    """Split an author field at "and" between whitespace, outside braces."""
     names: list[str] = []
-    depth = 0
-    token = []
-    i = 0
-    lowered = value.lower()
-    while i < len(value):
-        ch = value[i]
-        if ch == "{":
+    depth = start = 0
+    for m in _AUTHOR_SPLIT_RE.finditer(value):
+        if m.group(0) == "{":
             depth += 1
-        elif ch == "}":
+        elif m.group(0) == "}":
             depth = max(0, depth - 1)
-        if depth == 0 and lowered.startswith(" and ", i):
-            names.append("".join(token))
-            token = []
-            i += 5
-            continue
-        token.append(ch)
-        i += 1
-    names.append("".join(token))
+        elif depth == 0:
+            names.append(value[start : m.start()])
+            start = m.end()
+    names.append(value[start:])
     return [n.strip() for n in names if n.strip()]
 
 
@@ -238,28 +237,17 @@ def parse_bibtex(text: str) -> tuple[list[ParsedCitation], list[ParseWarning]]:
             closer = "}" if opener == "{" else ")"
 
             if entry_type in ("comment", "preamble"):
-                _read_braced(sc) if opener == "{" else _skip_paren(sc)
+                _read_group(sc, closer)
                 continue
+            sc.pos += 1
+            sc.skip_ws()
             if entry_type == "string":
-                sc.pos += 1
-                sc.skip_ws()
-                name_m = _FIELD_NAME_RE.match(sc.text, sc.pos)
-                if not name_m:
-                    raise BibtexError("@string needs a macro name", sc.pos)
-                name = name_m.group(0).lower()
-                sc.pos += len(name_m.group(0))
-                sc.skip_ws()
-                if sc.peek() != "=":
-                    raise BibtexError("@string needs '='", sc.pos)
-                sc.pos += 1
-                macros[name] = _read_value(sc, macros, warnings)
+                name, macros[name] = _read_assignment(sc, macros, warnings)
                 sc.skip_ws()
                 if sc.peek() == closer:
                     sc.pos += 1
                 continue
 
-            sc.pos += 1
-            sc.skip_ws()
             key_m = _KEY_RE.match(sc.text, sc.pos)
             entry_counter += 1
             if key_m:
@@ -284,18 +272,7 @@ def parse_bibtex(text: str) -> tuple[list[ParsedCitation], list[ParseWarning]]:
                     break
                 if sc.eof():
                     raise BibtexError("entry never closed", at)
-                fm = _FIELD_NAME_RE.match(sc.text, sc.pos)
-                if not fm:
-                    raise BibtexError(
-                        f"expected a field name, found {sc.peek()!r}", sc.pos
-                    )
-                fname = fm.group(0).lower()
-                sc.pos += len(fm.group(0))
-                sc.skip_ws()
-                if sc.peek() != "=":
-                    raise BibtexError(f"field {fname!r} missing '='", sc.pos)
-                sc.pos += 1
-                fields[fname] = _read_value(sc, macros, warnings)
+                name, fields[name] = _read_assignment(sc, macros, warnings)
 
             raw_entry = sc.text[at : sc.pos]
             span = sc.span(at, sc.pos)
@@ -316,23 +293,6 @@ def parse_bibtex(text: str) -> tuple[list[ParsedCitation], list[ParseWarning]]:
             sc.pos = nxt if nxt >= 0 else len(sc.text)
 
     return citations, warnings
-
-
-def _skip_paren(sc: _Scanner) -> None:
-    """Skip a (...) block for @comment/@preamble written with parentheses."""
-    depth = 0
-    start = sc.pos
-    while sc.pos < len(sc.text):
-        ch = sc.text[sc.pos]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                sc.pos += 1
-                return
-        sc.pos += 1
-    raise BibtexError("unterminated block", start)
 
 
 def _build_citation(

@@ -14,7 +14,7 @@ import citeaudit.resolve as resolve_module
 from citeaudit.classify import ClassifierConfig, classify, classify_batch
 from citeaudit.data import load_packaged_vocab, packaged_fixture_provider
 from citeaudit.identifiers import make_identifier
-from citeaudit.matching import MatchThresholds
+from citeaudit.matching import MatchThresholds, normalize_title
 from citeaudit.model import (
     FailureMode,
     IdentifierKind,
@@ -34,6 +34,7 @@ from citeaudit.resolve import (
 )
 from tests.conftest import DATA_DIR, classify_citation, make_citation, make_record
 from tests.http_fakes import FakeArxivSession, Paper
+from tests.test_parsing import DBLP_VASWANI
 
 TF = FailureMode.TF
 PAC = FailureMode.PAC
@@ -370,6 +371,38 @@ class TestArxivDoi:
         v = self._verdict(
             config, {"arxiv:1706.03762": paper["outcomes"]["arxiv:1706.03762"]}
         )
+        assert v.status is VerdictStatus.VERIFIED
+
+
+class TestBibtexAuthorForms:
+    """A real paper whose .bib entry wraps its author list the way DBLP
+    exports it, or spells a letter with a LaTeX command, is verified."""
+
+    @staticmethod
+    def _verdict(config, bib, title, authors, year):
+        (citation,) = parse_text(bib).citations
+        record = {"title": title, "authors": authors, "venue": "V", "year": year}
+        fixture = {
+            "closed_world": False,
+            "outcomes": {f"title:{normalize_title(title)}": {"records": [record]}},
+        }
+        return classify_citation(citation, Resolver(providers=[FixtureProvider(fixture)]), config)
+
+    def test_dblp_wrapped_authors_verify(self, config):
+        v = self._verdict(
+            config,
+            DBLP_VASWANI,
+            "Attention is All you Need",
+            ["Ashish Vaswani", "Noam Shazeer", "Niki Parmar"],
+            2017,
+        )
+        assert v.status is VerdictStatus.VERIFIED
+
+    @pytest.mark.parametrize("spelling", ["S{\\o}rensen", "Sørensen"])
+    def test_letter_command_verifies_like_unicode(self, config, spelling):
+        title = "Dense passage retrieval for open questions"
+        bib = f"@article{{s, author={{Jens {spelling}}}, title={{{title}}}, journal={{J}}, year={{2020}}}}"
+        v = self._verdict(config, bib, title, ["Jens Sørensen"], 2020)
         assert v.status is VerdictStatus.VERIFIED
 
 

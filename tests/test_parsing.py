@@ -27,6 +27,18 @@ class TestDetectFormat:
         assert detect_format("[1] A. Author. Title. Venue, 2020.") == FORMAT_PLAINTEXT
 
 
+# DBLP's export layout: one author per line, "and" at the line end.
+DBLP_VASWANI = """@inproceedings{DBLP:conf/nips/VaswaniSP17,
+  author       = {Ashish Vaswani and
+                  Noam Shazeer and
+                  Niki Parmar},
+  title        = {Attention is All you Need},
+  booktitle    = {Advances in Neural Information Processing Systems},
+  year         = {2017}
+}
+"""
+
+
 class TestBibtex:
     def test_basic_entry(self):
         report = parse_text(
@@ -134,6 +146,30 @@ class TestBibtex:
         )
         surnames = [a.surname for a in report.citations[0].authors]
         assert surnames == ["gomez", "kaiser"]
+
+    def test_dblp_wrapped_author_list(self):
+        report = parse_text(DBLP_VASWANI)
+        authors = report.citations[0].authors
+        assert [a.surname for a in authors] == ["vaswani", "shazeer", "parmar"]
+        assert [a.given_tokens for a in authors] == [("ashish",), ("noam",), ("niki",)]
+
+    def test_and_inside_braces_does_not_split(self):
+        report = parse_text("@misc{k, author = {{Barnes and\nNoble} and Ada Lovelace}, title={T}}")
+        assert [a.raw for a in report.citations[0].authors] == ["Barnes and Noble", "Ada Lovelace"]
+
+    def test_latex_letter_commands_become_letters(self):
+        report = parse_text(
+            "@article{k, author = {Jens S{\\o}rensen and Kemal Y{\\i}ld{\\i}z and "
+            "Lars {\\AA}sa and J. {\\L}ukasiewicz}, title={T}, year={2017}}"
+        )
+        surnames = [a.surname for a in report.citations[0].authors]
+        assert surnames == ["sorensen", "yildiz", "asa", "lukasiewicz"]
+
+    def test_longer_commands_are_not_letters(self):
+        report = parse_text(
+            "@article{k, title = {{\\it Deep} learning\\ldots{} for {\\OE}uvre and C{\\oe}ur}}"
+        )
+        assert report.citations[0].title == "Deep learning for OEuvre and Coeur"
 
     def test_eprint_becomes_arxiv_identifier(self):
         report = parse_text(
@@ -316,27 +352,38 @@ _title_words = st.lists(
 )
 
 
+# Between two authors: plain, DBLP's line wrap, tabs, upper case.
+_and = st.sampled_from([" and ", " and\n                  ", "\tand\t", " AND "])
+
+
 @st.composite
 def _bib_entries(draw):
+    """BibTeX text of 1-4 entries, and the surnames drawn for each entry."""
     n = draw(st.integers(1, 4))
-    chunks = []
+    chunks, surnames = [], []
     for i in range(n):
-        surname = draw(_surname)
-        initial = draw(_initial)
+        names = draw(st.lists(st.tuples(_initial, _surname), min_size=1, max_size=4))
+        author = "".join(
+            (draw(_and) if j else "") + f"{initial}. {surname}"
+            for j, (initial, surname) in enumerate(names)
+        )
         words = draw(_title_words)
         year = draw(st.integers(1980, 2025))
         title = " ".join(words).capitalize()
         chunks.append(
-            f"@article{{k{i},\n  author = {{{initial}. {surname}}},\n"
+            f"@article{{k{i},\n  author = {{{author}}},\n"
             f"  title = {{{title}}},\n  journal = {{Venue Journal}},\n"
             f"  year = {{{year}}}\n}}"
         )
-    return "\n\n".join(chunks)
+        surnames.append([surname.lower() for _, surname in names])
+    return "\n\n".join(chunks), surnames
 
 
-@given(text=_bib_entries())
-def test_bibtex_round_trip_property(text):
+@given(drawn=_bib_entries())
+def test_bibtex_round_trip_property(drawn):
+    text, surnames = drawn
     first = parse_text(text, format=FORMAT_BIBTEX)
+    assert [[a.surname for a in c.authors] for c in first.citations] == surnames
     rendered = render(first.citations, FORMAT_BIBTEX)
     second = parse_text(rendered, format=FORMAT_BIBTEX)
     assert [semantic_fields(c) for c in first.citations] == [
