@@ -92,12 +92,6 @@ def _author_confirmed(citation: ParsedCitation, bundle: ResolutionBundle) -> boo
     return False
 
 
-def _sh_plausibility(citation: ParsedCitation, config: ClassifierConfig) -> float:
-    if not citation.title.strip():
-        return 0.0
-    return title_plausibility(citation.title, config.vocab)
-
-
 def classify(
     citation: ParsedCitation,
     bundle: ResolutionBundle,
@@ -235,7 +229,7 @@ def classify(
 
     # Semantic hallucination: the title reads like a real paper but no
     # source knows it.
-    plausibility = _sh_plausibility(citation, config)
+    plausibility = title_plausibility(citation.title, config.vocab)
     title_found_anywhere = any(
         profile.title_match is FieldMatch.MATCH for _, profile in all_profiles
     )

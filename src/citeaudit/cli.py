@@ -169,9 +169,8 @@ def _build_runtime(
     lookup_cache = None
     if cache and not fixtures:
         try:
-            Path(cache).parent.mkdir(parents=True, exist_ok=True)
-            Path(cache).open("a", encoding="utf-8").close()
             lookup_cache = LookupCache(cache)
+            Path(cache).open("a", encoding="utf-8").close()
         except UnicodeDecodeError as exc:
             raise click.UsageError(f"cache file {cache}: not UTF-8 text: {exc}") from exc
         except OSError as exc:

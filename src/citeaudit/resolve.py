@@ -350,11 +350,9 @@ class _HttpClient:
         self._session = session or _new_session()
 
     def close(self) -> None:
-        """Close the connections the session keeps open, if it has a close();
-        the next request opens a new one."""
-        close = getattr(self._session, "close", None)
-        if close is not None:
-            close()
+        """Close the connections the session keeps open; the next request
+        opens a new one."""
+        self._session.close()
 
     def _get(self, url: str, params: dict | None = None) -> Reply | str:
         """The 200 reply, or the Unavailable cause: _send's "timeout" or
@@ -588,6 +586,8 @@ class LookupCache:
 
     def __init__(self, path: str | Path | None = None):
         self.path = None if path is None else Path(path)
+        if self.path is not None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._entries: dict[str, tuple[float, dict]] = {}
         self._load()
@@ -631,7 +631,6 @@ class LookupCache:
             row = json.dumps(
                 {"key": key, "stored_at": now, "payload": payload}, ensure_ascii=False
             )
-            self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a", encoding="utf-8") as fh:
                 fh.write(row + "\n")
 

@@ -2,7 +2,9 @@
 
 A session is any object with ``get(url, params=, timeout=)`` that returns a
 reply with ``status_code``, ``text`` and ``json()``, or raises one of
-citeaudit.transport.TRANSPORT_ERRORS, as the stdlib transport does."""
+citeaudit.transport.TRANSPORT_ERRORS, as the stdlib transport does; and
+that has a ``close()``, which a client calls when ``Resolver.resolve_all``
+ends. These fakes hold no connection, so theirs does nothing."""
 from __future__ import annotations
 
 import json
@@ -30,6 +32,9 @@ class ReplySession:
 
     def __init__(self, reply: FakeResponse | BaseException):
         self.reply = reply
+
+    def close(self):
+        pass
 
     def get(self, url, params=None, timeout=None):
         if isinstance(self.reply, BaseException):
@@ -84,6 +89,9 @@ class FakeArxivSession:
         self.failing_status = failing_status
         self.fail_once = set(fail_once)
         self.requests: list[dict] = []
+
+    def close(self):
+        pass
 
     def get(self, url, params=None, timeout=None):
         self.requests.append(dict(params))
@@ -146,6 +154,9 @@ class FakeWorksSession:
     def __init__(self, papers: dict[str, Paper]):
         self.papers = papers
         self.requests: list[tuple[str, dict | None]] = []
+
+    def close(self):
+        pass
 
     def get(self, url, params=None, timeout=None):
         self.requests.append((url, params))
