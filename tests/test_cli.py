@@ -457,14 +457,36 @@ class TestUsageErrors:
         assert main(args) == EXIT_USAGE
         assert str(broken) in capsys.readouterr().err
 
+    def test_directory_as_input(self, tmp_path, capsys):
+        assert main(["verify", str(tmp_path)]) == EXIT_USAGE
+        assert str(tmp_path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option, value", [("--jobs", "0"), ("--format", "xml")], ids=["jobs-zero", "unknown-format"]
+    )
+    def test_bad_option_value(self, option, value, fixtures_path, capsys):
+        code = main(["verify", str(DATA / "clean.bib"), "--fixtures", fixtures_path, option, value])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert option in err and value in err
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
+        assert "frobnicate" in capsys.readouterr().err
+
+    def test_help_names_every_subcommand(self, capsys):
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in ("verify", "classify", "stats"))
+        assert main(["verify", "--help"]) == 0
+        assert "--fixtures" in capsys.readouterr().out
 
     def test_version_runs_clean(self, capsys):
         assert main(["--version"]) == 0
         out = capsys.readouterr().out
         assert "citeaudit" in out
         assert citeaudit.__version__ in out
+        assert out == f"citeaudit, version {citeaudit.__version__}\n"
 
 
 def _write_ini(tmp_path: Path, text: str) -> str:
@@ -774,6 +796,8 @@ class TestCacheRows:
 
 class TestCacheEnvironment:
     def test_env_variable_supplies_cache_path(self, online, capsys, tmp_path, monkeypatch):
+        # The variable is set after citeaudit.cli was imported: it is read
+        # when the command runs.
         cache = tmp_path / "lookups.jsonl"
         monkeypatch.setenv("CITE_AUDIT_CACHE", str(cache))
         main(["classify", _LECUN, *online.args])
@@ -783,6 +807,13 @@ class TestCacheEnvironment:
         main(["classify", _LECUN, *online.args])
         assert capsys.readouterr().out == first
         assert len(online.session.requests) == sent
+
+    def test_cache_flag_beats_env_variable(self, online, capsys, tmp_path, monkeypatch):
+        env_cache, flag_cache = tmp_path / "env.jsonl", tmp_path / "flag.jsonl"
+        monkeypatch.setenv("CITE_AUDIT_CACHE", str(env_cache))
+        main(["classify", _LECUN, *online.args, "--cache", str(flag_cache)])
+        assert flag_cache.stat().st_size > 0
+        assert not env_cache.exists()
 
 
 class TestUnwritableCache:
