@@ -5,16 +5,15 @@ results only, 3 usage or I/O errors.
 """
 from __future__ import annotations
 
+import argparse
 import configparser
+import os
 import sys
 from pathlib import Path
 
-import click
-
 from . import __version__
-from .analytics import CorpusError, load_corpus, render_summary, summarize
 from .classify import ClassifierConfig, classify_batch
-from .data import load_packaged_corpus, load_packaged_vocab
+from .data import load_packaged_vocab
 from .matching import MatchThresholds
 from .parsing import parse_file, parse_text
 from .report import (
@@ -34,6 +33,12 @@ from .resolve import (
     ProviderConfig,
     Resolver,
 )
+
+
+class UsageError(Exception):
+    """A bad argument, option, config or input file: exit 3, with the
+    message on stderr."""
+
 
 _DEFAULT_PROVIDERS = {
     "crossref": ProviderConfig(
@@ -67,16 +72,16 @@ def _read_ini(path: str | None) -> configparser.ConfigParser:
         try:
             read = parser.read(path, encoding="utf-8")
         except (configparser.Error, UnicodeDecodeError) as exc:
-            raise click.UsageError(f"config file {path}: {exc}") from exc
+            raise UsageError(f"config file {path}: {exc}") from exc
         if not read:
-            raise click.UsageError(f"config file not readable: {path}")
+            raise UsageError(f"config file not readable: {path}")
     # A misspelt section would be ignored with all its keys, as a key would.
     for section in parser.sections():
         provider = section.removeprefix("provider.")
         if provider != section and provider not in _DEFAULT_PROVIDERS:
-            raise click.UsageError(f"[{section}]: unknown provider {provider!r}")
+            raise UsageError(f"[{section}]: unknown provider {provider!r}")
         if provider == section and section != "classifier":
-            raise click.UsageError(
+            raise UsageError(
                 f"[{section}]: unknown section; expected [classifier] or [provider.<name>]"
             )
     return parser
@@ -91,11 +96,11 @@ def _section(ini: configparser.ConfigParser, name: str, schema: dict) -> dict:
     values = {}
     for key in sec:
         if key not in schema:
-            raise click.UsageError(f"[{name}] {key}: unknown key")
+            raise UsageError(f"[{name}] {key}: unknown key")
         try:
             values[key] = getters[schema[key]](key)
         except ValueError as exc:
-            raise click.UsageError(f"[{name}] {key}: {exc}") from exc
+            raise UsageError(f"[{name}] {key}: {exc}") from exc
     return values
 
 
@@ -112,7 +117,7 @@ def _provider_config(name: str, ini: configparser.ConfigParser) -> ProviderConfi
             timeout=values.get("timeout", base.timeout),
         )
     except ValueError as exc:
-        raise click.UsageError(f"[{section}] {exc}") from exc
+        raise UsageError(f"[{section}] {exc}") from exc
     return config if values.get("enabled", True) else None
 
 
@@ -125,7 +130,7 @@ def _build_runtime(
     overrides: dict,
 ):
     if offline and not fixtures:
-        raise click.UsageError("--offline requires --fixtures PATH")
+        raise UsageError("--offline requires --fixtures PATH")
     ini = _read_ini(config)
     classifier = _section(ini, "classifier", _CLASSIFIER_KEYS)
     classifier.update(
@@ -135,7 +140,7 @@ def _build_runtime(
         try:
             vocab_text = Path(vocab).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
-            raise click.UsageError(f"vocab file {vocab}: not UTF-8 text: {exc}") from exc
+            raise UsageError(f"vocab file {vocab}: not UTF-8 text: {exc}") from exc
         vocab_tokens = frozenset(
             line.strip() for line in vocab_text.splitlines() if line.strip()
         )
@@ -150,7 +155,7 @@ def _build_runtime(
             **{key: value for key, value in classifier.items() if key not in _MATCH_KEYS},
         )
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
     # Every provider section is checked, even when fixtures stand in for them.
     provider_configs = {name: _provider_config(name, ini) for name in _DEFAULT_PROVIDERS}
 
@@ -158,7 +163,7 @@ def _build_runtime(
         try:
             providers = [FixtureProvider(fixtures)]
         except ValueError as exc:  # the file is not a UTF-8 JSON object
-            raise click.UsageError(str(exc)) from exc
+            raise UsageError(str(exc)) from exc
     else:
         providers = [
             _CLIENTS[name](config) for name, config in provider_configs.items() if config
@@ -172,9 +177,9 @@ def _build_runtime(
             lookup_cache = LookupCache(cache)
             Path(cache).open("a", encoding="utf-8").close()
         except UnicodeDecodeError as exc:
-            raise click.UsageError(f"cache file {cache}: not UTF-8 text: {exc}") from exc
+            raise UsageError(f"cache file {cache}: not UTF-8 text: {exc}") from exc
         except OSError as exc:
-            raise click.UsageError(f"cache file {cache}: not writable: {exc}") from exc
+            raise UsageError(f"cache file {cache}: not writable: {exc}") from exc
     resolver = Resolver(providers, thresholds=thresholds, cache=lookup_cache)
     return resolver, classifier_config
 
@@ -190,153 +195,185 @@ def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
+        sys.stdout.flush()
 
 
-def _runtime_options(fn):
-    decorators = [
-        click.option("--offline", is_flag=True, help="Never touch the network; requires --fixtures."),
-        click.option("--fixtures", type=click.Path(exists=True, dir_okay=False), default=None, help="JSON fixture file standing in for all providers."),
-        click.option("--cache", envvar="CITE_AUDIT_CACHE", type=click.Path(dir_okay=False), default=None, help="JSONL cache of network lookups (env: CITE_AUDIT_CACHE). Rows are keyed by provider and endpoint; rows from older versions are fetched again. Not opened with --fixtures."),
-        click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="INI file with [provider.*] and [classifier] sections."),
-        click.option("--vocab", type=click.Path(exists=True, dir_okay=False), default=None, help="Newline-delimited token file for plausibility scoring."),
-        click.option("--title-strong", type=float, default=None, help="Override strong-title threshold."),
-        click.option("--author-strong", type=float, default=None, help="Override strong-author threshold."),
-        click.option("--year-slack", type=int, default=None, help="Override allowed year difference."),
-        click.option("--plausibility", type=float, default=None, help="Override plausibility threshold."),
-        click.option("--fail-on", type=click.Choice(["hallucinated", "unverifiable"]), default="hallucinated", show_default=True, help="Treat unverifiable results as failures too."),
-    ]
-    for decorator in reversed(decorators):
-        fn = decorator(fn)
-    return fn
-
-
-def _runtime(opts: dict):
+def _runtime(args: argparse.Namespace):
     """_build_runtime called with the options _runtime_options declares."""
     return _build_runtime(
-        opts["offline"],
-        opts["fixtures"],
-        opts["cache"],
-        opts["config_path"],
-        opts["vocab"],
-        {key: opts[key] for key in _THRESHOLD_KEYS},
+        args.offline,
+        args.fixtures,
+        args.cache or os.environ.get("CITE_AUDIT_CACHE") or None,
+        args.config,
+        args.vocab,
+        {key: getattr(args, key) for key in _THRESHOLD_KEYS},
     )
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="citeaudit")
-def cli() -> None:
-    """Detect fabricated bibliography entries by checking them against
-    scholarly metadata sources."""
-
-
-@cli.command("verify")
-@click.argument("input_file", type=click.Path(exists=True, dir_okay=False))
-@click.option(
-    "--input-format",
-    type=click.Choice(["auto", "bibtex", "plaintext"]),
-    default="auto",
-    show_default=True,
-)
-@click.option(
-    "--format",
-    "output_format",
-    type=click.Choice(["text", "json", "csv"]),
-    default="text",
-    show_default=True,
-)
-@click.option("--jobs", type=click.IntRange(min=1), default=4, show_default=True, help="Requests each provider may have in flight at once; lookups are planned and verdicts made on the main thread.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the report here instead of stdout.")
-@_runtime_options
-def cmd_verify(
-    input_file: str,
-    input_format: str,
-    output_format: str,
-    jobs: int,
-    out: str | None,
-    **opts,
-) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     """Verify every reference in a .bib or .txt bibliography."""
-    resolver, classifier_config = _runtime(opts)
+    resolver, classifier_config = _runtime(args)
     try:
-        parse_report = parse_file(input_file, format=input_format)
+        parse_report = parse_file(args.input_file, format=args.input_format)
     except UnicodeDecodeError as exc:
-        raise click.UsageError(f"{input_file}: not UTF-8 text: {exc}") from exc
+        raise UsageError(f"{args.input_file}: not UTF-8 text: {exc}") from exc
     for warning in parse_report.warnings:
-        click.echo(f"warning: {warning}", err=True)
+        print(f"warning: {warning}", file=sys.stderr)
     verdicts = classify_batch(
-        parse_report.citations, resolver, classifier_config, jobs=jobs
+        parse_report.citations, resolver, classifier_config, jobs=args.jobs
     )
-    report = build_report(input_file, parse_report.citations, verdicts)
-    _emit(render_report(report, output_format), out)
-    return _final_exit(verdicts, opts["fail_on"])
+    report = build_report(args.input_file, parse_report.citations, verdicts)
+    _emit(render_report(report, args.output_format), args.out)
+    return _final_exit(verdicts, args.fail_on)
 
 
-@cli.command("classify")
-@click.argument("citation_text")
-@click.option(
-    "--format",
-    "output_format",
-    type=click.Choice(["text", "json", "csv"]),
-    default="text",
-    show_default=True,
-)
-@_runtime_options
-def cmd_classify(citation_text: str, output_format: str, **opts) -> int:
+def cmd_classify(args: argparse.Namespace) -> int:
     """Classify one plain-text citation given as an argument."""
-    if not citation_text.strip():
-        raise click.UsageError("citation text must not be empty")
-    resolver, classifier_config = _runtime(opts)
-    parse_report = parse_text(citation_text, format="plaintext")
+    if not args.citation_text.strip():
+        raise UsageError("citation text must not be empty")
+    resolver, classifier_config = _runtime(args)
+    parse_report = parse_text(args.citation_text, format="plaintext")
     citations = list(parse_report.citations)[:1]
     verdicts = classify_batch(citations, resolver, classifier_config, jobs=1)
     report = build_report("<argument>", citations, verdicts)
-    _emit(render_report(report, output_format), None)
-    return _final_exit(verdicts, opts["fail_on"])
+    _emit(render_report(report, args.output_format), None)
+    return _final_exit(verdicts, args.fail_on)
 
 
-@cli.command("stats")
-@click.argument("corpus", type=click.Path(exists=True, dir_okay=False), required=False)
-@click.option(
-    "--format",
-    "output_format",
-    type=click.Choice(["text", "csv", "json"]),
-    default="text",
-    show_default=True,
-)
-@click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the summary here instead of stdout.")
-def cmd_stats(corpus: str | None, output_format: str, out: str | None) -> int:
+def cmd_stats(args: argparse.Namespace) -> int:
     """Summarize a coded corpus CSV (defaults to the bundled dataset)."""
+    from .analytics import CorpusError, load_corpus, render_summary, summarize
+    from .data import load_packaged_corpus
+
     try:
-        rows = load_corpus(corpus) if corpus else load_packaged_corpus()
+        rows = load_corpus(args.corpus) if args.corpus else load_packaged_corpus()
     except CorpusError as exc:
         for message in exc.errors:
-            click.echo(f"error: {message}", err=True)
+            print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
     except UnicodeDecodeError as exc:
-        raise click.UsageError(f"corpus file {corpus}: not UTF-8 text: {exc}") from exc
+        raise UsageError(f"corpus file {args.corpus}: not UTF-8 text: {exc}") from exc
     if not rows:
-        click.echo("error: corpus has no rows", err=True)
+        print("error: corpus has no rows", file=sys.stderr)
         return EXIT_USAGE
-    _emit(render_summary(summarize(rows), output_format), out)
+    _emit(render_summary(summarize(rows), args.output_format), args.out)
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors raise UsageError (exit 3, not argparse's 2),
+    with --help as the only help flag and no abbreviated options."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
+def _file(must_exist: bool):
+    """An argument type for a file path: never a directory, and present
+    when must_exist."""
+
+    def check(text: str) -> str:
+        if Path(text).is_dir():
+            raise argparse.ArgumentTypeError(f"{text}: is a directory")
+        if must_exist and not Path(text).exists():
+            raise argparse.ArgumentTypeError(f"{text}: no such file")
+        return text
+
+    return check
+
+
+def _positive_int(text: str) -> int:
     try:
-        result = cli.main(args=argv, prog_name="citeaudit", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
-    except click.ClickException as exc:
-        exc.show()
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is less than 1")
+    return value
+
+
+def _format_option(parser: argparse.ArgumentParser, choices: tuple[str, ...]) -> None:
+    parser.add_argument(
+        "--format", dest="output_format", choices=choices, default="text",
+        help="Report format (default: %(default)s).",
+    )
+
+
+def _runtime_options(parser: argparse.ArgumentParser) -> None:
+    """The options verify and classify share."""
+    add = parser.add_argument
+    add("--offline", action="store_true", help="Never touch the network; requires --fixtures.")
+    add("--fixtures", type=_file(True), help="JSON fixture file standing in for all providers.")
+    add("--cache", type=_file(False), help="JSONL cache of network lookups (env: CITE_AUDIT_CACHE). Rows are keyed by provider and endpoint; rows from older versions are fetched again. Not opened with --fixtures.")
+    add("--config", type=_file(True), help="INI file with [provider.*] and [classifier] sections.")
+    add("--vocab", type=_file(True), help="Newline-delimited token file for plausibility scoring.")
+    add("--title-strong", type=float, help="Override strong-title threshold.")
+    add("--author-strong", type=float, help="Override strong-author threshold.")
+    add("--year-slack", type=int, help="Override allowed year difference.")
+    add("--plausibility", type=float, help="Override plausibility threshold.")
+    add("--fail-on", choices=("hallucinated", "unverifiable"), default="hallucinated", help="Treat unverifiable results as failures too (default: %(default)s).")
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="citeaudit",
+        description="Detect fabricated bibliography entries by checking them"
+        " against scholarly metadata sources.",
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s, version {__version__}",
+        help="Show the version and exit.",
+    )
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(fn, name: str) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__)
+        sub.set_defaults(run=fn)
+        return sub
+
+    verify = command(cmd_verify, "verify")
+    verify.add_argument("input_file", metavar="INPUT_FILE", type=_file(True))
+    verify.add_argument(
+        "--input-format", choices=("auto", "bibtex", "plaintext"), default="auto",
+        help="Reference list format (default: %(default)s).",
+    )
+    _format_option(verify, ("text", "json", "csv"))
+    verify.add_argument("--jobs", type=_positive_int, default=4, help="Requests each provider may have in flight at once; lookups are planned and verdicts made on the main thread (default: %(default)s).")
+    verify.add_argument("--out", type=_file(False), help="Write the report here instead of stdout.")
+    _runtime_options(verify)
+
+    classify = command(cmd_classify, "classify")
+    classify.add_argument("citation_text", metavar="CITATION_TEXT")
+    _format_option(classify, ("text", "json", "csv"))
+    _runtime_options(classify)
+
+    stats = command(cmd_stats, "stats")
+    stats.add_argument("corpus", metavar="CORPUS", nargs="?", type=_file(True))
+    _format_option(stats, ("text", "csv", "json"))
+    stats.add_argument("--out", type=_file(False), help="Write the summary here instead of stdout.")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command; returns its exit code and never raises SystemExit."""
+    try:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:  # --help or --version; bad arguments raise UsageError
+            return int(exc.code or 0)
+        return args.run(args)
+    except (UsageError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except click.Abort:
-        click.echo("aborted", err=True)
+    except KeyboardInterrupt:
+        print("aborted", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_USAGE
-    return result if isinstance(result, int) else 0
 
 
 if __name__ == "__main__":

@@ -3,9 +3,12 @@ from __future__ import annotations
 
 import json
 from importlib.resources import files
+from typing import TYPE_CHECKING
 
-from .analytics import CodedRow, parse_corpus
 from .resolve import FixtureProvider
+
+if TYPE_CHECKING:
+    from .analytics import CodedRow
 
 
 def _packaged(name: str) -> str:
@@ -14,6 +17,8 @@ def _packaged(name: str) -> str:
 
 def load_packaged_corpus() -> list[CodedRow]:
     """The coded corpus of hallucinated citations bundled with the package."""
+    from .analytics import parse_corpus
+
     return parse_corpus(_packaged("corpus.csv"))
 
 

@@ -5,9 +5,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bibtex import parse_bibtex
 from .model import ParsedCitation, ParseWarning
-from .plaintext import parse_plaintext
 
 FORMAT_BIBTEX = "bibtex"
 FORMAT_PLAINTEXT = "plaintext"
@@ -36,13 +34,18 @@ def detect_format(text: str, filename: str | None = None) -> str:
 def parse_text(text: str, format: str = "auto", filename: str | None = None) -> ParseReport:
     """Parse a reference list held in a string.
 
-    format: "auto", "bibtex", or "plaintext".
+    format: "auto", "bibtex", or "plaintext". Only that format's reader
+    is imported.
     """
     if format == "auto":
         format = detect_format(text, filename)
     if format == FORMAT_BIBTEX:
+        from .bibtex import parse_bibtex
+
         citations, warnings = parse_bibtex(text)
     elif format == FORMAT_PLAINTEXT:
+        from .plaintext import parse_plaintext
+
         citations, warnings = parse_plaintext(text)
     else:
         raise ValueError(f"unknown reference format {format!r}")

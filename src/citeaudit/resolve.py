@@ -14,15 +14,16 @@ import re
 import threading
 import time
 from collections.abc import Generator, Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING
 from urllib.parse import quote
-from xml.etree import ElementTree
 
 if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+    from xml.etree import ElementTree
+
     from .transport import HttpSession, Reply
 
 from .identifiers import make_identifier
@@ -452,6 +453,8 @@ class ArxivClient(_HttpClient):
         )
         if isinstance(resp, str):
             return unavailable(resp)
+        from xml.etree import ElementTree
+
         try:
             entries = ElementTree.fromstring(resp.text).findall("atom:entry", _ATOM_NS)
         except ElementTree.ParseError:
@@ -900,6 +903,8 @@ class Resolver:
 
         def queue_job(provider, keys, job, *args):
             if id(provider) not in lanes:
+                from concurrent.futures import ThreadPoolExecutor
+
                 name = f"citeaudit-{provider.config.name}"
                 lanes[id(provider)] = ThreadPoolExecutor(jobs, thread_name_prefix=name)
             future = lanes[id(provider)].submit(job, *args)
