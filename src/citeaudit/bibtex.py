@@ -33,7 +33,11 @@ _MONTHS = {
     "sep": "September", "oct": "October", "nov": "November", "dec": "December",
 }
 
-_ACCENT_RE = re.compile(r"\\[`'\"^~=.uvHtcdbkr]\s*\{?\s*(\\?[A-Za-z])\s*\}?")
+# A letter accent (\u, \v, \H, ...) is a whole command name: \textbf and
+# \bf are other commands, not \t and \b before a letter.
+_ACCENT_RE = re.compile(
+    r"\\(?:[`'\"^~=.]|[uvHtcdbkr](?![A-Za-z]))\s*\{?\s*(\\?[A-Za-z])\s*\}?"
+)
 _COMMAND_RE = re.compile(r"\\([A-Za-z]+)\s*")
 # Commands that typeset a letter, as the ASCII letters fold_diacritics folds
 # that letter to, case kept. Every other command is dropped.

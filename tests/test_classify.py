@@ -376,7 +376,8 @@ class TestArxivDoi:
 
 class TestBibtexAuthorForms:
     """A real paper whose .bib entry wraps its author list the way DBLP
-    exports it, or spells a letter with a LaTeX command, is verified."""
+    exports it, spells a letter with a LaTeX command, or sets a title word
+    in bold, is verified."""
 
     @staticmethod
     def _verdict(config, bib, title, authors, year):
@@ -403,6 +404,11 @@ class TestBibtexAuthorForms:
         title = "Dense passage retrieval for open questions"
         bib = f"@article{{s, author={{Jens {spelling}}}, title={{{title}}}, year={{2020}}}}"
         v = self._verdict(config, bib, title, ["Jens Sørensen"], 2020)
+        assert v.status is VerdictStatus.VERIFIED
+
+    def test_bold_title_word_verifies(self, config):
+        bib = "@article{b, author={Jacob Devlin}, title={\\textbf{BERT} rocks}, year={2019}}"
+        v = self._verdict(config, bib, "BERT rocks", ["Jacob Devlin"], 2019)
         assert v.status is VerdictStatus.VERIFIED
 
 

@@ -168,6 +168,23 @@ class TestBibtex:
         )
         assert report.citations[0].title == "Deep learning for OEuvre and Coeur"
 
+    @pytest.mark.parametrize(
+        "title, expected",
+        [
+            ("\\textbf{BERT} rocks", "BERT rocks"),
+            ("{\\bf Deep} nets", "Deep nets"),
+            ("{\\tt word2vec}", "word2vec"),
+            ("\\textit{X}", "X"),
+            ("Tr\\u{a}n \\v cap Erd\\H{o}s", "Tran cap Erdos"),
+        ],
+        ids=["textbf", "bf", "tt", "textit", "letter-accents"],
+    )
+    def test_command_that_begins_with_an_accent_letter(self, title, expected):
+        # Only a whole \u, \v, \H, \t, \b, ... is an accent; a longer
+        # command is dropped.
+        report = parse_text(f"@article{{k, title = {{{title}}}, year={{2020}}}}")
+        assert report.citations[0].title == expected
+
     def test_eprint_becomes_arxiv_identifier(self):
         report = parse_text(
             "@article{k, title={T}, year={2017}, eprint={1706.03762}, "
