@@ -62,6 +62,16 @@ def levenshtein(a: str, b: str) -> int:
     """
     if a == b:
         return 0
+    # A shared prefix or suffix costs nothing: only what lies between counts.
+    n = min(len(a), len(b))
+    start = 0
+    while start < n and a[start] == b[start]:
+        start += 1
+    end = 0
+    while end < n - start and a[-1 - end] == b[-1 - end]:
+        end += 1
+    a = a[start : len(a) - end]
+    b = b[start : len(b) - end]
     if len(a) < len(b):
         a, b = b, a
     m = len(b)
@@ -77,8 +87,9 @@ def levenshtein(a: str, b: str) -> int:
     pv = mask
     mv = 0
     score = m
+    get = peq.get
     for ch in a:
-        eq = peq.get(ch, 0)
+        eq = get(ch, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | (~(xh | pv) & mask)

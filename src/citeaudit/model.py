@@ -88,6 +88,10 @@ def fold_diacritics(text: str) -> str:
     return "".join(out)
 
 
+_NAME_SEPARATOR_RE = re.compile(r"[^0-9a-z\-]+")
+_LOOSE_DASHES_RE = re.compile(r"(^|\s)-+|-+(\s|$)")
+
+
 def _name_tokens(text: str) -> list[str]:
     """Casefold, fold diacritics, strip punctuation, split into tokens.
 
@@ -97,8 +101,8 @@ def _name_tokens(text: str) -> list[str]:
     """
     text = fold_diacritics(text).casefold()
     text = text.replace("'", "").replace("’", "")
-    text = re.sub(r"[^0-9a-z\-]+", " ", text)
-    text = re.sub(r"(^|\s)-+|-+(\s|$)", " ", text)  # bare/leading/trailing dashes
+    text = _NAME_SEPARATOR_RE.sub(" ", text)
+    text = _LOOSE_DASHES_RE.sub(" ", text)  # bare/leading/trailing dashes
     return [t for t in text.split() if t]
 
 

@@ -55,6 +55,13 @@ class TestLevenshtein:
     def test_symmetry(self, a, b):
         assert levenshtein(a, b) == levenshtein(b, a)
 
+    @given(a=short_text, b=short_text, prefix=short_text, suffix=short_text)
+    def test_shared_ends_match_full_matrix_oracle(self, a, b, prefix, suffix):
+        # Random pairs rarely share an end; these always do, and the shared
+        # part may run into the edited middle.
+        a, b = prefix + a + suffix, prefix + b + suffix
+        assert levenshtein(a, b) == edit_distance_matrix(a, b)
+
     # Lengths on both sides of 32, 64, 128 and 256 bits: a bit-vector column
     # cut to a fixed width first goes wrong there.
     WORD_EDGES = (0, 1, 2, 31, 32, 63, 64, 65, 127, 128, 129, 255, 256, 300)
