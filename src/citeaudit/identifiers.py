@@ -164,28 +164,38 @@ def _clean(value: str) -> str:
     return _TRAILING_PUNCT_RE.sub("", value.strip())
 
 
-def extract_identifiers(text: str) -> list[Identifier]:
-    """Scan free text for doi:/arXiv:/http identifiers.
+# Each free-text form, with the kind of identifier it claims. The value is
+# the last group that matched: the whole match for a URL.
+_IN_TEXT = (
+    (_DOI_IN_TEXT_RE, IdentifierKind.DOI),
+    (_ARXIV_IN_TEXT_RE, IdentifierKind.ARXIV),
+    (_URL_IN_TEXT_RE, IdentifierKind.URL),
+)
 
-    A DOI-shaped URL yields both the URL and the DOI; duplicates collapse
-    through dedupe_identifiers, so redundant forms count once.
+
+def scan_identifiers(text: str) -> tuple[list[Identifier], list[tuple[int, int]]]:
+    """Scan free text once for doi:/arXiv:/http identifiers.
+
+    Returns the identifiers, deduplicated, and the character span of every
+    identifier-looking run, so field heuristics can avoid matching years or
+    titles inside them. A DOI-shaped URL yields both the URL and the DOI;
+    duplicates collapse through dedupe_identifiers, so redundant forms count
+    once.
     """
     found: list[Identifier] = []
+    spans: list[tuple[int, int]] = []
+    for rx, kind in _IN_TEXT:
+        for m in rx.finditer(text):
+            spans.append(m.span())
+            value = _clean(m.group(m.lastindex or 0))
+            if value:
+                found.append(make_identifier(kind, value))
+    return dedupe_identifiers(found), spans
 
-    for m in _DOI_IN_TEXT_RE.finditer(text):
-        value = _clean(m.group(1) or m.group(2))
-        if value:
-            found.append(make_identifier(IdentifierKind.DOI, value))
 
-    for m in _ARXIV_IN_TEXT_RE.finditer(text):
-        value = _clean(m.group(1))
-        if value:
-            found.append(make_identifier(IdentifierKind.ARXIV, value))
-
-    for m in _URL_IN_TEXT_RE.finditer(text):
-        found.append(make_identifier(IdentifierKind.URL, _clean(m.group(0))))
-
-    return dedupe_identifiers(found)
+def extract_identifiers(text: str) -> list[Identifier]:
+    """The identifiers scan_identifiers finds in free text."""
+    return scan_identifiers(text)[0]
 
 
 def dedupe_identifiers(found: list[Identifier]) -> list[Identifier]:
@@ -197,12 +207,3 @@ def dedupe_identifiers(found: list[Identifier]) -> list[Identifier]:
         deduped.setdefault((ident.kind, ident.normalized or ident.value.lower()), ident)
     return list(deduped.values())
 
-
-def identifier_mask_spans(text: str) -> list[tuple[int, int]]:
-    """Character spans of identifier-looking runs, so field heuristics can
-    avoid matching years or titles inside them."""
-    spans = []
-    for rx in (_DOI_IN_TEXT_RE, _ARXIV_IN_TEXT_RE, _URL_IN_TEXT_RE):
-        for m in rx.finditer(text):
-            spans.append((m.start(), m.end()))
-    return spans

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 
-from .identifiers import extract_identifiers, identifier_mask_spans
+from .identifiers import scan_identifiers
 from .model import (
     AuthorName,
     ParsedCitation,
@@ -36,10 +36,11 @@ _PAGES_WORD_RE = re.compile(r"\bpp?\.\s*(\d{1,6}(?:\s*[-‐-―−]+\s*\d{1,6})?
 _PAGES_BARE_RE = re.compile(r"\b(\d{1,5}\s*[-‐-―−]{1,2}\s*\d{1,5})\b")
 
 
-def _mask(flat: str) -> str:
-    """Blank out identifier-looking runs so field heuristics skip them."""
+def _mask(flat: str, spans: list[tuple[int, int]]) -> str:
+    """Blank out the identifier-looking runs at spans so field heuristics
+    skip them."""
     chars = list(flat)
-    for start, end in identifier_mask_spans(flat):
+    for start, end in spans:
         for i in range(start, end):
             chars[i] = " "
     return "".join(chars)
@@ -150,8 +151,9 @@ def _extract_fields(
     key: str, raw_text: str, span: Span, warnings: list[ParseWarning]
 ) -> ParsedCitation:
     flat = " ".join(raw_text.split())
-    identifiers = tuple(extract_identifiers(flat))
-    masked = _mask(flat)
+    found, spans = scan_identifiers(flat)
+    identifiers = tuple(found)
+    masked = _mask(flat, spans)
 
     authors: tuple[AuthorName, ...] = ()
     title = ""

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from citeaudit.identifiers import (
     IdentifierSyntax,
     extract_identifiers,
-    identifier_mask_spans,
     make_identifier,
+    scan_identifiers,
     scan_placeholders,
     strip_identifier_prefix,
 )
@@ -231,7 +231,8 @@ class TestExtractIdentifiers:
 
     def test_mask_spans_cover_identifiers(self):
         text = "T. Author. Title. arXiv preprint arXiv:2107.13586, 2021."
-        spans = identifier_mask_spans(text)
+        identifiers, spans = scan_identifiers(text)
+        assert identifiers == extract_identifiers(text)
         assert any(text[a:b].endswith("2107.13586") for a, b in spans)
 
 
