@@ -545,26 +545,59 @@ class TestProviderSections:
         ] * 5
 
 
+# Modules an offline plaintext verify has no use for: the CLI library it no
+# longer uses, corpus statistics, the BibTeX reader, the HTTP stack, lane
+# threads and the arXiv XML parser.
+_NOT_LOADED_OFFLINE = (
+    "click", "citeaudit.analytics", "citeaudit.bibtex", "citeaudit.transport",
+    "statistics", "concurrent.futures", "xml.etree.ElementTree", "http.client", "ssl",
+)
+
+
+def _fresh_python(probe: str, *args: str) -> subprocess.CompletedProcess:
+    """Run probe in a new interpreter that imports citeaudit from this tree."""
+    src = str(Path(citeaudit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", probe, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
 class TestStartup:
     def test_import_does_not_load_requests(self):
         # Offline runs never build an HTTP client, so they should not pay
         # for importing one: neither requests nor http.client and ssl.
-        src = str(Path(citeaudit.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         probe = (
             "import sys, citeaudit.cli; "
             "print([m for m in ('requests', 'http.client', 'ssl') if m in sys.modules])"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-            check=True,
-        )
+        result = _fresh_python(probe)
+        assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_offline_plaintext_verify_loads_only_what_it_runs(self, fixtures_path):
+        probe = (
+            "import sys; from citeaudit.cli import main; code = main(sys.argv[1:]); "
+            f"print([m for m in {_NOT_LOADED_OFFLINE!r} if m in sys.modules]); sys.exit(code)"
+        )
+        result = _fresh_python(
+            probe, "verify", str(DATA / "exemplars.txt"), "--fixtures", fixtures_path,
+            "--format", "json",
+        )
+        assert result.returncode == EXIT_HALLUCINATED, result.stderr
+        report, _, loaded = result.stdout.rstrip("\n").rpartition("\n")
+        assert json.loads(report)["summary"]["by_primary"]["TF"] == 1
+        assert loaded == "[]"
+
+    def test_stats_loads_the_corpus_reader_when_it_runs(self):
+        result = _fresh_python("import sys; from citeaudit.cli import main; sys.exit(main(['stats']))")
+        assert result.returncode == EXIT_OK, result.stderr
+        assert result.stdout.startswith("Primary failure modes (n=100)")
 
 
 class TestClassifyCommand:
