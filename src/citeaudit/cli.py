@@ -195,8 +195,7 @@ def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        print(text, end="")
 
 
 def _runtime(args: argparse.Namespace):
@@ -204,7 +203,7 @@ def _runtime(args: argparse.Namespace):
     return _build_runtime(
         args.offline,
         args.fixtures,
-        args.cache or os.environ.get("CITE_AUDIT_CACHE") or None,
+        os.environ.get("CITE_AUDIT_CACHE") if args.cache is None else args.cache,
         args.config,
         args.vocab,
         {key: getattr(args, key) for key in _THRESHOLD_KEYS},
@@ -275,14 +274,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _file(must_exist: bool):
-    """An argument type for a file path: never a directory, and present
-    when must_exist."""
+    """An argument type for a file path: present when must_exist, and never
+    a directory. An empty optional path stands for none."""
 
     def check(text: str) -> str:
-        if Path(text).is_dir():
-            raise argparse.ArgumentTypeError(f"{text}: is a directory")
-        if must_exist and not Path(text).exists():
+        if must_exist and not (text and Path(text).exists()):
             raise argparse.ArgumentTypeError(f"{text}: no such file")
+        if text and Path(text).is_dir():
+            raise argparse.ArgumentTypeError(f"{text}: is a directory")
         return text
 
     return check

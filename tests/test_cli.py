@@ -847,6 +847,11 @@ class TestCacheEnvironment:
         main(["classify", _LECUN, *online.args, "--cache", str(flag_cache)])
         assert flag_cache.stat().st_size > 0
         assert not env_cache.exists()
+        # An empty --cache turns the variable's cache off.
+        sent = len(online.session.requests)
+        main(["classify", _LECUN, *online.args, "--cache", ""])
+        assert len(online.session.requests) > sent
+        assert not env_cache.exists()
 
 
 class TestUnwritableCache:
