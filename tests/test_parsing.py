@@ -274,6 +274,26 @@ class TestPlaintext:
         assert c.pages == "106811"
         assert c.venue == "Electric Power Systems Research"
 
+    @pytest.mark.parametrize(
+        "venue_segment, pages",
+        [
+            ("Nature, 521:436-444, 2015.", "436-444"),
+            ("Venue, 12(3), 45-67, 2015.", "45-67"),
+            ("Venue, vol. 5, no. 3, pp. 1–10, 2015.", "1–10"),
+            ("Venue, pp. 45 - 67, 2015.", "45-67"),
+            ("Venue, 45-67, 2015.", "45-67"),
+            ("Venue, 2019-2020.", None),
+            ("Venue, 2015. doi:10.1000/123-456", None),
+        ],
+        ids=["volume-colon", "volume-issue-paren", "pp-after-vol-no", "pp-spaced",
+             "bare-range", "year-range", "doi-suffix"],
+    )
+    def test_pages_from_venue_segment(self, venue_segment, pages):
+        report = parse_text(f"[1] A. Author. A title here. {venue_segment}")
+        (c,) = report.citations
+        assert c.title == "A title here"
+        assert c.pages == pages
+
     def test_initials_do_not_break_sentences(self):
         report = parse_text("[1] J. R. R. Tolkien. On fairy stories. Venue, 1947.")
         (c,) = report.citations
