@@ -335,17 +335,12 @@ def _build_citation(
                     )
                 )
 
-    venue = fields.get("journal") or fields.get("booktitle") or ""
     return ParsedCitation(
         source_key=key,
         raw_text=raw_entry,
         authors=authors,
         title=_strip_latex(fields.get("title", "")),
-        venue=_strip_latex(venue),
         year=year,
-        volume=_strip_latex(fields["volume"]) if "volume" in fields else None,
-        issue=_strip_latex(fields["number"]) if "number" in fields else None,
         pages=_strip_latex(fields["pages"]) if "pages" in fields else None,
         identifiers=_entry_identifiers(fields),
-        source_span=span,
     )

@@ -174,7 +174,7 @@ class Identifier:
 
 @dataclass(frozen=True)
 class Span:
-    """Region of the parsed input a citation or warning came from."""
+    """Region of the parsed input a warning points at."""
 
     start_line: int
     start_col: int
@@ -204,13 +204,9 @@ class ParsedCitation:
     raw_text: str
     authors: tuple[AuthorName, ...] = ()
     title: str = ""
-    venue: str = ""
     year: int | None = None
-    volume: str | None = None
-    issue: str | None = None
     pages: str | None = None
     identifiers: tuple[Identifier, ...] = ()
-    source_span: Span = Span(1, 1, 1, 1)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ class ParseReport:
 
     citations: tuple[ParsedCitation, ...]
     warnings: tuple[ParseWarning, ...]
-    format: str
 
 
 def detect_format(text: str, filename: str | None = None) -> str:
@@ -49,9 +48,7 @@ def parse_text(text: str, format: str = "auto", filename: str | None = None) -> 
         citations, warnings = parse_plaintext(text)
     else:
         raise ValueError(f"unknown reference format {format!r}")
-    return ParseReport(
-        citations=tuple(citations), warnings=tuple(warnings), format=format
-    )
+    return ParseReport(citations=tuple(citations), warnings=tuple(warnings))
 
 
 def parse_file(path: str | Path, format: str = "auto") -> ParseReport:

@@ -28,10 +28,9 @@ _YEAR_TOKEN_RE = re.compile(r"\b((?:19|20)\d{2})\b")
 _NON_BREAKING = frozenset({"vs", "Jr", "Sr", "St", "Mt", "Dr", "Mr", "Ms", "Mrs"})
 _INITIAL_WORD_RE = re.compile(r"[A-Z](?:[.\- ]*[A-Z])*\.?$")
 
-_VOL_COLON_RE = re.compile(r"\b(\d{1,4})\s*(?:\((\d{1,4})\))?\s*:\s*(\d{1,6}(?:\s*[-‐-―−]+\s*\d{1,6})?)")
-_VOL_PAREN_RE = re.compile(r"\b(\d{1,4})\s*\((\d{1,4})\)\s*,\s*(\d{1,6}(?:\s*[-‐-―−]+\s*\d{1,6})?)")
-_VOL_WORD_RE = re.compile(r"\b[Vv]ol(?:ume)?\.?\s*(\d{1,4})")
-_NO_WORD_RE = re.compile(r"\b[Nn](?:o|umber)\.?\s*(\d{1,4})")
+# Each pattern captures the page range as group 1.
+_VOL_COLON_RE = re.compile(r"\b\d{1,4}\s*(?:\(\d{1,4}\))?\s*:\s*(\d{1,6}(?:\s*[-‐-―−]+\s*\d{1,6})?)")
+_VOL_PAREN_RE = re.compile(r"\b\d{1,4}\s*\(\d{1,4}\)\s*,\s*(\d{1,6}(?:\s*[-‐-―−]+\s*\d{1,6})?)")
 _PAGES_WORD_RE = re.compile(r"\bpp?\.\s*(\d{1,6}(?:\s*[-‐-―−]+\s*\d{1,6})?)")
 _PAGES_BARE_RE = re.compile(r"\b(\d{1,5}\s*[-‐-―−]{1,2}\s*\d{1,5})\b")
 
@@ -99,52 +98,20 @@ def _parse_author_list(segment: str) -> tuple[AuthorName, ...]:
     return tuple(names)
 
 
-def _extract_numeric_tail(masked_seg: str) -> tuple[str | None, str | None, str | None, int]:
-    """Pick volume, issue, pages out of a venue segment; also return the
-    offset where numeric trailer material begins (len if none)."""
-    volume = issue = pages = None
-    cut = len(masked_seg)
-
-    m = _VOL_COLON_RE.search(masked_seg)
-    if m:
-        volume, issue, pages = m.group(1), m.group(2), m.group(3)
-        cut = min(cut, m.start())
-    else:
-        m = _VOL_PAREN_RE.search(masked_seg)
-        if m:
-            volume, issue, pages = m.group(1), m.group(2), m.group(3)
-            cut = min(cut, m.start())
-
-    m = _VOL_WORD_RE.search(masked_seg)
-    if m:
-        volume = volume or m.group(1)
-        cut = min(cut, m.start())
-    m = _NO_WORD_RE.search(masked_seg)
-    if m:
-        issue = issue or m.group(1)
-        cut = min(cut, m.start())
-    m = _PAGES_WORD_RE.search(masked_seg)
-    if m:
-        pages = pages or m.group(1)
-        cut = min(cut, m.start())
-    if pages is None:
+def _extract_pages(masked_seg: str) -> str | None:
+    """Pick the page range out of a venue segment: a volume's colon or
+    parenthesized-issue form first, then "pp.", then a bare range that
+    does not start with a year."""
+    m = (
+        _VOL_COLON_RE.search(masked_seg)
+        or _VOL_PAREN_RE.search(masked_seg)
+        or _PAGES_WORD_RE.search(masked_seg)
+    )
+    if m is None:
         m = _PAGES_BARE_RE.search(masked_seg)
-        if m and not _YEAR_TOKEN_RE.fullmatch(m.group(1).split("-")[0].strip()):
-            pages = m.group(1)
-            cut = min(cut, m.start())
-
-    if pages:
-        pages = re.sub(r"\s+", "", pages)
-    return volume, issue, pages, cut
-
-
-def _clean_venue(venue: str) -> str:
-    venue = _YEAR_TOKEN_RE.sub("", venue)
-    venue = re.sub(r"^\s*[Ii]n[:\s]\s*", "", venue)
-    # Masked identifiers and stripped years leave dangling separators behind.
-    venue = re.sub(r"\s*[.,;:](?=\s*(?:[.,;:]|$))", "", venue)
-    venue = re.sub(r"\s+", " ", venue).strip().strip(".,;:").strip()
-    return venue
+        if not m or _YEAR_TOKEN_RE.fullmatch(m.group(1).split("-")[0].strip()):
+            return None
+    return re.sub(r"\s+", "", m.group(1))
 
 
 def _extract_fields(
@@ -185,12 +152,7 @@ def _extract_fields(
         if years:
             year = int(years[-1])
 
-    volume = issue = pages = None
-    venue = ""
-    if venue_start >= 0:
-        masked_seg = masked[venue_start:]
-        volume, issue, pages, cut = _extract_numeric_tail(masked_seg)
-        venue = _clean_venue(masked_seg[:cut])
+    pages = _extract_pages(masked[venue_start:]) if venue_start >= 0 else None
 
     if not authors and not title:
         warnings.append(
@@ -203,7 +165,6 @@ def _extract_fields(
             source_key=key,
             raw_text=raw_text,
             identifiers=identifiers,
-            source_span=span,
         )
 
     return ParsedCitation(
@@ -211,13 +172,9 @@ def _extract_fields(
         raw_text=raw_text,
         authors=authors,
         title=title,
-        venue=venue,
         year=year,
-        volume=volume,
-        issue=issue,
         pages=pages,
         identifiers=identifiers,
-        source_span=span,
     )
 
 

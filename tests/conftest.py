@@ -81,7 +81,6 @@ def make_citation(
     key: str = "c1",
     authors: tuple[str, ...] = ("Ada Lovelace",),
     title: str = "A sample title",
-    venue: str = "Journal of Samples",
     year: int | None = 2020,
     identifiers: tuple[Identifier, ...] = (),
     raw_text: str = "",
@@ -91,10 +90,9 @@ def make_citation(
         source_key=key,
         authors=parsed_authors,
         title=title,
-        venue=venue,
         year=year,
         identifiers=identifiers,
-        raw_text=raw_text or f"{', '.join(authors)}. {title}. {venue}, {year}.",
+        raw_text=raw_text or f"{', '.join(authors)}. {title}. Journal of Samples, {year}.",
     )
 
 

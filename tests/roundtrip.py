@@ -39,25 +39,18 @@ def render_bibtex(citations: list[ParsedCitation] | tuple[ParsedCitation, ...]) 
     """Write citations back out as deterministic BibTeX.
 
     Round-trip contract: parsing the output yields the same semantic fields
-    (authors, title, venue, year, volume, issue, pages, identifiers, keys).
+    (authors, title, year, pages, identifiers, keys).
     """
     chunks: list[str] = []
     for c in citations:
-        entry_type = "article" if c.venue else "misc"
-        lines = [f"@{entry_type}{{{c.source_key},"]
+        lines = [f"@article{{{c.source_key},"]
         if c.authors:
             joined = " and ".join(reassembled(a) for a in c.authors)
             lines.append(f"  author = {{{_bib_escape(joined)}}},")
         if c.title:
             lines.append(f"  title = {{{_bib_escape(c.title)}}},")
-        if c.venue:
-            lines.append(f"  journal = {{{_bib_escape(c.venue)}}},")
         if c.year is not None:
             lines.append(f"  year = {{{c.year}}},")
-        if c.volume:
-            lines.append(f"  volume = {{{_bib_escape(c.volume)}}},")
-        if c.issue:
-            lines.append(f"  number = {{{_bib_escape(c.issue)}}},")
         if c.pages:
             lines.append(f"  pages = {{{_bib_escape(c.pages)}}},")
         for ident in c.identifiers:
@@ -78,7 +71,10 @@ def render_bibtex(citations: list[ParsedCitation] | tuple[ParsedCitation, ...]) 
 def render_plaintext(
     citations: list[ParsedCitation] | tuple[ParsedCitation, ...]
 ) -> str:
-    """Write citations as a numbered plain-text list, one entry per line."""
+    """Write citations as a numbered plain-text list, one entry per line.
+
+    The sentence after the title is the venue segment the reader takes
+    pages from: pages and year go there."""
     out = []
     for i, c in enumerate(citations, start=1):
         pieces = []
@@ -87,15 +83,7 @@ def render_plaintext(
         if c.title:
             pieces.append(c.title.rstrip(".") + ".")
         tail = []
-        if c.venue:
-            tail.append(c.venue)
-        if c.volume and c.issue and c.pages:
-            tail.append(f"{c.volume}({c.issue}), {c.pages}")
-        elif c.volume and c.pages:
-            tail.append(f"{c.volume}:{c.pages}")
-        elif c.volume:
-            tail.append(f"vol. {c.volume}")
-        elif c.pages:
+        if c.pages:
             tail.append(f"pp. {c.pages}")
         if c.year is not None:
             tail.append(str(c.year))
@@ -130,10 +118,7 @@ def semantic_fields(citation: ParsedCitation) -> dict:
             (a.surname, a.given_tokens, a.is_placeholder) for a in citation.authors
         ),
         "title": citation.title,
-        "venue": citation.venue,
         "year": citation.year,
-        "volume": citation.volume,
-        "issue": citation.issue,
         "pages": citation.pages,
         "identifiers": tuple(
             (i.kind.value, i.value, i.syntactically_valid) for i in citation.identifiers

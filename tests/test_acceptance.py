@@ -329,7 +329,6 @@ def test_criterion_8_rate_limited_concurrency():
                 key=f"c{i}",
                 authors=(),
                 title="",
-                venue="",
                 year=None,
                 identifiers=(
                     make_identifier(IdentifierKind.DOI, f"10.1000/stub.{i}"),

@@ -108,7 +108,6 @@ class TestVerifiedPaths:
         c = make_citation(
             authors=("Yann LeCun", "Yoshua Bengio", "Geoffrey Hinton"),
             title="Deep learning",
-            venue="Nature",
             year=2015,
             identifiers=(make_identifier(IdentifierKind.DOI, "10.1038/nature14539"),),
         )
@@ -120,7 +119,6 @@ class TestVerifiedPaths:
         c = make_citation(
             authors=("Diederik P. Kingma", "Jimmy Ba"),
             title="Adam: A Method for Stochastic Optimization",
-            venue="arXiv",
             year=2015,
         )
         v = classify_citation(c, resolver, config)
@@ -130,7 +128,6 @@ class TestVerifiedPaths:
         c = make_citation(
             authors=("Yann LeCun", "Yoshua Bengio", "Geoffrey Hinton"),
             title="Deep learning",
-            venue="Nature",
             year=2019,
             identifiers=(make_identifier(IdentifierKind.DOI, "10.1038/nature14539"),),
         )
@@ -142,7 +139,6 @@ class TestVerifiedPaths:
         c = make_citation(
             authors=("Yann LeCun", "Yoshua Bengio", "Geoffrey Hinton"),
             title="Deep learning",
-            venue="Nature",
             year=None,
             identifiers=(make_identifier(IdentifierKind.DOI, "10.1038/nature14539"),),
         )
@@ -685,6 +681,33 @@ class TestBatch:
         assert verdicts[1] == Verdict(
             status=VerdictStatus.UNVERIFIABLE,
             citation_key="2",
+            cause="internal_error:resolve:RuntimeError",
+        )
+        assert verdicts[:1] + verdicts[2:] == reference[:1] + reference[2:]
+
+    def test_fixture_raising_in_place_costs_only_its_citation(self, exemplar_citations, config):
+        # A fixture is asked on the calling thread, so its exception ends
+        # that citation's ladder there, not on a lane.
+        title = exemplar_citations[1].title
+        askers: list[str] = []
+
+        class RaisingFixture(FixtureProvider):
+            def search_title(self, query):
+                askers.append(threading.current_thread().name)
+                if query == title:
+                    raise RuntimeError("boom")
+                return super().search_title(query)
+
+        entries = json.loads(files("citeaudit").joinpath("data/fixtures.json").read_text("utf-8"))
+        resolver = Resolver(providers=[RaisingFixture(entries, name="fixture")])
+        verdicts = classify_batch(exemplar_citations, resolver, config, jobs=2)
+        reference = classify_batch(
+            exemplar_citations, Resolver(providers=[packaged_fixture_provider()]), config, jobs=2
+        )
+        assert set(askers) == {threading.current_thread().name}
+        assert verdicts[1] == Verdict(
+            status=VerdictStatus.UNVERIFIABLE,
+            citation_key=exemplar_citations[1].source_key,
             cause="internal_error:resolve:RuntimeError",
         )
         assert verdicts[:1] + verdicts[2:] == reference[:1] + reference[2:]

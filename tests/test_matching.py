@@ -225,7 +225,6 @@ class TestProfileMatch:
         c = make_citation(
             authors=("Yann LeCun", "Yoshua Bengio", "Geoffrey Hinton"),
             title="Deep learning",
-            venue="Nature",
             year=2015,
         )
         r = make_record(

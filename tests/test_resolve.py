@@ -34,7 +34,7 @@ from citeaudit.resolve import (
     _decode_search,
 )
 from tests.conftest import classify_citation, make_citation, make_record
-from tests.http_fakes import FakeArxivSession, Paper
+from tests.http_fakes import FakeArxivSession, FakeResponse, Paper
 from tests.oracles import resolve_in_order
 
 
@@ -444,7 +444,6 @@ class TestResolver:
         citation = make_citation(
             authors=("Yann LeCun", "Yoshua Bengio", "Geoffrey Hinton"),
             title="Deep learning",
-            venue="Nature",
             year=2015,
             identifiers=(make_identifier(IdentifierKind.DOI, "10.1038/nature14539"),),
         )
@@ -595,6 +594,29 @@ class TestPrefetch:
         resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session)])
         bundles = list(resolver.resolve_all(_arxiv_citations(ids), jobs=1))
         assert [r["max_results"] for r in session.requests] == sizes
+        assert all(o.status is LookupStatus.FOUND for o in _arxiv_outcomes(bundles))
+
+    def test_rate_limited_half_ends_the_splitting(self):
+        # The batch fails with a 503, so it is split; its first half is
+        # answered 429, which stops the splitting. Each id's ladder then
+        # sends its own request.
+        papers = _papers(10)
+        ids = list(papers)
+
+        class Scripted(FakeArxivSession):
+            statuses = [503, 429]
+
+            def get(self, url, params=None, timeout=None):
+                if not self.statuses:
+                    return super().get(url, params, timeout)
+                self.requests.append(dict(params))
+                return FakeResponse(self.statuses.pop(0), "")
+
+        session = Scripted(papers)
+        resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session)])
+        bundles = list(resolver.resolve_all(_arxiv_citations(ids), jobs=1))
+        assert [r["max_results"] for r in session.requests] == [10, 5] + [1] * 10
+        assert [r["id_list"] for r in session.requests[2:]] == ids
         assert all(o.status is LookupStatus.FOUND for o in _arxiv_outcomes(bundles))
 
     def test_failed_ids_are_retried_after_the_next_prefetch(self):
