@@ -213,6 +213,13 @@ def _runtime(args: argparse.Namespace):
 def cmd_verify(args: argparse.Namespace) -> int:
     """Verify every reference in a .bib or .txt bibliography."""
     resolver, classifier_config = _runtime(args)
+    if args.out:
+        # Opened for append, as --cache is: a path that cannot be written
+        # fails before any lookup, and an existing report stays whole.
+        try:
+            Path(args.out).open("a", encoding="utf-8").close()
+        except OSError as exc:
+            raise UsageError(f"output file {args.out}: not writable: {exc}") from exc
     try:
         parse_report = parse_file(args.input_file, format=args.input_format)
     except UnicodeDecodeError as exc:
@@ -307,7 +314,7 @@ def _format_option(parser: argparse.ArgumentParser, choices: tuple[str, ...]) ->
 def _runtime_options(parser: argparse.ArgumentParser) -> None:
     """The options verify and classify share."""
     add = parser.add_argument
-    add("--offline", action="store_true", help="Never touch the network; requires --fixtures.")
+    add("--offline", action="store_true", help="Require --fixtures, which stand in for every network provider.")
     add("--fixtures", type=_file(True), help="JSON fixture file standing in for all providers.")
     add("--cache", type=_file(False), help="JSONL cache of network lookups (env: CITE_AUDIT_CACHE). Rows are keyed by provider and endpoint; rows from older versions are fetched again. Not opened with --fixtures.")
     add("--config", type=_file(True), help="INI file with [provider.*] and [classifier] sections.")

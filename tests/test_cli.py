@@ -869,6 +869,29 @@ class TestUnwritableCache:
         assert online.session.requests == []
 
 
+class TestUnwritableOut:
+    def test_out_in_a_missing_directory_fails_before_any_lookup(
+        self, fixtures_path, tmp_path, monkeypatch, capsys
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("classify_batch ran")
+
+        monkeypatch.setattr(cli, "classify_batch", never)
+        out = tmp_path / "missing" / "report.json"
+        args = ["verify", str(DATA / "exemplars.txt"), "--fixtures", fixtures_path]
+        assert main([*args, "--out", str(out)]) == EXIT_USAGE
+        assert str(out) in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_out_is_not_truncated_when_the_run_fails(self, fixtures_path, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        out.write_text("earlier report\n", encoding="utf-8")
+        bad = tmp_path / "refs.txt"
+        bad.write_bytes(b"\xff\xfe[1] A. Author. Title. 2020.\n")
+        assert main(["verify", str(bad), "--fixtures", fixtures_path, "--out", str(out)]) == EXIT_USAGE
+        assert out.read_text(encoding="utf-8") == "earlier report\n"
+
+
 class TestFixtureRunsOpenNoCache:
     """Fixtures are read in place: a --fixtures run neither writes nor reads
     the lookup cache, so a fixture's answers never become evidence for a
