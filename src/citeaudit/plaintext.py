@@ -109,7 +109,7 @@ def _extract_pages(masked_seg: str) -> str | None:
     )
     if m is None:
         m = _PAGES_BARE_RE.search(masked_seg)
-        if not m or _YEAR_TOKEN_RE.fullmatch(m.group(1).split("-")[0].strip()):
+        if not m or _YEAR_TOKEN_RE.match(m.group(1)):
             return None
     return re.sub(r"\s+", "", m.group(1))
 
@@ -122,37 +122,30 @@ def _extract_fields(
     identifiers = tuple(found)
     masked = _mask(flat, spans)
 
-    authors: tuple[AuthorName, ...] = ()
-    title = ""
-    venue_start = -1
-    year = None
-
+    # The author block ends at a parenthesized year, or else at the first
+    # sentence break; the title runs to the next break, and the pages come
+    # from the segment after it.
     apa = _PAREN_YEAR_RE.search(masked)
     if apa:
         year = int(apa.group(1))
-        authors = _parse_author_list(flat[: apa.start()])
-        rest_start = apa.end()
-        title_end = _sentence_break(masked, rest_start)
-        if title_end < 0:
-            title = flat[rest_start:].strip().strip(".")
-        else:
-            title = flat[rest_start : title_end - 1].strip()
-            venue_start = title_end
+        authors_end, title_start = apa.start(), apa.end()
     else:
-        boundary = _sentence_break(masked, 0)
-        if boundary > 0:
-            authors = _parse_author_list(flat[: boundary - 1])
-            title_end = _sentence_break(masked, boundary)
-            if title_end < 0:
-                title = flat[boundary:].strip().strip(".")
-            else:
-                title = flat[boundary : title_end - 1].strip()
-                venue_start = title_end
         years = _YEAR_TOKEN_RE.findall(masked)
-        if years:
-            year = int(years[-1])
+        year = int(years[-1]) if years else None
+        title_start = _sentence_break(masked, 0)
+        authors_end = title_start - 1
 
-    pages = _extract_pages(masked[venue_start:]) if venue_start >= 0 else None
+    authors: tuple[AuthorName, ...] = ()
+    title = ""
+    pages = None
+    if title_start > 0:
+        authors = _parse_author_list(flat[:authors_end])
+        title_end = _sentence_break(masked, title_start)
+        if title_end < 0:
+            title = flat[title_start:].strip().strip(".")
+        else:
+            title = flat[title_start : title_end - 1].strip()
+            pages = _extract_pages(masked[title_end:])
 
     if not authors and not title:
         warnings.append(

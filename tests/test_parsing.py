@@ -23,6 +23,10 @@ class TestDetectFormat:
         assert detect_format("@article{k, title={T}}") == FORMAT_BIBTEX
         assert detect_format("@Book( k, title = {T} )") == FORMAT_BIBTEX
 
+    def test_unknown_format_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown reference format 'ris'"):
+            parse_text("TY  - JOUR", format="ris")
+
     def test_plain_text_fallback(self):
         assert detect_format("[1] A. Author. Title. Venue, 2020.") == FORMAT_PLAINTEXT
 
@@ -128,6 +132,8 @@ class TestBibtex:
             ("@article{a, title={T}, year = 2017}\n\n{good}", [], ("a", 2017, ())),
             ("@article{a, title {T}}\n\n{good}",
              ["1:1-1:19: malformed @article entry: 'title' missing '='"], None),
+            ("@article{a, title = ,}\n\n{good}",
+             ["1:1-1:21: malformed @article entry: expected a field value"], None),
             ("mail me @ home\n\n{good}", ["1:9-1:9: stray '@' with no entry type"], None),
             ("@article a\n\n{good}",
              ["1:1-1:10: malformed @article entry: expected '{' after @article"], None),
@@ -139,7 +145,7 @@ class TestBibtex:
             ("@misc{a, title={T}, url={https://example.org/paper}}\n\n{good}", [],
              ("a", None, ((IdentifierKind.URL, "https://example.org/paper"),))),
         ],
-        ids=["bare-year", "missing-equals", "stray-at", "no-opener", "never-closed",
+        ids=["bare-year", "missing-equals", "empty-value", "stray-at", "no-opener", "never-closed",
              "year-with-prefix", "year-in-words", "url-field"],
     )
     def test_reader_branch_warns_and_other_entry_parses(self, text, warnings, first):
@@ -305,10 +311,14 @@ class TestPlaintext:
             ("Venue, pp. 45 - 67, 2015.", "45-67"),
             ("Venue, 45-67, 2015.", "45-67"),
             ("Venue, 2019-2020.", None),
+            ("Venue, 2019–2020.", None),
+            ("Venue, 1999 - 2000.", None),
+            ("Venue, 45–67, 2019.", "45–67"),
             ("Venue, 2015. doi:10.1000/123-456", None),
         ],
         ids=["volume-colon", "volume-issue-paren", "pp-after-vol-no", "pp-spaced",
-             "bare-range", "year-range", "doi-suffix"],
+             "bare-range", "year-range", "year-range-en-dash", "year-range-spaced",
+             "bare-range-en-dash", "doi-suffix"],
     )
     def test_pages_from_venue_segment(self, venue_segment, pages):
         report = parse_text(f"[1] A. Author. A title here. {venue_segment}")
@@ -321,6 +331,11 @@ class TestPlaintext:
         (c,) = report.citations
         assert c.title == "On fairy stories"
         assert c.authors[0].surname == "tolkien"
+
+    def test_vs_does_not_end_a_title(self):
+        report = parse_text("[1] A. Author. Nature vs. nurture in learning. Venue, 2019.")
+        (c,) = report.citations
+        assert c.title == "Nature vs. nurture in learning"
 
     def test_et_al_stripped(self):
         report = parse_text("[1] A. Vaswani et al. Attention is all you need. NeurIPS, 2017.")
