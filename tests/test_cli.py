@@ -462,7 +462,9 @@ class TestUsageErrors:
         assert str(tmp_path) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "option, value", [("--jobs", "0"), ("--format", "xml")], ids=["jobs-zero", "unknown-format"]
+        "option, value",
+        [("--jobs", "0"), ("--jobs", "not-a-number"), ("--format", "xml")],
+        ids=["jobs-zero", "jobs-not-an-integer", "unknown-format"],
     )
     def test_bad_option_value(self, option, value, fixtures_path, capsys):
         code = main(["verify", str(DATA / "clean.bib"), "--fixtures", fixtures_path, option, value])
@@ -612,6 +614,15 @@ class TestClassifyCommand:
         assert code == EXIT_HALLUCINATED
         assert "<argument>: 1 citations" in out
         assert "HALLUCINATED SH+TF" in out
+
+    def test_vocab_file_sets_plausibility(self, fixtures_path, tmp_path, capsys):
+        # No title token is in this vocabulary, so the title is no longer
+        # plausible: SH leaves, and TF leads.
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("unrelated\n\nwords\n", encoding="utf-8")
+        code = main(["classify", self.NANDA, "--fixtures", fixtures_path, "--vocab", str(vocab)])
+        assert code == EXIT_HALLUCINATED
+        assert "HALLUCINATED TF+PAC" in capsys.readouterr().out
 
     def test_json_output(self, fixtures_path, capsys):
         main(

@@ -86,6 +86,10 @@ class _Handler(BaseHTTPRequestHandler):
                 return self._reply(406)
             body = gzip.compress(json.dumps({"ok": "zipped"}).encode())
             self._reply(200, body, {"Content-Encoding": "gzip"})
+        elif url.path == "/no-codec":
+            self._reply(200, "café".encode(), {"Content-Type": "text/plain; charset=x-no-such-codec"})
+        elif url.path == "/deflate":
+            self._reply(200, b"deflated", {"Content-Encoding": "deflate"})
         elif url.path == "/bad-gzip":
             self._reply(200, b"not gzip at all", {"Content-Encoding": "gzip"})
         elif url.path == "/redirect":
@@ -249,6 +253,13 @@ class TestReplies:
     def test_undecodable_gzip_is_connection(self, make_session, server):
         assert _send(make_session(), f"{server.url}/bad-gzip", 5) == "connection"
 
+    def test_charset_with_no_codec_is_read_as_utf8(self, make_session, server):
+        assert make_session().get(f"{server.url}/no-codec", timeout=5).text == "café"
+
+    def test_unrequested_content_encoding_is_connection(self, make_session, server):
+        assert _send(make_session(), f"{server.url}/deflate", 5) == "connection"
+        assert server.paths() == ["/deflate"]
+
     def test_redirect_is_followed(self, make_session, server):
         reply = make_session().get(f"{server.url}/redirect", timeout=5)
         assert reply.text == "landed"
@@ -295,6 +306,11 @@ class TestProxies:
         assert make_session().get(f"{server.url}/echo?v=direct", timeout=5).text == "direct"
         assert server.paths() == ["/echo?v=direct"]
         assert proxy_server.log == []
+
+    def test_socks_proxy_is_connection_and_sends_nothing(self, make_session, server, monkeypatch):
+        monkeypatch.setenv("http_proxy", "socks5://127.0.0.1:1080")
+        assert _send(make_session(), f"{server.url}/echo?v=x", 5) == "connection"
+        assert server.log == []
 
     def test_https_proxy_tunnels_with_connect(self, make_session, server, monkeypatch):
         monkeypatch.setenv("https_proxy", server.url)

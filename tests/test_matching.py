@@ -155,6 +155,12 @@ class TestAuthorSimilarity:
         record = self._names("Diederik P. Kingma", "Jimmy Ba")
         assert author_similarity(claimed, record) == 1.0
 
+    def test_a_bare_surname_is_compatible_with_any_initials(self):
+        claimed = self._names("Kingma")
+        record = self._names("Diederik Kingma")
+        assert author_similarity(claimed, record) == 1.0
+        assert author_similarity(record, claimed) == 1.0
+
     def test_surname_only_scores_half(self):
         claimed = self._names("Q. Kingma")
         record = self._names("Diederik Kingma")
@@ -249,6 +255,11 @@ class TestProfileMatch:
     def test_missing_year_is_missing_not_match(self):
         c = make_citation(year=None)
         p = profile_match(c, make_record(year=2014), MatchThresholds())
+        assert p.year_match is FieldMatch.MISSING
+        assert not p.core_all_match()
+
+    def test_record_without_year_is_missing_not_match(self):
+        p = profile_match(make_citation(year=2014), make_record(year=None), MatchThresholds())
         assert p.year_match is FieldMatch.MISSING
         assert not p.core_all_match()
 

@@ -60,6 +60,12 @@ class TestNormalizeName:
         assert a.surname == "nanda"
         assert a.given_tokens == ()
 
+    def test_empty_surname_before_comma_takes_the_given_part(self):
+        a = normalize_name(", Ada")
+        assert a.surname == "ada"
+        assert a.given_tokens == ()
+        assert not a.is_placeholder
+
 
 def _fold_per_character(text: str) -> str:
     """fold_diacritics without its ASCII shortcut: every character goes

@@ -152,6 +152,17 @@ class TestOpenAlexShapes:
         )
         assert record.provenance_query == "title:deep learning"
 
+    def test_work_with_only_a_title(self):
+        client = _client(OpenAlexClient, json_response({"results": [{"title": "Deep learning"}]}))
+        (record,) = client.search_title("Deep learning").records
+        assert (record.title, record.authors, record.venue, record.year, record.pages) == (
+            "Deep learning",
+            (),
+            "",
+            None,
+            None,
+        )
+
     @pytest.mark.parametrize(
         "body",
         [

@@ -184,7 +184,7 @@ class TestLookupCache:
     def test_corrupt_lines_skipped(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         good = json.dumps({"key": "k", "stored_at": 1.0, "payload": {"v": 1}})
-        path.write_text("not json\n" + good + "\n{}\n", encoding="utf-8")
+        path.write_text("not json\n\n" + good + "\n   \n{}\n", encoding="utf-8")
         assert LookupCache(path).get("k", now=2.0) == {"v": 1}
 
     def test_without_path_lives_in_memory(self, tmp_path, monkeypatch):
