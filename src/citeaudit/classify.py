@@ -83,13 +83,11 @@ def _author_confirmed(citation: ParsedCitation, bundle: ResolutionBundle) -> boo
     surnames = {
         a.surname for a in citation.authors if not a.is_placeholder and a.surname
     }
-    if not surnames:
-        return False
-    for record in bundle.author_search.records:
-        for resolved_author in record.authors:
-            if resolved_author.surname in surnames:
-                return True
-    return False
+    return any(
+        resolved_author.surname in surnames
+        for record in bundle.author_search.records
+        for resolved_author in record.authors
+    )
 
 
 def classify(
@@ -115,7 +113,7 @@ def classify(
         return Verdict(
             status=VerdictStatus.UNVERIFIABLE,
             citation_key=key,
-            cause=_map_cause(causes) if causes else "provider_unavailable",
+            cause=_map_cause(causes),
         )
 
     placeholder_evidence = scan_placeholders(citation)
@@ -147,21 +145,19 @@ def classify(
             for record in search.records
         )
 
-    # Verification gate: author, title, and year must all agree with some
-    # resolved record.
-    for _, record, profile in identifier_profiles:
-        if profile.core_all_match():
-            return Verdict(
-                status=VerdictStatus.VERIFIED,
-                citation_key=key,
-                matched_record=record,
-            )
-    search_best = best_candidate(search_profiles)
-    if search_best is not None and search_best[1].core_all_match():
+    # Verification gate: a resolved record agrees on author, title, and year,
+    # the test the resolver's short circuit applies. The first identifier
+    # record that passes it wins; else the closest search record that does.
+    verifying = [
+        (record, profile)
+        for _, record, profile in identifier_profiles
+        if profile.core_all_match()
+    ][:1] or [pair for pair in search_profiles if pair[1].core_all_match()]
+    if verifying:
         return Verdict(
             status=VerdictStatus.VERIFIED,
             citation_key=key,
-            matched_record=search_best[0],
+            matched_record=best_candidate(verifying)[0],
         )
     all_profiles = [
         (record, profile) for _, record, profile in identifier_profiles
@@ -253,43 +249,25 @@ def classify(
         evidence.append(_TF_EVIDENCE)
 
     modes_present = {e.mode for e in evidence}
+    # SH leads only when a claimed author is known to exist, if so configured.
+    sh_may_lead = not config.sh_requires_real_author or _author_confirmed(citation, bundle)
+    primary = next(
+        (m for m in PRIMARY_ORDER
+         if m in modes_present and (m is not FailureMode.SH or sh_may_lead)),
+        FailureMode.TF,
+    )
+    if primary is FailureMode.TF and FailureMode.TF not in modes_present:
+        evidence.append(_TF_EVIDENCE)
 
-    primary = None
-    for mode in PRIMARY_ORDER:
-        if mode not in modes_present:
-            continue
-        if mode is FailureMode.SH and config.sh_requires_real_author:
-            if not _author_confirmed(citation, bundle):
-                continue
-        primary = mode
-        break
-    if primary is None:
-        primary = FailureMode.TF
-        if FailureMode.TF not in modes_present:
-            evidence.append(_TF_EVIDENCE)
-            modes_present.add(FailureMode.TF)
-
-    secondary = None
-    for mode in SECONDARY_ORDER:
-        if mode is not primary and mode in modes_present:
-            secondary = mode
-            break
-    if secondary is None:
-        ladder: list[FailureMode] = []
-        if plausibility >= config.plausibility:
-            ladder.append(FailureMode.SH)
-        if citation.identifiers:
-            ladder.append(FailureMode.IH)
-        ladder.append(FailureMode.PAC)
-        for mode in ladder:
-            if mode is not primary:
-                secondary = mode
-                break
-    if secondary is None:
-        for mode in SECONDARY_ORDER:
-            if mode is not primary:
-                secondary = mode
-                break
+    # The secondary is the first candidate that is not the primary: the
+    # modes with evidence, then a fallback that carries none.
+    candidates = [mode for mode in SECONDARY_ORDER if mode in modes_present]
+    if plausibility >= config.plausibility:
+        candidates.append(FailureMode.SH)
+    if citation.identifiers:
+        candidates.append(FailureMode.IH)
+    candidates += [FailureMode.PAC, FailureMode.SH]
+    secondary = next(mode for mode in candidates if mode is not primary)
 
     return Verdict(
         status=VerdictStatus.HALLUCINATED,

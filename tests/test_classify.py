@@ -14,7 +14,7 @@ import citeaudit.resolve as resolve_module
 from citeaudit.classify import ClassifierConfig, classify, classify_batch
 from citeaudit.data import load_packaged_vocab, packaged_fixture_provider
 from citeaudit.identifiers import make_identifier
-from citeaudit.matching import MatchThresholds, normalize_title
+from citeaudit.matching import MatchThresholds, normalize_title, profile_match
 from citeaudit.model import (
     FailureMode,
     IdentifierKind,
@@ -871,3 +871,161 @@ def test_every_hallucinated_verdict_is_compound(pair):
     attempts = bundle.attempts()
     if attempts and all(unavailable for _, unavailable, _ in attempts):
         assert verdict.status is VerdictStatus.UNVERIFIABLE
+
+
+# --- the verification gate ---------------------------------------------------
+#
+# A record that agrees on authors, title and year verifies the citation even
+# when another record ranks closer: the classifier passes exactly what the
+# resolver's short circuit passes.
+
+_LOVELACE_BIB = """@article{lovelace1843,
+  author = {Ada Lovelace and Charles Babbage},
+  title = {Notes on the Analytical Engine},
+  year = {1843},
+}
+"""
+
+
+def test_a_closer_record_by_other_authors_does_not_block_verification(config):
+    (citation,) = parse_text(_LOVELACE_BIB).citations
+    agreeing = {
+        "title": "Notes on the Analytical Engin",
+        "authors": ["Ada Lovelace", "Charles Babbage"],
+        "year": 1843,
+    }
+    fixture = {
+        "closed_world": True,
+        "outcomes": {
+            f"title:{normalize_title(citation.title)}": {
+                "records": [
+                    {
+                        "title": "Notes on the Analytical Engine",
+                        "authors": ["Luigi Federico Menabrea"],
+                        "year": 1842,
+                    },
+                    agreeing,
+                ]
+            }
+        },
+    }
+    bundle = Resolver(providers=[FixtureProvider(fixture)]).resolve_citation(citation)
+    assert bundle.short_circuit
+    v = classify(citation, bundle, config)
+    assert v.status is VerdictStatus.VERIFIED
+    assert v.matched_record.title == agreeing["title"]
+    assert classify(citation, _stripped(bundle), config) == v
+
+
+_WORKS = (
+    ("Notes on the Analytical Engine", ("Ada Lovelace", "Charles Babbage"), 1843),
+    ("Notes on the Analytical Engine", ("Luigi Federico Menabrea",), 1842),
+    ("On computable numbers", ("Alan Turing",), 1936),
+)
+
+
+@st.composite
+def _work(draw):
+    """One of _WORKS, maybe with a one-letter title typo and a year off by one."""
+    title, authors, year = draw(st.sampled_from(_WORKS))
+    typo = draw(st.sampled_from(["none", "drop", "replace"]))
+    if typo != "none":
+        i = draw(st.integers(0, len(title) - 1))
+        title = title[:i] + ("x" if typo == "replace" else "") + title[i + 1 :]
+    return title, authors, year + draw(st.sampled_from((-1, 0, 0, 1)))
+
+
+def _record_entry(work) -> dict:
+    title, authors, year = work
+    return {"title": title, "authors": list(authors), "year": year}
+
+
+@st.composite
+def _closed_world(draw):
+    """A citation and a closed-world fixture whose DOI, title search and
+    author-year search each serve a few variants of the same works."""
+    title, authors, year = draw(_work())
+    records = st.lists(_work().map(_record_entry), max_size=3)
+    outcomes = {
+        f"title:{normalize_title(title)}": {"records": draw(records)},
+        f"author:{make_citation(authors=authors).authors[0].surname}:{year}": {
+            "records": draw(records)
+        },
+    }
+    identifiers = ()
+    if draw(st.booleans()):
+        identifiers = (make_identifier(IdentifierKind.DOI, "10.1/x"),)
+        outcomes["doi:10.1/x"] = {"record": _record_entry(draw(_work()))}
+    citation = make_citation(
+        key="c1", authors=authors, title=title, year=year, identifiers=identifiers
+    )
+    return citation, {"closed_world": True, "outcomes": outcomes}
+
+
+@settings(max_examples=200)
+@given(world=_closed_world())
+def test_a_short_circuited_bundle_verifies(world):
+    citation, fixture = world
+    bundle = Resolver(providers=[FixtureProvider(fixture)]).resolve_citation(citation)
+    verdict = classify(citation, bundle, ClassifierConfig(vocab=_VOCAB))
+    if bundle.short_circuit:
+        assert verdict.status is VerdictStatus.VERIFIED
+        assert profile_match(citation, verdict.matched_record, MatchThresholds()).core_all_match()
+
+
+# --- where the secondary comes from ------------------------------------------
+#
+# The secondary is the first mode with evidence that is not the primary;
+# failing that, SH for a plausible title, IH for a cited identifier, PAC,
+# and last SH. Only the first source carries an evidence item.
+
+
+class TestSecondarySource:
+    _DOI = "doi:10.1234/abc.def"
+
+    @staticmethod
+    def _verdict(title, year_found, identifier_outcome=None, title_records=None):
+        identifiers = ()
+        outcomes = ()
+        if identifier_outcome is not None:
+            identifiers = (make_identifier(IdentifierKind.DOI, "10.1234/abc.def"),)
+            outcomes = ((TestSecondarySource._DOI, identifier_outcome),)
+        citation = make_citation(key="c1", title=title, year=2020, identifiers=identifiers)
+        if title_records is None:
+            title_records = (make_record(title=title, year=year_found),)
+        bundle = ResolutionBundle(
+            citation_key="c1",
+            identifier_outcomes=outcomes,
+            title_search=SearchOutcome(records=tuple(title_records)),
+        )
+        v = classify(citation, bundle, ClassifierConfig(vocab=_VOCAB))
+        assert v.status is VerdictStatus.HALLUCINATED
+        return v, {e.mode for e in v.evidence}
+
+    def test_evidence(self):
+        hijacked = make_record(title="A completely different work", authors=("Grace Hopper",))
+        v, modes = self._verdict(
+            _PLAUSIBLE_TITLE, None, LookupOutcome.found(hijacked), title_records=()
+        )
+        assert (v.primary, v.secondary) == (IH, SH)
+        assert modes == {IH, SH, TF}
+
+    def test_fallback_sh_for_a_plausible_title(self):
+        v, modes = self._verdict(_PLAUSIBLE_TITLE, 2015)
+        assert (v.primary, v.secondary) == (PAC, SH)
+        assert modes == {PAC}
+
+    def test_fallback_ih_for_a_cited_identifier(self):
+        v, modes = self._verdict(_GIBBERISH_TITLE, 2015, LookupOutcome.not_found())
+        assert (v.primary, v.secondary) == (PAC, IH)
+        assert modes == {PAC}
+
+    def test_fallback_pac(self):
+        v, modes = self._verdict(_GIBBERISH_TITLE, None, title_records=())
+        assert (v.primary, v.secondary) == (TF, PAC)
+        assert modes == {TF}
+
+    def test_final_sh_after_a_pac_primary(self):
+        v, modes = self._verdict(_GIBBERISH_TITLE, 2015)
+        assert (v.primary, v.secondary) == (PAC, SH)
+        assert modes == {PAC}
