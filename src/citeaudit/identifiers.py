@@ -6,6 +6,7 @@ Pure functions: no network. URL checks cover well-formedness only
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from urllib.parse import urlparse
 
 from .model import (
@@ -72,6 +73,8 @@ def _apply_grammar(kind: IdentifierKind, value: str) -> tuple[IdentifierSyntax, 
     return IdentifierSyntax.VALID, normalized
 
 
+# Pure, with a frozen result: an identifier met again is parsed once.
+@lru_cache(maxsize=4096)
 def make_identifier(kind: IdentifierKind, value: str) -> Identifier:
     """Construct an Identifier, the one place the grammar runs.
 
@@ -164,12 +167,13 @@ def _clean(value: str) -> str:
     return _TRAILING_PUNCT_RE.sub("", value.strip())
 
 
-# Each free-text form, with the kind of identifier it claims. The value is
-# the last group that matched: the whole match for a URL.
+# Each free-text form, with the kind of identifier it claims and the marks
+# every match holds one of, lowercased. The value is the last group that
+# matched: the whole match for a URL.
 _IN_TEXT = (
-    (_DOI_IN_TEXT_RE, IdentifierKind.DOI),
-    (_ARXIV_IN_TEXT_RE, IdentifierKind.ARXIV),
-    (_URL_IN_TEXT_RE, IdentifierKind.URL),
+    (_DOI_IN_TEXT_RE, IdentifierKind.DOI, ("doi", "10.")),
+    (_ARXIV_IN_TEXT_RE, IdentifierKind.ARXIV, ("arxiv",)),
+    (_URL_IN_TEXT_RE, IdentifierKind.URL, ("http",)),
 )
 
 
@@ -184,7 +188,12 @@ def scan_identifiers(text: str) -> tuple[list[Identifier], list[tuple[int, int]]
     """
     found: list[Identifier] = []
     spans: list[tuple[int, int]] = []
-    for rx, kind in _IN_TEXT:
+    # A form is skipped when the text holds none of its marks. Only ASCII
+    # text is checked so: under IGNORECASE "ı" and "İ" also match "i".
+    lowered = text.lower() if text.isascii() else None
+    for rx, kind, marks in _IN_TEXT:
+        if lowered is not None and not any(mark in lowered for mark in marks):
+            continue
         for m in rx.finditer(text):
             spans.append(m.span())
             value = _clean(m.group(m.lastindex or 0))

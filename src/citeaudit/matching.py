@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .model import (
     AuthorName,
@@ -33,6 +34,8 @@ STOPWORDS = frozenset(
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
 
+# Pure: a title compared with several records is normalized once.
+@lru_cache(maxsize=4096)
 def normalize_title(title: str) -> str:
     """Casefold, fold diacritics, squeeze punctuation to single spaces."""
     folded = fold_diacritics(title.casefold())
@@ -55,10 +58,12 @@ def levenshtein(a: str, b: str) -> int:
     for approximate string matching based on dynamic programming", JACM
     46(3)) in the global-distance form of Hyyrö (2001, "Explaining and
     extending the bit-parallel approximate string matching algorithm of
-    Myers"). Bit i of pv / mv says the DP column steps up / down by one at
-    row i of the shorter string; each character of the longer string
-    updates the whole column in a constant number of integer operations.
-    Python ints grow as needed, so there is no word-length limit.
+    Myers"; 2003, "A bit-vector algorithm for computing Levenshtein and
+    Damerau edit distances"). Bit i of pv / mv says the DP column steps up /
+    down by one at row i of the shorter string; each character of the
+    longer string updates the whole column in a constant number of integer
+    operations. Python ints grow as needed, so there is no word-length
+    limit.
     """
     if a == b:
         return 0
@@ -74,8 +79,7 @@ def levenshtein(a: str, b: str) -> int:
     b = b[start : len(b) - end]
     if len(a) < len(b):
         a, b = b, a
-    m = len(b)
-    if not m:
+    if not b:
         return len(a)
     peq: dict[str, int] = {}
     bit = 1
@@ -83,27 +87,21 @@ def levenshtein(a: str, b: str) -> int:
         peq[ch] = peq.get(ch, 0) | bit
         bit <<= 1
     mask = bit - 1
-    high = 1 << (m - 1)
+    get = peq.get
     pv = mask
     mv = 0
-    score = m
-    get = peq.get
-    for ch in a:
-        eq = get(ch, 0)
+    # Bit i of a result depends only on bits 0..i of its operands, so bits
+    # at or above len(b) never reach the column. One mask per step keeps pv
+    # to len(b) bits, and with it xh, ph and mv to two bits more.
+    for eq in [get(ch, 0) for ch in a]:
         xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | (~(xh | pv) & mask)
-        mh = pv & xh
-        if ph & high:
-            score += 1
-        elif mh & high:
-            score -= 1
+        xh = (((xv & pv) + pv) ^ pv) | xv
         # Row 0 of the DP grows by one per column: carry a +1 into the shift.
-        ph = ((ph << 1) | 1) & mask
-        mh = (mh << 1) & mask
-        pv = mh | (~(xv | ph) & mask)
-        mv = ph & xv
-    return score
+        ph = (mv | (mask ^ (xh | pv))) << 1 | 1
+        pv = ((xh & pv) << 1 | (mask ^ (xh | ph))) & mask
+        mv = ph & xh
+    # The last column's steps, added to row 0's len(a).
+    return len(a) + pv.bit_count() - (mv & mask).bit_count()
 
 
 def title_similarity(a: str, b: str) -> float:

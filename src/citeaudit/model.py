@@ -8,6 +8,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 
 class FailureMode(Enum):
@@ -116,6 +117,9 @@ class AuthorName:
     is_placeholder: bool = False
 
 
+# Pure, with a frozen result: a name met again, in the bibliography or in
+# a record decoded again, is normalized once.
+@lru_cache(maxsize=4096)
 def normalize_name(raw: str) -> AuthorName:
     """Normalize one author name into surname + given tokens.
 

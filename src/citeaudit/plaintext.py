@@ -27,6 +27,7 @@ _YEAR_TOKEN_RE = re.compile(r"\b((?:19|20)\d{2})\b")
 # Words that legitimately end in a period mid-sentence.
 _NON_BREAKING = frozenset({"vs", "Jr", "Sr", "St", "Mt", "Dr", "Mr", "Ms", "Mrs"})
 _INITIAL_WORD_RE = re.compile(r"[A-Z](?:[.\- ]*[A-Z])*\.?$")
+_PERIOD_END_RE = re.compile(r"\.(?=\s|$)")
 
 # Each pattern captures the page range as group 1.
 _VOL_COLON_RE = re.compile(r"\b\d{1,4}\s*(?:\(\d{1,4}\))?\s*:\s*(\d{1,6}(?:\s*[-‐-―−]+\s*\d{1,6})?)")
@@ -50,18 +51,16 @@ def _sentence_break(masked: str, start: int) -> int:
 
     Periods trailing a single initial ("J.", "M.-W.") or a known
     abbreviation do not end the sentence. Returns -1 when none is found.
+    masked is one line: _extract_fields flattens its whitespace.
     """
-    for m in re.finditer(r"\.(?=\s|$)", masked):
-        if m.start() < start:
+    for m in _PERIOD_END_RE.finditer(masked, start):
+        # The word before the period: the non-space run that ends there.
+        word_start = word_end = m.start()
+        while word_start and not masked[word_start - 1].isspace():
+            word_start -= 1
+        word = masked[word_start:word_end]
+        if _INITIAL_WORD_RE.fullmatch(word) or word.rstrip(".,") in _NON_BREAKING:
             continue
-        before = masked[: m.start()]
-        word_m = re.search(r"(\S+)$", before)
-        if word_m:
-            word = word_m.group(1)
-            if _INITIAL_WORD_RE.fullmatch(word):
-                continue
-            if word.rstrip(".,") in _NON_BREAKING:
-                continue
         return m.end()
     return -1
 

@@ -6,6 +6,11 @@ bug in the optimized production code cannot hide in a shared shortcut.
 """
 from __future__ import annotations
 
+import re
+
+from citeaudit.identifiers import _IN_TEXT, _clean, dedupe_identifiers, make_identifier
+from citeaudit.plaintext import _INITIAL_WORD_RE, _NON_BREAKING
+
 
 def edit_distance_matrix(a: str, b: str) -> int:
     """Levenshtein distance via the full (len(a)+1) x (len(b)+1) matrix."""
@@ -80,3 +85,36 @@ def resolve_in_order(ladder_of, providers, citations) -> tuple[list, dict]:
         except Exception as exc:  # noqa: BLE001 - the citation's result
             results.append(exc)
     return results, asks
+
+
+def sentence_break_rescanning(masked: str, start: int) -> int:
+    """plaintext._sentence_break as first written: every sentence-ending
+    period from offset 0, skipping those before start, with the word before
+    each one found by a search over a copy of the whole prefix."""
+    for m in re.finditer(r"\.(?=\s|$)", masked):
+        if m.start() < start:
+            continue
+        before = masked[: m.start()]
+        word_m = re.search(r"(\S+)$", before)
+        if word_m:
+            word = word_m.group(1)
+            if _INITIAL_WORD_RE.fullmatch(word):
+                continue
+            if word.rstrip(".,") in _NON_BREAKING:
+                continue
+        return m.end()
+    return -1
+
+
+def scan_identifiers_unfiltered(text: str) -> tuple[list, list[tuple[int, int]]]:
+    """identifiers.scan_identifiers with every free-text form run over the
+    whole text, whether or not the text holds one of the form's marks."""
+    found = []
+    spans = []
+    for rx, kind, _marks in _IN_TEXT:
+        for m in rx.finditer(text):
+            spans.append(m.span())
+            value = _clean(m.group(m.lastindex or 0))
+            if value:
+                found.append(make_identifier(kind, value))
+    return dedupe_identifiers(found), spans

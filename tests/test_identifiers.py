@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from citeaudit.identifiers import (
@@ -15,6 +15,7 @@ from citeaudit.identifiers import (
 from citeaudit.model import FailureMode, IdentifierKind
 from citeaudit.parsing import parse_text
 from tests.conftest import make_citation
+from tests.oracles import scan_identifiers_unfiltered
 
 DOI = IdentifierKind.DOI
 ARXIV = IdentifierKind.ARXIV
@@ -267,6 +268,35 @@ class TestGrammarProperties:
     def test_dot_mutation_rejected(self, yymm, number):
         broken = f"{yymm:04d}Q{number:05d}"
         assert syntax_of(ARXIV, broken) is IdentifierSyntax.INVALID
+
+
+# Fragments of the free-text identifier forms and what surrounds them.
+# "do", "arx" and "v:" meet the non-ASCII "ı" and "İ", which match "i"
+# under IGNORECASE, so a form may match where its lowercased mark is absent.
+_scan_fragments = st.sampled_from(
+    [
+        "doi", "doi:", "doi: ", "doi.org/", "dx.doi.org/", "10.", "10.1145/",
+        "10.48550/arXiv.", "arxiv", "arXiv:", "arxiv.org/abs/", "arxiv.org/pdf/",
+        "http", "https://", "http://", "://", "do", "arx", "v:", "ı", "İ", "é",
+        "1706.03762", "v5", "3357713.3384290", "hep-th/9901001", "XXXX",
+        "example.org/p", "abc", " ", ".", ",", ";", ")", "/", "-",
+    ]
+)
+
+
+@st.composite
+def _scan_texts(draw):
+    """Fragments joined, then each character's case drawn at random."""
+    text = "".join(draw(st.lists(_scan_fragments, max_size=12)))
+    upper = draw(st.lists(st.booleans(), min_size=len(text), max_size=len(text)))
+    return "".join(c.upper() if u else c for c, u in zip(text, upper))
+
+
+@given(text=_scan_texts())
+@example(text="arXıv:1706.03762")
+@example(text="dOı:10.1000/x")
+def test_scan_identifiers_matches_the_unfiltered_oracle(text):
+    assert scan_identifiers(text) == scan_identifiers_unfiltered(text)
 
 
 def test_parser_marks_placeholder_arxiv_id():

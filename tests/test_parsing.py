@@ -11,6 +11,8 @@ from citeaudit.parsing import (
     detect_format,
     parse_text,
 )
+from citeaudit.plaintext import _sentence_break
+from tests.oracles import sentence_break_rescanning
 from tests.roundtrip import render, semantic_fields
 
 
@@ -460,3 +462,25 @@ def test_bibtex_round_trip_property(drawn):
     assert [semantic_fields(c) for c in first.citations] == [
         semantic_fields(c) for c in second.citations
     ]
+
+
+# Pieces of a plaintext entry around its sentence breaks: initials,
+# abbreviations that do not end a sentence, words with and without a
+# period, bare periods, and runs of odd whitespace such as a masked
+# identifier leaves. No newline: _sentence_break reads flattened text.
+_break_pieces = st.sampled_from(
+    [
+        "J.", "M.-W.", "A. B.", "J.-P.", "vs.", "Jr.", "Sr.,", "St", "et al.",
+        "Smith", "Smith.", "Deep learning.", "2020.", "pp.", ".", "..", ",",
+        "a.b.", "X", "x.",
+        " ", "  ", "\t", "\u00a0", "\u2003", "\x0b", "\x1c", "\r", "      ",
+    ]
+)
+
+
+@given(
+    masked=st.lists(_break_pieces, max_size=16).map("".join),
+    start=st.integers(0, 60),
+)
+def test_sentence_break_matches_the_rescanning_oracle(masked, start):
+    assert _sentence_break(masked, start) == sentence_break_rescanning(masked, start)
