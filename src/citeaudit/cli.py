@@ -6,10 +6,12 @@ results only, 3 usage or I/O errors.
 from __future__ import annotations
 
 import argparse
-import configparser
+import gc
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .classify import ClassifierConfig, classify_batch
@@ -33,6 +35,9 @@ from .resolve import (
     ProviderConfig,
     Resolver,
 )
+
+if TYPE_CHECKING:
+    import configparser
 
 
 class UsageError(Exception):
@@ -65,16 +70,20 @@ _CLASSIFIER_KEYS = {**_THRESHOLD_KEYS, "sh_requires_real_author": bool}
 _PROVIDER_KEYS = {"endpoint": str, "rate_limit": float, "timeout": float, "enabled": bool}
 
 
-def _read_ini(path: str | None) -> configparser.ConfigParser:
+def _read_ini(path: str | None) -> configparser.ConfigParser | None:
+    """The config file's sections, or None when no file is given."""
+    if not path:
+        return None
+    import configparser
+
     # No key interpolates: a value is read as written, so a URL may hold %7E.
     parser = configparser.ConfigParser(interpolation=None)
-    if path:
-        try:
-            read = parser.read(path, encoding="utf-8")
-        except (configparser.Error, UnicodeDecodeError) as exc:
-            raise UsageError(f"config file {path}: {exc}") from exc
-        if not read:
-            raise UsageError(f"config file not readable: {path}")
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise UsageError(f"config file {path}: {exc}") from exc
+    if not read:
+        raise UsageError(f"config file not readable: {path}")
     # A misspelt section would be ignored with all its keys, as a key would.
     for section in parser.sections():
         provider = section.removeprefix("provider.")
@@ -87,9 +96,9 @@ def _read_ini(path: str | None) -> configparser.ConfigParser:
     return parser
 
 
-def _section(ini: configparser.ConfigParser, name: str, schema: dict) -> dict:
+def _section(ini: configparser.ConfigParser | None, name: str, schema: dict) -> dict:
     """The typed values of one INI section, by key."""
-    if not ini.has_section(name):
+    if ini is None or not ini.has_section(name):
         return {}
     sec = ini[name]
     getters = {str: sec.get, float: sec.getfloat, int: sec.getint, bool: sec.getboolean}
@@ -104,7 +113,7 @@ def _section(ini: configparser.ConfigParser, name: str, schema: dict) -> dict:
     return values
 
 
-def _provider_config(name: str, ini: configparser.ConfigParser) -> ProviderConfig | None:
+def _provider_config(name: str, ini: configparser.ConfigParser | None) -> ProviderConfig | None:
     """The provider's settings, or None when its section says enabled = false."""
     base = _DEFAULT_PROVIDERS[name]
     section = f"provider.{name}"
@@ -198,9 +207,15 @@ def _emit(text: str, out: str | None) -> None:
         print(text, end="")
 
 
+@contextmanager
 def _runtime(args: argparse.Namespace):
-    """_build_runtime called with the options _runtime_options declares."""
-    return _build_runtime(
+    """_build_runtime called with the options _runtime_options declares.
+
+    What is built by then (modules, the fixture store, the vocabulary)
+    lives for the whole command, so the collector's generations are frozen
+    until it ends: collections traverse only what the run allocates.
+    """
+    runtime = _build_runtime(
         args.offline,
         args.fixtures,
         os.environ.get("CITE_AUDIT_CACHE") if args.cache is None else args.cache,
@@ -208,29 +223,34 @@ def _runtime(args: argparse.Namespace):
         args.vocab,
         {key: getattr(args, key) for key in _THRESHOLD_KEYS},
     )
+    gc.freeze()
+    try:
+        yield runtime
+    finally:
+        gc.unfreeze()
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Verify every reference in a .bib or .txt bibliography."""
-    resolver, classifier_config = _runtime(args)
-    if args.out:
-        # Opened for append, as --cache is: a path that cannot be written
-        # fails before any lookup, and an existing report stays whole.
+    with _runtime(args) as (resolver, classifier_config):
+        if args.out:
+            # Opened for append, as --cache is: a path that cannot be written
+            # fails before any lookup, and an existing report stays whole.
+            try:
+                Path(args.out).open("a", encoding="utf-8").close()
+            except OSError as exc:
+                raise UsageError(f"output file {args.out}: not writable: {exc}") from exc
         try:
-            Path(args.out).open("a", encoding="utf-8").close()
-        except OSError as exc:
-            raise UsageError(f"output file {args.out}: not writable: {exc}") from exc
-    try:
-        parse_report = parse_file(args.input_file, format=args.input_format)
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"{args.input_file}: not UTF-8 text: {exc}") from exc
-    for warning in parse_report.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    verdicts = classify_batch(
-        parse_report.citations, resolver, classifier_config, jobs=args.jobs
-    )
-    report = build_report(args.input_file, parse_report.citations, verdicts)
-    _emit(render_report(report, args.output_format), args.out)
+            parse_report = parse_file(args.input_file, format=args.input_format)
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{args.input_file}: not UTF-8 text: {exc}") from exc
+        for warning in parse_report.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
+        verdicts = classify_batch(
+            parse_report.citations, resolver, classifier_config, jobs=args.jobs
+        )
+        report = build_report(args.input_file, parse_report.citations, verdicts)
+        _emit(render_report(report, args.output_format), args.out)
     return _final_exit(verdicts, args.fail_on)
 
 
@@ -238,12 +258,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
     """Classify one plain-text citation given as an argument."""
     if not args.citation_text.strip():
         raise UsageError("citation text must not be empty")
-    resolver, classifier_config = _runtime(args)
-    parse_report = parse_text(args.citation_text, format="plaintext")
-    citations = list(parse_report.citations)[:1]
-    verdicts = classify_batch(citations, resolver, classifier_config, jobs=1)
-    report = build_report("<argument>", citations, verdicts)
-    _emit(render_report(report, args.output_format), None)
+    with _runtime(args) as (resolver, classifier_config):
+        parse_report = parse_text(args.citation_text, format="plaintext")
+        citations = list(parse_report.citations)[:1]
+        verdicts = classify_batch(citations, resolver, classifier_config, jobs=1)
+        report = build_report("<argument>", citations, verdicts)
+        _emit(render_report(report, args.output_format), None)
     return _final_exit(verdicts, args.fail_on)
 
 

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import json
-from importlib.resources import files
+import pkgutil
 from typing import TYPE_CHECKING
 
 from .resolve import FixtureProvider
@@ -12,7 +12,12 @@ if TYPE_CHECKING:
 
 
 def _packaged(name: str) -> str:
-    return (files("citeaudit") / "data" / name).read_text(encoding="utf-8")
+    # Through the package's loader, so a zip install reads as a directory
+    # does, without importing importlib.resources' readers and zipfile.
+    data = pkgutil.get_data("citeaudit", f"data/{name}")
+    if data is None:
+        raise OSError(f"citeaudit's loader cannot read packaged data file data/{name}")
+    return data.decode("utf-8")
 
 
 def load_packaged_corpus() -> list[CodedRow]:

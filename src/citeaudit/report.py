@@ -6,7 +6,6 @@ not be checked, 3 for usage and I/O errors (assigned by the CLI).
 """
 from __future__ import annotations
 
-import csv
 import io
 import json
 
@@ -102,6 +101,8 @@ def render_report_json(report: dict) -> str:
 
 
 def render_report_csv(report: dict) -> str:
+    import csv  # only this format uses it: a json or text run skips the import
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import time
+import zipfile
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,9 +20,12 @@ from hypothesis import strategies as st
 import citeaudit
 from citeaudit import cli
 from citeaudit import resolve as resolve_module
+from citeaudit.classify import classify_batch
 from citeaudit.cli import main
+from citeaudit.data import load_packaged_vocab
 from citeaudit.identifiers import make_identifier
 from citeaudit.model import FailureMode, IdentifierKind, Verdict, VerdictStatus
+from citeaudit.parsing import parse_text
 from citeaudit.resolve import LookupOutcome
 from citeaudit.report import (
     EXIT_HALLUCINATED,
@@ -549,20 +555,25 @@ class TestProviderSections:
 
 # Modules an offline plaintext verify has no use for: the CLI library it no
 # longer uses, corpus statistics, the BibTeX reader, the HTTP stack, lane
-# threads and the arXiv XML parser.
+# threads, the arXiv XML parser, the INI reader (no --config), the CSV
+# writer (no --format csv) and the zip reader of importlib.resources.
 _NOT_LOADED_OFFLINE = (
     "click", "citeaudit.analytics", "citeaudit.bibtex", "citeaudit.transport",
     "statistics", "concurrent.futures", "xml.etree.ElementTree", "http.client", "ssl",
+    "configparser", "csv", "zipfile",
 )
 
 
-def _fresh_python(probe: str, *args: str) -> subprocess.CompletedProcess:
-    """Run probe in a new interpreter that imports citeaudit from this tree."""
+def _fresh_python(
+    probe: str, *args: str, flags: tuple[str, ...] = ()
+) -> subprocess.CompletedProcess:
+    """Run probe in a new interpreter, started with flags, that imports
+    citeaudit from this tree."""
     src = str(Path(citeaudit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", probe, *args],
+        [sys.executable, *flags, "-c", probe, *args],
         env=env,
         capture_output=True,
         text=True,
@@ -587,9 +598,12 @@ class TestStartup:
             "import sys; from citeaudit.cli import main; code = main(sys.argv[1:]); "
             f"print([m for m in {_NOT_LOADED_OFFLINE!r} if m in sys.modules]); sys.exit(code)"
         )
+        # Without site: a .pth file in site-packages may import modules of
+        # its own (certifi's loads importlib.resources and with it zipfile),
+        # and the set pinned here is what citeaudit loads.
         result = _fresh_python(
             probe, "verify", str(DATA / "exemplars.txt"), "--fixtures", fixtures_path,
-            "--format", "json",
+            "--format", "json", flags=("-S",),
         )
         assert result.returncode == EXIT_HALLUCINATED, result.stderr
         report, _, loaded = result.stdout.rstrip("\n").rpartition("\n")
@@ -600,6 +614,98 @@ class TestStartup:
         result = _fresh_python("import sys; from citeaudit.cli import main; sys.exit(main(['stats']))")
         assert result.returncode == EXIT_OK, result.stderr
         assert result.stdout.startswith("Primary failure modes (n=100)")
+
+    def test_packaged_data_reads_from_a_zip_install(self, tmp_path):
+        package = Path(citeaudit.__file__).resolve().parent
+        archive = tmp_path / "citeaudit.zip"
+        with zipfile.ZipFile(archive, "w") as zf:
+            for path in sorted(package.rglob("*")):
+                if path.is_file() and "__pycache__" not in path.parts:
+                    zf.write(path, Path("citeaudit") / path.relative_to(package))
+        probe = (
+            "import citeaudit.data as d; "
+            "print(d.__file__.endswith('data.py') and '.zip' in d.__file__, "
+            "len(d.load_packaged_vocab()), len(d.load_packaged_corpus()))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(archive)}
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        loaded, vocab, rows = result.stdout.split()
+        assert loaded == "True"
+        assert int(vocab) == len(load_packaged_vocab())
+        assert int(rows) == 100
+
+    def test_packaged_data_the_loader_cannot_read_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(pkgutil, "get_data", lambda package, resource: None)
+        with pytest.raises(OSError, match="data/vocab.txt"):
+            load_packaged_vocab()
+
+
+class TestCollectorFreeze:
+    """verify and classify freeze the collector's generations once the
+    runtime is built, and unfreeze them when the command ends; library calls
+    leave the collector alone."""
+
+    @pytest.fixture()
+    def freezes(self, monkeypatch) -> list[int]:
+        """Each gc.freeze call, by the frozen count it found."""
+        calls: list[int] = []
+        real_freeze = gc.freeze
+
+        def recording_freeze():
+            calls.append(gc.get_freeze_count())
+            real_freeze()
+
+        monkeypatch.setattr(gc, "freeze", recording_freeze)
+        return calls
+
+    def test_verify_freezes_once_while_it_classifies(
+        self, fixtures_path, freezes, monkeypatch, capsys
+    ):
+        frozen_while_classifying = []
+        real_batch = cli.classify_batch
+
+        def batch(*args, **kwargs):
+            frozen_while_classifying.append(gc.get_freeze_count())
+            return real_batch(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "classify_batch", batch)
+        for _ in range(2):
+            freezes.clear()
+            code = main(["verify", str(DATA / "exemplars.txt"), "--fixtures", fixtures_path])
+            assert code == EXIT_HALLUCINATED
+            assert freezes == [0]
+            assert gc.get_freeze_count() == 0
+            assert gc.isenabled()
+        assert len(frozen_while_classifying) == 2
+        assert all(count > 0 for count in frozen_while_classifying)
+
+    def test_classify_command_freezes_once(self, fixtures_path, freezes, capsys):
+        code = main(["classify", TestClassifyCommand.NANDA, "--fixtures", fixtures_path])
+        assert code == EXIT_HALLUCINATED
+        assert freezes == [0]
+        assert gc.get_freeze_count() == 0
+
+    def test_a_usage_error_inside_the_command_unfreezes(
+        self, fixtures_path, tmp_path, freezes, capsys
+    ):
+        out = tmp_path / "missing-dir" / "report.txt"
+        code = main(
+            ["verify", str(DATA / "exemplars.txt"), "--fixtures", fixtures_path, "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        assert "not writable" in capsys.readouterr().err
+        assert freezes == [0]
+        assert gc.get_freeze_count() == 0
+
+    def test_library_batch_never_freezes(self, offline_resolver, classifier_config, freezes):
+        citations = parse_text((DATA / "exemplars.txt").read_text(encoding="utf-8")).citations
+        verdicts = classify_batch(citations, offline_resolver, classifier_config, jobs=2)
+        assert len(verdicts) == 5
+        assert freezes == []
+        assert gc.get_freeze_count() == 0
 
 
 class TestClassifyCommand:
