@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import io
 import json
+import math
+from json.encoder import encode_basestring
 
 from .model import (
     ParsedCitation,
@@ -97,7 +99,61 @@ def render_report_text(report: dict) -> str:
 
 
 def render_report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+    """The text of json.dumps(report, indent=2, ensure_ascii=False) and a
+    newline. json.dumps runs its pure-Python encoder whenever it indents;
+    _write_json writes the same text in about half the time."""
+    parts: list[str] = []
+    _write_json(report, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_json(value, newline: str, parts: list[str]) -> None:
+    """Append value's JSON text, as json.dumps writes it, to parts. newline
+    is a line break plus the indent of value's own line."""
+    if isinstance(value, str):
+        parts.append(encode_basestring(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                # json writes a number, true, false or null key as a string.
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError(
+                        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+                    )
+                key = json.dumps(key)
+            parts.append(separator + encode_basestring(key) + ": ")
+            _write_json(item, inner, parts)
+            separator = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            _write_json(item, inner, parts)
+            separator = "," + inner
+        parts.append(newline + "]")
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(float.__repr__(value) if math.isfinite(value) else json.dumps(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def render_report_csv(report: dict) -> str:

@@ -205,6 +205,30 @@ class TestJsonReportStability:
         assert outputs[0] == outputs[1]
         assert outputs[0] == (DATA / "golden_report.json").read_bytes()
 
+    @given(
+        document=st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            lambda children: st.lists(children, max_size=4)
+            | st.lists(children, max_size=4).map(tuple)
+            | st.dictionaries(
+                st.text(max_size=6) | st.integers() | st.floats() | st.booleans() | st.none(),
+                children,
+                max_size=4,
+            ),
+            max_leaves=24,
+        )
+    )
+    def test_json_text_is_what_json_dumps_writes(self, document):
+        expected = json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+        assert render_report(document, "json") == expected
+
+    @pytest.mark.parametrize("document", [{(1, 2): 0}, {"a": [object()]}, {"a": {1j}}])
+    def test_json_rejects_what_json_dumps_rejects(self, document):
+        with pytest.raises(TypeError):
+            json.dumps(document, indent=2)
+        with pytest.raises(TypeError):
+            render_report(document, "json")
+
 
 class TestThresholdConfiguration:
     def _paolone_primary(self, capsys, extra: list[str], fixtures_path: str) -> str:
