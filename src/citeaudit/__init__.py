@@ -38,7 +38,7 @@ _MODULE_OF = {
         "resolve": (
             "ArxivClient", "CrossrefClient", "FixtureProvider", "LookupCache",
             "LookupOutcome", "LookupStatus", "OpenAlexClient", "ProviderConfig",
-            "ResolutionBundle", "Resolver", "SearchOutcome",
+            "ResolutionBundle", "Resolver",
         ),
     }.items()
     for name in names

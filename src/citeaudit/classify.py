@@ -25,7 +25,7 @@ from .model import (
     Verdict,
     VerdictStatus,
 )
-from .resolve import LookupStatus, ResolutionBundle, Resolver
+from .resolve import ResolutionBundle, Resolver
 
 # Primary precedence: structural defects outrank relational ones, and total
 # fabrication is the default once everything else is ruled out.
@@ -134,9 +134,9 @@ def classify(
     if bundle.thresholds is None:
         thresholds = MatchThresholds()
         identifier_profiles = tuple(
-            (label, outcome.record, profile_match(citation, outcome.record, thresholds))
+            (label, record, profile_match(citation, record, thresholds))
             for label, outcome in bundle.identifier_outcomes
-            if outcome.status is LookupStatus.FOUND and outcome.record is not None
+            for record in outcome.records
         )
         search_profiles = tuple(
             (record, profile_match(citation, record, thresholds))

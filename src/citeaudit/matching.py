@@ -43,7 +43,7 @@ def normalize_title(title: str) -> str:
 
 
 def title_tokens(title: str) -> list[str]:
-    return _WORD_RE.findall(fold_diacritics(title.casefold()))
+    return normalize_title(title).split()
 
 
 def content_tokens(title: str) -> list[str]:

@@ -74,41 +74,39 @@ class LookupStatus(Enum):
 
 @dataclass(frozen=True)
 class LookupOutcome:
-    """Result of resolving a single identifier."""
-
-    status: LookupStatus
-    record: ResolvedRecord | None = None
-    cause: str | None = None
-
-    @classmethod
-    def found(cls, record: ResolvedRecord) -> "LookupOutcome":
-        return cls(status=LookupStatus.FOUND, record=record)
-
-    @classmethod
-    def not_found(cls) -> "LookupOutcome":
-        return cls(status=LookupStatus.NOT_FOUND)
-
-    @classmethod
-    def unavailable(cls, cause: str) -> "LookupOutcome":
-        return cls(status=LookupStatus.UNAVAILABLE, cause=cause)
-
-    @property
-    def failed(self) -> bool:
-        return self.status is LookupStatus.UNAVAILABLE
-
-
-@dataclass(frozen=True)
-class SearchOutcome:
-    """Result of a title or author search. cause is set when the search
-    itself failed; an empty record list with cause None means the search
-    ran and found nothing."""
+    """Result of one lookup or search. cause is set when it failed
+    (Unavailable); otherwise records holds what it found, and no records
+    means it ran and found nothing (NotFound)."""
 
     records: tuple[ResolvedRecord, ...] = ()
     cause: str | None = None
 
+    @classmethod
+    def found(cls, record: ResolvedRecord) -> "LookupOutcome":
+        return cls(records=(record,))
+
+    @classmethod
+    def not_found(cls) -> "LookupOutcome":
+        return cls()
+
+    @classmethod
+    def unavailable(cls, cause: str) -> "LookupOutcome":
+        return cls(cause=cause)
+
     @property
     def failed(self) -> bool:
         return self.cause is not None
+
+    @property
+    def status(self) -> LookupStatus:
+        if self.failed:
+            return LookupStatus.UNAVAILABLE
+        return LookupStatus.FOUND if self.records else LookupStatus.NOT_FOUND
+
+    @property
+    def record(self) -> ResolvedRecord | None:
+        """The first record found, if any."""
+        return self.records[0] if self.records else None
 
 
 @dataclass(frozen=True)
@@ -118,8 +116,8 @@ class ResolutionBundle:
 
     citation_key: str
     identifier_outcomes: tuple[tuple[str, LookupOutcome], ...] = ()
-    title_search: SearchOutcome | None = None
-    author_search: SearchOutcome | None = None
+    title_search: LookupOutcome | None = None
+    author_search: LookupOutcome | None = None
     short_circuit: bool = False
     identifier_profiles: tuple[tuple[str, ResolvedRecord, FieldMatchProfile], ...] = ()
     search_profiles: tuple[tuple[ResolvedRecord, FieldMatchProfile], ...] = ()
@@ -169,16 +167,20 @@ def _decode_record(d, provider_name: str) -> ResolvedRecord:
 
 
 # Fixture entries and cache payloads are one format of stored outcome:
-# {"status", "record"} for a lookup (status defaults to "found"),
-# {"records"} for a search, and {"status": "unavailable", "cause"} for an
-# outage of either. A record without "provider" is credited to
-# provider_name. An entry of any other shape is Unavailable("bad_response").
-def _decode_lookup(entry, provider_name: str) -> LookupOutcome:
+# {"records": [...]} for a lookup or search that ran (an empty list is
+# NotFound) and {"status": "unavailable", "cause"} for an outage. Also read:
+# {"status": "not_found"}, and one found record as {"record": ...}, the form
+# older cache rows and most fixture files hold; "status": "found" may go
+# with either found form. A record without "provider" is credited to
+# provider_name. An entry of any other shape is Unavailable("bad_response"):
+# no answer, so no evidence.
+def _decode(entry, provider_name: str) -> LookupOutcome:
     try:
         entry = _typed(entry, dict)
         status = entry.get("status", "found")
         if status == "found":
-            return LookupOutcome.found(_decode_record(entry.get("record"), provider_name))
+            records = _typed(entry["records"], list) if "records" in entry else [entry["record"]]
+            return LookupOutcome(tuple(_decode_record(r, provider_name) for r in records))
         if status == "not_found":
             return LookupOutcome.not_found()
         if status == "unavailable":
@@ -188,31 +190,8 @@ def _decode_lookup(entry, provider_name: str) -> LookupOutcome:
     return LookupOutcome.unavailable("bad_response")
 
 
-def _decode_search(entry, provider_name: str) -> SearchOutcome:
-    try:
-        entry = _typed(entry, dict)
-        if entry.get("status") == "unavailable":
-            return SearchOutcome(cause=_typed(entry.get("cause"), str, "offline"))
-        records = _typed(entry.get("records"), list, [])
-        return SearchOutcome(records=tuple(_decode_record(r, provider_name) for r in records))
-    except (KeyError, ValueError):  # an entry that does not parse, or _BadPayload
-        return SearchOutcome(cause="bad_response")
-
-
-def _encode_lookup(outcome: LookupOutcome) -> dict:
-    return {
-        "status": outcome.status.value,
-        "record": record_to_dict(outcome.record) if outcome.record else None,
-    }
-
-
-def _encode_search(outcome: SearchOutcome) -> dict:
+def _encode(outcome: LookupOutcome) -> dict:
     return {"records": [record_to_dict(r) for r in outcome.records]}
-
-
-# Each outcome type's (decoder, encoder, Unavailable constructor).
-_LOOKUP = (_decode_lookup, _encode_lookup, LookupOutcome.unavailable)
-_SEARCH = (_decode_search, _encode_search, lambda cause: SearchOutcome(cause=cause))
 
 
 # The key of each op's outcome in a fixture file. A cache key adds the
@@ -233,12 +212,12 @@ def _author_key(surname: str, year: int) -> str:
     return f"author:{surname.lower()}:{year}"
 
 
-# Each Resolver op's fixture key and outcome type.
+# Each Resolver op's fixture key.
 _OPS = {
-    "lookup_doi": (_doi_key, _LOOKUP),
-    "lookup_arxiv": (_arxiv_key, _LOOKUP),
-    "search_title": (_title_key, _SEARCH),
-    "search_author_year": (_author_key, _SEARCH),
+    "lookup_doi": _doi_key,
+    "lookup_arxiv": _arxiv_key,
+    "search_title": _title_key,
+    "search_author_year": _author_key,
 }
 
 
@@ -249,20 +228,15 @@ def _cache_key(provider, op_key: str) -> str:
     return json.dumps([config.name, config.base_endpoint, op_key], ensure_ascii=False)
 
 
-# What a fixture key that is not listed reads as. Both decode as a lookup
-# (NotFound, Unavailable("offline")) and as a search (no records, a failed
-# search with cause "offline").
-_CLOSED_WORLD_MISS = {"status": "not_found"}
-_OPEN_WORLD_MISS = {"status": "unavailable", "cause": "offline"}
-
-
 class FixtureProvider:
     """Offline provider backed by a JSON file of canned outcomes.
 
+    Each entry, lookup or search alike, is one stored outcome in the format
+    _decode reads; an entry of another shape is Unavailable("bad_response").
     closed_world=True means the fixture is the whole universe: a key that
-    is not listed resolves to NotFound (or an empty search). With
-    closed_world=False an unlisted key is Unavailable("offline"), because
-    the fixture only mirrors a slice of the real sources.
+    is not listed resolves to NotFound. With closed_world=False an unlisted
+    key is Unavailable("offline"), because the fixture only mirrors a slice
+    of the real sources.
     """
 
     def __init__(self, source: str | Path | dict, name: str = "fixture"):
@@ -278,25 +252,27 @@ class FixtureProvider:
             raise ValueError(f"{label}: {exc}") from exc
         self.name = name
 
-    def _read(self, key: str, decode):
-        """The entry under key, decoded; an unlisted key reads as a
-        not_found entry in a closed world and as an offline one otherwise."""
+    def _read(self, key: str) -> LookupOutcome:
+        """The entry under key, decoded; an unlisted key reads as NotFound
+        in a closed world and as Unavailable("offline") otherwise."""
         entry = self._outcomes.get(key)
-        if entry is None:
-            entry = _CLOSED_WORLD_MISS if self.closed_world else _OPEN_WORLD_MISS
-        return decode(entry, self.name)
+        if entry is not None:
+            return _decode(entry, self.name)
+        if self.closed_world:
+            return LookupOutcome.not_found()
+        return LookupOutcome.unavailable("offline")
 
     def lookup_doi(self, doi: str) -> LookupOutcome:
-        return self._read(_doi_key(doi), _decode_lookup)
+        return self._read(_doi_key(doi))
 
     def lookup_arxiv(self, arxiv_id: str) -> LookupOutcome:
-        return self._read(_arxiv_key(arxiv_id), _decode_lookup)
+        return self._read(_arxiv_key(arxiv_id))
 
-    def search_title(self, title: str) -> SearchOutcome:
-        return self._read(_title_key(title), _decode_search)
+    def search_title(self, title: str) -> LookupOutcome:
+        return self._read(_title_key(title))
 
-    def search_author_year(self, surname: str, year: int) -> SearchOutcome:
-        return self._read(_author_key(surname, year), _decode_search)
+    def search_author_year(self, surname: str, year: int) -> LookupOutcome:
+        return self._read(_author_key(surname, year))
 
 
 def _new_session() -> HttpSession:
@@ -512,15 +488,15 @@ def _is_error_entry(entry: ElementTree.Element) -> bool:
 class OpenAlexClient(_HttpClient):
     """Title and author-year search against an OpenAlex-style works index."""
 
-    def _search(self, params: dict, query: str) -> SearchOutcome:
+    def _search(self, params: dict, query: str) -> LookupOutcome:
         resp = self._get(f"{self.config.base_endpoint.rstrip('/')}/works", params)
         if isinstance(resp, str):
-            return SearchOutcome(cause=resp)
+            return LookupOutcome.unavailable(resp)
         try:
             results = _typed(_typed(resp.json(), dict).get("results"), list)
-            return SearchOutcome(records=tuple(self._record(w, query) for w in results))
+            return LookupOutcome(tuple(self._record(w, query) for w in results))
         except ValueError:  # undecodable JSON, or _BadPayload
-            return SearchOutcome(cause="bad_response")
+            return LookupOutcome.unavailable("bad_response")
 
     def _record(self, work, query: str) -> ResolvedRecord:
         work = _typed(work, dict)
@@ -560,10 +536,10 @@ class OpenAlexClient(_HttpClient):
             provenance_query=query,
         )
 
-    def search_title(self, title: str) -> SearchOutcome:
+    def search_title(self, title: str) -> LookupOutcome:
         return self._search({"search": title, "per-page": 5}, _title_key(title))
 
-    def search_author_year(self, surname: str, year: int) -> SearchOutcome:
+    def search_author_year(self, surname: str, year: int) -> LookupOutcome:
         return self._search(
             {
                 "filter": f"raw_author_name.search:{surname},publication_year:{year}",
@@ -574,7 +550,7 @@ class OpenAlexClient(_HttpClient):
 
 
 class LookupCache:
-    """Append-only JSONL cache of Found/NotFound outcomes and search results.
+    """Append-only JSONL cache of Found and NotFound outcomes.
 
     Unavailable outcomes are never written: an outage is a statement about
     the moment, not about the work, and must not poison later runs. On read,
@@ -583,8 +559,9 @@ class LookupCache:
     {"key": str, "stored_at": finite number, "payload": object}, and one
     stamped later than the file was read, which would never expire. The
     Resolver writes payloads in the fixture entry format and reads them back
-    through the same decoders. Without a path the cache lives in memory
-    only, for the life of the object.
+    through the decoder FixtureProvider uses, so a row in any shape that
+    decoder reads is a hit. Without a path the cache lives in memory only,
+    for the life of the object.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -670,11 +647,11 @@ class Resolver:
 
     Providers are consulted in list order; the first provider that
     implements an operation owns it. A FixtureProvider owner is read in
-    place. A network owner's Found and NotFound outcomes and successful
-    searches go into the cache; without a configured one the resolver keeps
-    an in-memory LookupCache, so a key repeated within one run goes to the
-    network once either way. resolve_all is the one way in: it sends a key
-    once for all the ladders waiting on it.
+    place. A network owner's Found and NotFound outcomes go into the
+    cache; without a configured one the resolver keeps an in-memory
+    LookupCache, so a key repeated within one run goes to the network once
+    either way. resolve_all is the one way in: it sends a key once for all
+    the ladders waiting on it.
     """
 
     def __init__(
@@ -705,7 +682,7 @@ class Resolver:
         if bucket is not None:
             bucket.acquire()
 
-    def _cached(self, key: str, decode, provider):
+    def _cached(self, key: str, provider) -> LookupOutcome | None:
         """The outcome the cache holds under key, decoded as a fixture entry
         is, or None. The cache never stores Unavailable, so a payload that
         decodes to it (a row that does not parse) is a miss: the key is
@@ -713,7 +690,7 @@ class Resolver:
         payload = self.cache.get(key)
         if payload is None:
             return None
-        outcome = decode(payload, provider.config.name)
+        outcome = _decode(payload, provider.config.name)
         return None if outcome.failed else outcome
 
     def _settle(self, op: str, args: tuple):
@@ -721,14 +698,13 @@ class Resolver:
         first provider with op: Unavailable("no_provider") without one, a
         fixture's answer, a network owner's failed arXiv request of this run
         or cached outcome, or None when the key has to be sent."""
-        op_key, (decode, _, unavailable) = _OPS[op]
         provider = self._provider_for(op)
         if provider is None:
-            return None, None, unavailable("no_provider")
+            return None, None, LookupOutcome.unavailable("no_provider")
         if isinstance(provider, FixtureProvider):
             return provider, None, getattr(provider, op)(*args)
-        key = _cache_key(provider, op_key(*args))
-        return provider, key, self._arxiv_failed.get(key) or self._cached(key, decode, provider)
+        key = _cache_key(provider, _OPS[op](*args))
+        return provider, key, self._arxiv_failed.get(key) or self._cached(key, provider)
 
     def _fetch(self, provider, key: str, op: str, args: tuple):
         """provider.op(*args) on the provider's next token, cached under key
@@ -736,7 +712,7 @@ class Resolver:
         self._wait_for_token(provider)
         outcome = getattr(provider, op)(*args)
         if not outcome.failed:
-            self.cache.put(key, _OPS[op][1][1](outcome))
+            self.cache.put(key, _encode(outcome))
         return outcome
 
     def _pending_arxiv(self, citations) -> tuple[object, dict[str, str]]:
@@ -751,7 +727,7 @@ class Resolver:
             for kind, value in _lookup_ids(citation):
                 if kind is IdentifierKind.ARXIV:
                     key = _cache_key(provider, _arxiv_key(value))
-                    if key not in pending and self._cached(key, _decode_lookup, provider) is None:
+                    if key not in pending and self._cached(key, provider) is None:
                         pending[key] = value
         return provider, pending
 
@@ -780,7 +756,7 @@ class Resolver:
             outcome = outcomes[arxiv_id]
             key = _cache_key(provider, _arxiv_key(arxiv_id))
             if not outcome.failed:
-                self.cache.put(key, _encode_lookup(outcome))
+                self.cache.put(key, _encode(outcome))
                 continue
             unsettled.append(arxiv_id)
             cause = outcome.cause
@@ -811,30 +787,30 @@ class Resolver:
         """The lookup ladder of one citation. It yields each op it needs as
         (op, args), takes the outcome back, and returns the bundle.
 
-        Identifiers first; a Found record that agrees on author, title, and
-        year short-circuits the searches. Otherwise title search, then
-        author-year search (skipped after a full title-search match, or when
-        the citation has no usable author surname or no year).
+        Identifiers first; a record found by one that agrees on author,
+        title, and year short-circuits the searches. Otherwise title search,
+        then author-year search (skipped after a full title-search match, or
+        when the citation has no usable author surname or no year). Every
+        record an outcome holds is profiled, an identifier's as a search's.
         """
         id_outcomes: list[tuple[str, LookupOutcome]] = []
         id_profiles: list[tuple[str, ResolvedRecord, FieldMatchProfile]] = []
         search_profiles: list[tuple[ResolvedRecord, FieldMatchProfile]] = []
         short = False
 
-        def profiles(search: SearchOutcome) -> list[tuple[ResolvedRecord, FieldMatchProfile]]:
-            return [(r, profile_match(citation, r, self.thresholds)) for r in search.records]
+        def profiles(outcome: LookupOutcome) -> list[tuple[ResolvedRecord, FieldMatchProfile]]:
+            return [(r, profile_match(citation, r, self.thresholds)) for r in outcome.records]
 
         for kind, value in _lookup_ids(citation):
             op = "lookup_doi" if kind is IdentifierKind.DOI else "lookup_arxiv"
             outcome = yield op, (value,)
             label = f"{kind.value}:{value}"
             id_outcomes.append((label, outcome))
-            if outcome.status is LookupStatus.FOUND and outcome.record is not None:
-                profile = profile_match(citation, outcome.record, self.thresholds)
-                id_profiles.append((label, outcome.record, profile))
-                if profile.core_all_match():
-                    short = True
-                    break
+            found = profiles(outcome)
+            id_profiles += [(label, record, profile) for record, profile in found]
+            if any(profile.core_all_match() for _, profile in found):
+                short = True
+                break
 
         title_search = None
         author_search = None

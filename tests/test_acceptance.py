@@ -25,7 +25,6 @@ from citeaudit.resolve import (
     ProviderConfig,
     ResolutionBundle,
     Resolver,
-    SearchOutcome,
 )
 from tests import conftest
 from tests.conftest import classify_citation, make_citation, make_record
@@ -168,14 +167,14 @@ def test_criterion_4_compound_verdicts_over_synthetic_evidence():
             )
             search_options = (
                 None,
-                SearchOutcome(records=()),
-                SearchOutcome(records=(mismatching,)),
-                SearchOutcome(cause="offline"),
+                LookupOutcome(records=()),
+                LookupOutcome(records=(mismatching,)),
+                LookupOutcome(cause="offline"),
             )
             author_search_options = (
                 None,
-                SearchOutcome(records=(confirming,)),
-                SearchOutcome(records=()),
+                LookupOutcome(records=(confirming,)),
+                LookupOutcome(records=()),
             )
             for id_outcome, title_search, author_search in itertools.product(
                 id_options, search_options, author_search_options

@@ -30,7 +30,6 @@ from citeaudit.resolve import (
     ProviderConfig,
     ResolutionBundle,
     Resolver,
-    SearchOutcome,
 )
 from tests.conftest import DATA_DIR, classify_citation, make_citation, make_record
 from tests.http_fakes import FakeArxivSession, Paper
@@ -206,8 +205,8 @@ class TestProfileOnce:
                 ("arxiv:2001.00001", LookupOutcome.found(found[1])),
                 ("doi:10.1/down", LookupOutcome.unavailable("timeout")),
             ),
-            title_search=SearchOutcome(records=tuple(searched[:3])),
-            author_search=SearchOutcome(records=tuple(searched[3:])),
+            title_search=LookupOutcome(records=tuple(searched[:3])),
+            author_search=LookupOutcome(records=tuple(searched[3:])),
         )
         v = classify(c, bundle, config)
         assert v.status is VerdictStatus.HALLUCINATED
@@ -316,7 +315,7 @@ class TestOutageSafety:
             identifier_outcomes=(
                 ("doi:10.1/x", LookupOutcome.unavailable("timeout")),
             ),
-            title_search=SearchOutcome(cause="http_5xx"),
+            title_search=LookupOutcome(cause="http_5xx"),
         )
         c = make_citation(identifiers=(make_identifier(IdentifierKind.DOI, "10.1/x"),))
         v = classify(c, bundle, config)
@@ -328,7 +327,7 @@ class TestOutageSafety:
             identifier_outcomes=(
                 ("doi:10.1/x", LookupOutcome.unavailable("timeout")),
             ),
-            title_search=SearchOutcome(records=()),
+            title_search=LookupOutcome(records=()),
         )
         c = make_citation(identifiers=(make_identifier(IdentifierKind.DOI, "10.1/x"),))
         v = classify(c, bundle, config)
@@ -440,8 +439,8 @@ class TestShGate:
     def _bundle(self, author_records):
         return ResolutionBundle(
             citation_key="c1",
-            title_search=SearchOutcome(records=()),
-            author_search=SearchOutcome(records=tuple(author_records)),
+            title_search=LookupOutcome(records=()),
+            author_search=LookupOutcome(records=tuple(author_records)),
         )
 
     def test_confirmed_author_allows_sh(self, config):
@@ -479,7 +478,7 @@ class TestPlaceholderDominance:
     def test_placeholder_id_promotes_ph_primary(self, config):
         plain = make_citation(key="c1", title="Zzkw qqv jjx wwy")
         bundle = ResolutionBundle(
-            citation_key="c1", title_search=SearchOutcome(records=())
+            citation_key="c1", title_search=LookupOutcome(records=())
         )
         assert classify(plain, bundle, config).primary is TF
 
@@ -831,10 +830,10 @@ def _citation_and_bundle(draw):
         st.sampled_from(
             [
                 None,
-                SearchOutcome(records=()),
-                SearchOutcome(records=(mismatching,)),
-                SearchOutcome(records=(matching,)),
-                SearchOutcome(cause="offline"),
+                LookupOutcome(records=()),
+                LookupOutcome(records=(mismatching,)),
+                LookupOutcome(records=(matching,)),
+                LookupOutcome(cause="offline"),
             ]
         )
     )
@@ -842,9 +841,9 @@ def _citation_and_bundle(draw):
         st.sampled_from(
             [
                 None,
-                SearchOutcome(records=()),
-                SearchOutcome(records=(confirming,)),
-                SearchOutcome(cause="offline"),
+                LookupOutcome(records=()),
+                LookupOutcome(records=(confirming,)),
+                LookupOutcome(cause="offline"),
             ]
         )
     )
@@ -996,7 +995,7 @@ class TestSecondarySource:
         bundle = ResolutionBundle(
             citation_key="c1",
             identifier_outcomes=outcomes,
-            title_search=SearchOutcome(records=tuple(title_records)),
+            title_search=LookupOutcome(records=tuple(title_records)),
         )
         v = classify(citation, bundle, ClassifierConfig(vocab=_VOCAB))
         assert v.status is VerdictStatus.HALLUCINATED

@@ -765,6 +765,38 @@ class TestClassifyCommand:
     def test_empty_argument_rejected(self, capsys):
         assert main(["classify", "   "]) == EXIT_USAGE
 
+    VASWANI = (
+        "Vaswani, A., Shazeer, N., & Parmar, N. (2017). Attention is all you need."
+        " Advances in Neural Information Processing Systems."
+    )
+    _VASWANI_RECORD = {
+        "title": "Attention is all you need",
+        "authors": ["Ashish Vaswani", "Noam Shazeer", "Niki Parmar"],
+        "year": 2017,
+    }
+
+    @pytest.mark.parametrize(
+        "entry, code, line",
+        [
+            (
+                {"recods": [_VASWANI_RECORD]},
+                EXIT_UNVERIFIABLE,
+                "UNVERIFIABLE (provider_unavailable)",
+            ),
+            ({"status": "found", "record": _VASWANI_RECORD}, EXIT_OK, "VERIFIED"),
+        ],
+        ids=["misspelt-records", "single-record-form"],
+    )
+    def test_title_entry_of_an_open_world_fixture(self, entry, code, line, tmp_path, capsys):
+        # The only entry answers the title search; the author-year search is
+        # unlisted, so offline. A title entry that does not decode is no
+        # evidence that the work does not exist.
+        fixtures = tmp_path / "fixtures.json"
+        document = {"closed_world": False, "outcomes": {"title:attention is all you need": entry}}
+        fixtures.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["classify", self.VASWANI, "--fixtures", str(fixtures)]) == code
+        assert f"[1] {line}\n" in capsys.readouterr().out
+
 
 class TestStatsCommand:
     def test_packaged_default(self, capsys):
@@ -868,7 +900,7 @@ def online(tmp_path, monkeypatch) -> SimpleNamespace:
 
 
 class TestCacheRows:
-    """A --cache file is read through the fixture entry decoders. A row or a
+    """A --cache file is read through the fixture entry decoder. A row or a
     payload that does not decode is a miss: the run gives the verdict and
     exit code of a run without the cache, and the key is fetched again."""
 
@@ -960,7 +992,7 @@ class TestCacheRows:
         cache = tmp_path / "cache.jsonl"
         self._classify(citation, online, capsys, cache)
         (row,) = _rows(cache)
-        del row["payload"]["record"]["provider"]
+        del row["payload"]["records"][0]["provider"]
         cache.write_text(json.dumps(row) + "\n", encoding="utf-8")
         sent = len(online.session.requests)
         assert self._classify(citation, online, capsys, cache) == expected

@@ -21,7 +21,6 @@ from citeaudit.resolve import (
     OpenAlexClient,
     ProviderConfig,
     Resolver,
-    SearchOutcome,
 )
 from tests.conftest import classify_citation, make_citation
 from tests.http_fakes import (
@@ -191,7 +190,7 @@ class TestOpenAlexShapes:
             outcome = client.search_title("Deep learning")
         else:
             outcome = client.search_author_year("LeCun", 2015)
-        assert outcome == SearchOutcome(cause="bad_response")
+        assert outcome == LookupOutcome(cause="bad_response")
 
     @pytest.mark.parametrize("error, cause", _REQUEST_ERRORS)
     @pytest.mark.parametrize("op", ["title", "author_year"])
@@ -201,7 +200,7 @@ class TestOpenAlexShapes:
             outcome = client.search_title("Deep learning")
         else:
             outcome = client.search_author_year("LeCun", 2015)
-        assert outcome == SearchOutcome(cause=cause)
+        assert outcome == LookupOutcome(cause=cause)
 
 
 # Each client's outcome for each HTTP status, the reply body being one that
@@ -245,10 +244,7 @@ _OK_REPLIES = {
 def test_http_status_maps_to_outcome(klass, status, expected):
     op, ok = _OK_REPLIES[klass]
     outcome = op(_client(klass, FakeResponse(status, ok.text)))
-    if isinstance(outcome, SearchOutcome):
-        assert (outcome.cause or ("found" if outcome.records else "not_found")) == expected
-    else:
-        assert (outcome.cause or outcome.status.value) == expected
+    assert (outcome.cause or outcome.status.value) == expected
 
 
 @pytest.mark.parametrize(
@@ -432,7 +428,7 @@ def test_malformed_fixture_entry_is_bad_response(entry):
     assert provider.lookup_doi("10.1038/nature14539") == LookupOutcome.unavailable(
         "bad_response"
     )
-    assert provider.search_title("Deep learning") == SearchOutcome(cause="bad_response")
+    assert provider.search_title("Deep learning") == LookupOutcome(cause="bad_response")
     citation = make_citation(
         title="Deep learning",
         authors=("Yann LeCun",),
@@ -484,4 +480,4 @@ def test_fixture_outage_entry_is_unavailable():
     assert provider.lookup_doi("10.1/a") == LookupOutcome.unavailable("offline")
     assert provider.lookup_doi("10.1/b") == LookupOutcome.unavailable("bad_response")
     assert provider.lookup_doi("10.1/c") == LookupOutcome.unavailable("bad_response")
-    assert provider.search_title("Deep learning") == SearchOutcome(cause="offline")
+    assert provider.search_title("Deep learning") == LookupOutcome(cause="offline")

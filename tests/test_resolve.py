@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
@@ -11,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citeaudit import resolve as resolve_module
-from citeaudit.classify import ClassifierConfig
+from citeaudit.classify import ClassifierConfig, classify
 from citeaudit.data import packaged_fixture_provider
 from citeaudit.identifiers import make_identifier
 from citeaudit.matching import profile_match
-from citeaudit.model import IdentifierKind, normalize_name
+from citeaudit.model import IdentifierKind, VerdictStatus, normalize_name
 from citeaudit.parsing import parse_file
 from citeaudit.ratelimit import TokenBucket
 from citeaudit.resolve import (
@@ -28,10 +29,8 @@ from citeaudit.resolve import (
     ProviderConfig,
     ResolutionBundle,
     Resolver,
-    SearchOutcome,
     _cache_key,
-    _decode_lookup,
-    _decode_search,
+    _decode,
 )
 from tests.conftest import classify_citation, make_citation, make_record
 from tests.http_fakes import FakeArxivSession, FakeResponse, Paper
@@ -308,15 +307,28 @@ class TestResolver:
         assert second.title_search.records[0].title == "Some Title"
         assert provider.calls == ["title"]
 
-    def test_payload_that_does_not_decode_is_fetched_again(self, tmp_path):
+    @pytest.mark.parametrize(
+        "title_row",
+        [
+            {"records": "Some Title"},
+            {},
+            {"status": "bogus"},
+            {"recods": [{"title": "Some Title"}]},
+        ],
+        ids=["records-not-a-list", "empty", "unknown-status", "misspelt-records"],
+    )
+    def test_payload_that_does_not_decode_is_fetched_again(self, tmp_path, title_row):
+        # A search row that does not decode is no answer either: read as an
+        # empty search, it would be NotFound evidence against a real work.
         path = tmp_path / "c.jsonl"
         cache = LookupCache(path)
         provider = CountingProvider(
             outcomes={"title:some title": {"records": [{"title": "Some Title"}]}}
         )
         doi_key = _cache_key(provider, "doi:10.1000/x")
+        title_key = _cache_key(provider, "title:some title")
         cache.put(doi_key, {"status": "bogus"})
-        cache.put(_cache_key(provider, "title:some title"), {"records": "Some Title"})
+        cache.put(title_key, title_row)
         resolver = Resolver(providers=[provider], cache=cache)
         for _ in range(2):
             (bundle,) = _resolve(resolver, _asking(doi="10.1000/x", title="Some Title"))
@@ -324,12 +336,13 @@ class TestResolver:
             assert bundle.title_search.records[0].title == "Some Title"
         assert provider.calls == ["doi:10.1000/x", "title"]
         # The fresh rows are the newest, so they win in the next run too.
-        assert LookupCache(path).get(doi_key) == {"status": "not_found", "record": None}
+        assert LookupCache(path).get(doi_key) == {"records": []}
+        assert LookupCache(path).get(title_key)["records"][0]["title"] == "Some Title"
 
     def test_written_payloads_decode_to_the_outcomes_put(self, tmp_path, data_dir):
         # Cache payloads are fixture entries: each payload the resolver puts
         # for the exemplars and a clean bibliography reads back, through the
-        # decoders FixtureProvider uses, as the outcome the provider gave.
+        # decoder FixtureProvider uses, as the outcome the provider gave.
         given: list = []
         put: list = []
 
@@ -373,14 +386,67 @@ class TestResolver:
         bundles = list(resolver.resolve_all(citations, jobs=1))
         assert len(put) == len(given) > len(citations)
         for (key, payload), outcome in zip(put, given):
-            decode = _decode_lookup if isinstance(outcome, LookupOutcome) else _decode_search
-            assert decode(payload, "unused") == outcome, key
+            assert _decode(payload, "unused") == outcome, key
         # A second run from the same source reads every answer from the file
         # and asks the provider nothing.
         same = CountingProvider(name="recording", endpoint="http://recording")
         rerun = Resolver(providers=[same], cache=LookupCache(tmp_path / "c.jsonl"))
         assert list(rerun.resolve_all(citations, jobs=1)) == bundles
         assert same.calls == []
+
+    def test_rows_in_the_earlier_payload_shapes_are_hits(self, tmp_path):
+        # A cache written before lookups and searches shared one payload
+        # form holds a lookup as {"status", "record"}, a search as
+        # {"records"}. A rerun reads each and asks the provider nothing.
+        provider = CountingProvider()
+        record = {"provider": "counting", "title": "Some Title", "year": 2020}
+        payloads = {
+            "doi:10.1000/a": {"status": "found", "record": record},
+            "doi:10.1000/b": {"status": "not_found", "record": None},
+            "title:some title": {"records": [record]},
+        }
+        path = tmp_path / "c.jsonl"
+        rows = [
+            {"key": _cache_key(provider, key), "stored_at": time.time(), "payload": payload}
+            for key, payload in payloads.items()
+        ]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        resolver = Resolver(providers=[provider], cache=LookupCache(path))
+        found, missing, searched = _resolve(
+            resolver,
+            _asking(doi="10.1000/a"),
+            _asking(doi="10.1000/b"),
+            _asking(title="Some Title"),
+        )
+        expected = make_record(title="Some Title", authors=(), venue="", provider="counting")
+        assert found.identifier_outcomes == (("doi:10.1000/a", LookupOutcome.found(expected)),)
+        assert missing.identifier_outcomes == (("doi:10.1000/b", LookupOutcome.not_found()),)
+        assert searched.title_search == LookupOutcome((expected,))
+        assert provider.calls == []
+
+    def test_every_record_of_an_identifier_entry_is_profiled(self):
+        # An identifier entry holds records as a search's does, and none is
+        # dropped: the second record here is the cited work. A bundle built
+        # by hand from the same outcomes is classified the same way.
+        citation = _asking(doi="10.1000/x", title="Some Title", author="Ada Lovelace", year=2020)
+        entry = {
+            "records": [
+                {"title": "Another Work", "year": 2001},
+                {"title": "Some Title", "authors": ["Ada Lovelace"], "year": 2020},
+            ]
+        }
+        provider = FixtureProvider({"closed_world": True, "outcomes": {"doi:10.1000/x": entry}})
+        (bundle,) = _resolve(Resolver(providers=[provider]), citation)
+        titles = [record.title for _, record, _ in bundle.identifier_profiles]
+        assert titles == ["Another Work", "Some Title"]
+        assert bundle.short_circuit and bundle.title_search is None
+        by_hand = dataclasses.replace(
+            bundle, identifier_profiles=(), search_profiles=(), thresholds=None
+        )
+        for given_bundle in (bundle, by_hand):
+            verdict = classify(citation, given_bundle, ClassifierConfig())
+            assert verdict.status is VerdictStatus.VERIFIED
+            assert verdict.matched_record.title == "Some Title"
 
     def test_fixture_answers_never_reach_the_cache(self, exemplar_citations):
         class Refusing(LookupCache):
@@ -1016,7 +1082,7 @@ class TestLanes:
     def test_one_job_still_keeps_two_providers_busy(self):
         release = threading.Event()
         dois = _OneOp("dois", "lookup_doi", LookupOutcome.not_found(), release)
-        titles = _OneOp("titles", "search_title", SearchOutcome(), release)
+        titles = _OneOp("titles", "search_title", LookupOutcome(), release)
         citations = [_doi_citation("10.1000/held"), make_citation(key="titled")]
         consumer, results = _consume(Resolver(providers=[dois, titles]), citations, jobs=1)
         try:
@@ -1038,7 +1104,7 @@ class TestLanes:
 
         monkeypatch.setattr(threading.Thread, "start", recording_start)
         dois = _OneOp("dois", "lookup_doi", LookupOutcome.not_found())
-        titles = _OneOp("titles", "search_title", SearchOutcome())
+        titles = _OneOp("titles", "search_title", LookupOutcome())
         resolver = Resolver(providers=[dois, titles])
         assert len(list(resolver.resolve_all(_doi_citations(200), jobs=2))) == 200
         assert 1 <= len(dois.threads) <= 2
@@ -1169,8 +1235,8 @@ class _PureProvider:
                 return LookupOutcome.unavailable("http_5xx")
             return LookupOutcome.not_found() if fate == "not_found" else LookupOutcome.found(record)
         if fate == "unavailable":
-            return SearchOutcome(cause="http_5xx")
-        return SearchOutcome() if fate == "not_found" else SearchOutcome(records=(record,))
+            return LookupOutcome(cause="http_5xx")
+        return LookupOutcome() if fate == "not_found" else LookupOutcome(records=(record,))
 
 
 def _providers(fates, delays=None) -> list:
@@ -1242,8 +1308,8 @@ class TestResolutionBundle:
             identifier_outcomes=(
                 ("doi:10.1/x", LookupOutcome.unavailable("timeout")),
             ),
-            title_search=SearchOutcome(cause="offline"),
-            author_search=SearchOutcome(records=(make_record(),)),
+            title_search=LookupOutcome(cause="offline"),
+            author_search=LookupOutcome(records=(make_record(),)),
         )
         attempts = bundle.attempts()
         assert ("doi:10.1/x", True, "timeout") in attempts
@@ -1308,7 +1374,7 @@ class TestResolutionBundle:
         bundle = ResolutionBundle(
             citation_key="k",
             identifier_outcomes=(("doi:x", LookupOutcome.found(make_record())),),
-            title_search=SearchOutcome(records=(make_record(),)),
+            title_search=LookupOutcome(records=(make_record(),)),
         )
         assert bundle.identifier_profiles == ()
         assert bundle.search_profiles == ()
