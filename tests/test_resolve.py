@@ -315,7 +315,7 @@ class TestResolver:
             {"status": "bogus"},
             {"recods": [{"title": "Some Title"}]},
         ],
-        ids=["records-not-a-list", "empty", "unknown-status", "misspelt-records"],
+        ids=["not-a-list", "empty", "bad-status", "misspelt"],
     )
     def test_payload_that_does_not_decode_is_fetched_again(self, tmp_path, title_row):
         # A search row that does not decode is no answer either: read as an
