@@ -1195,8 +1195,15 @@ _KEYS = (
     [("lookup_doi", (f"10.1000/w{k}",)) for k in _WORKS]
     + [("search_title", (t,)) for t in _TITLES]
     + [("search_author_year", (normalize_name(a).surname, y)) for a in _AUTHORS for y in _YEARS]
+    + [("lookup_arxiv", (f"2101.{k:05d}",)) for k in _WORKS]
 )
 _FATES = ("match", "other", "not_found", "unavailable", "raise")
+# What a request for more than one arXiv id meets: an answer, or a failure
+# of the whole request with that cause.
+_BATCH_FATES = ("ok", "rate_limited", "http_5xx")
+_IDENTS = [(IdentifierKind.DOI, f"10.1000/w{k}") for k in _WORKS] + [
+    (IdentifierKind.ARXIV, f"2101.{k:05d}") for k in _WORKS
+]
 
 
 def _work_record(k: int):
@@ -1224,13 +1231,16 @@ class _PureProvider:
     def _answer(self, op, args):
         self.sent.append((op, args))
         time.sleep(self._delays.get((op, args), 0))
+        return self._outcome(op, args)
+
+    def _outcome(self, op, args):
         fate = self._fates[op, args]
         if fate == "raise":
             raise RuntimeError(f"{op}{args} raised")
         # The work the key names; for an author-year key, the year's work.
         k = _KEYS.index((op, args)) % len(_TITLES)
         record = _work_record(k if fate == "match" else (k + 1) % len(_TITLES))
-        if op == "lookup_doi":
+        if op in ("lookup_doi", "lookup_arxiv"):
             if fate == "unavailable":
                 return LookupOutcome.unavailable("http_5xx")
             return LookupOutcome.not_found() if fate == "not_found" else LookupOutcome.found(record)
@@ -1239,10 +1249,36 @@ class _PureProvider:
         return LookupOutcome() if fate == "not_found" else LookupOutcome(records=(record,))
 
 
-def _providers(fates, delays=None) -> list:
+class _BatchingProvider(_PureProvider):
+    """A _PureProvider of lookup_arxiv that batches it, as ArxivClient does.
+    lookup_arxiv_ids answers each id as lookup_arxiv does, and raises if one
+    of them raises; so a request for one id is that id's own request. A
+    request for more ids first takes the next of batch_fates, and fails
+    whole when that is a cause. batches lists the ids of each request, and
+    settled each id a request settled."""
+
+    def __init__(self, fates, delays=None, batch_fates=()):
+        super().__init__("arxiv", ("lookup_arxiv",), fates, delays)
+        self._batch_fates = list(batch_fates)
+        self.batches: list = []
+        self.settled: set = set()
+
+    def lookup_arxiv_ids(self, ids):
+        self.batches.append(list(ids))
+        time.sleep(max(self._delays.get(("lookup_arxiv", (i,)), 0) for i in ids))
+        fate = self._batch_fates.pop(0) if len(ids) > 1 and self._batch_fates else "ok"
+        if fate != "ok":
+            return {i: LookupOutcome.unavailable(fate) for i in ids}
+        outcomes = {i: self._outcome("lookup_arxiv", (i,)) for i in ids}
+        self.settled.update(i for i, outcome in outcomes.items() if not outcome.failed)
+        return outcomes
+
+
+def _providers(fates, delays=None, batch_fates=()) -> list:
     return [
         _PureProvider("dois", ("lookup_doi",), fates, delays),
         _PureProvider("works", ("search_title", "search_author_year"), fates, delays),
+        _BatchingProvider(fates, delays, batch_fates),
     ]
 
 
@@ -1257,15 +1293,16 @@ def _bibliographies(draw):
             authors=(_AUTHORS[draw(pick)],),
             year=_YEARS[draw(pick)],
             identifiers=tuple(
-                make_identifier(IdentifierKind.DOI, f"10.1000/w{k}")
-                for k in draw(st.lists(pick, max_size=2, unique=True))
+                make_identifier(kind, value)
+                for kind, value in draw(st.lists(st.sampled_from(_IDENTS), max_size=3, unique=True))
             ),
         )
         for i in range(n)
     ]
     fates = {key: draw(st.sampled_from(_FATES)) for key in _KEYS}
     delays = {key: draw(st.sampled_from((0, 0.0002, 0.001))) for key in _KEYS}
-    return citations, fates, delays
+    batch_fates = draw(st.lists(st.sampled_from(_BATCH_FATES), max_size=3))
+    return citations, fates, delays, batch_fates
 
 
 def _comparable(results) -> list:
@@ -1276,17 +1313,18 @@ def _comparable(results) -> list:
 class TestReferenceModel:
     """resolve_all against tests.oracles.resolve_in_order, a sequential
     model with a plain memo, over providers that answer each key as a pure
-    function of it."""
+    function of it. arXiv ids go through the batch first, which may fail
+    whole; the model looks each one up on its own."""
 
     @settings(max_examples=40)
     @given(case=_bibliographies(), jobs=st.integers(1, 8))
     def test_lanes_agree_with_the_sequential_model(self, case, jobs):
-        citations, fates, delays = case
+        citations, fates, delays, batch_fates = case
         model = _providers(fates)
         expected, asks = resolve_in_order(Resolver(model)._ladder, model, citations)
 
         before = set(threading.enumerate())
-        providers = _providers(fates, delays)
+        providers = _providers(fates, delays, batch_fates)
         got = list(Resolver(providers).resolve_all(citations, jobs))
         assert _comparable(got) == _comparable(expected)
         sent = [key for p in providers for key in p.sent]
@@ -1295,6 +1333,9 @@ class TestReferenceModel:
             # most once for each ladder that asked for it.
             settled = fates[key] in ("match", "other", "not_found")
             assert sent.count(key) <= (1 if settled else asks[key]), key
+        # No id the batch settled is sent again on its own.
+        arxiv = providers[-1]
+        assert not arxiv.settled & {args[0] for _, args in arxiv.sent}
         assert not [
             t for t in threading.enumerate()
             if t not in before and t.name.startswith("citeaudit-")
