@@ -7,6 +7,7 @@ must never be conflated or a provider outage would look like fabrication.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import queue
@@ -595,12 +596,9 @@ class LookupCache:
         now = time.time() if now is None else now
         with self._lock:
             hit = self._entries.get(key)
-            if hit is None:
-                return None
-            stored_at, payload = hit
-            if now - stored_at > DEFAULT_CACHE_TTL_SECONDS:
-                return None
-            return payload
+        if hit is None or now - hit[0] > DEFAULT_CACHE_TTL_SECONDS:
+            return None
+        return hit[1]
 
     def put(self, key: str, payload: dict, now: float | None = None) -> None:
         now = time.time() if now is None else now
@@ -642,16 +640,97 @@ def _lookup_ids(citation: ParsedCitation):
             yield kind, value
 
 
+class _Lane:
+    """A network provider's token bucket and send path, one per Resolver. A
+    job on a run's lane thread waits for a token, sends and caches; no more."""
+
+    def __init__(self, provider, cache: LookupCache):
+        # A network provider's config names it in every cache key.
+        if not isinstance(getattr(provider, "config", None), ProviderConfig):
+            raise TypeError(f"provider {provider!r} has no ProviderConfig as .config")
+        self.provider, self.cache = provider, cache
+        rate = provider.config.rate_limit
+        self._bucket = TokenBucket(rate=rate) if rate > 0 else None
+
+    def cached(self, key: str) -> LookupOutcome | None:
+        """The outcome cached under key, or None: a row that does not decode is a miss."""
+        payload = self.cache.get(key)
+        if payload is None:
+            return None
+        outcome = _decode(payload, self.provider.config.name)
+        return None if outcome.failed else outcome
+
+    def _send(self, op: str, *args):
+        if self._bucket is not None:
+            self._bucket.acquire()
+        return getattr(self.provider, op)(*args)
+
+    def fetch(self, key: str, op: str, args: tuple) -> LookupOutcome:
+        """provider.op(*args), cached under key unless it is Unavailable."""
+        outcome = self._send(op, *args)
+        if not outcome.failed:
+            self.cache.put(key, _encode(outcome))
+        return outcome
+
+    def fetch_arxiv(self, ids: list[str], failed: dict[str, LookupOutcome]) -> None:
+        """Send ids ARXIV_BATCH_SIZE per request, caching what they settle;
+        an id whose own request failed goes into failed by cache key. A 429
+        batch goes once more, whole, another failed one in halves. It only
+        saves requests, so it never raises: ladders send the rest alone."""
+        with contextlib.suppress(Exception):
+            for start in range(0, len(ids), ARXIV_BATCH_SIZE):
+                batch = ids[start : start + ARXIV_BATCH_SIZE]
+                unsettled, cause = self._request_arxiv(batch, failed)
+                if cause == "rate_limited" and len(batch) > 1:
+                    # A 429 asks the client to slow down, not to send more
+                    # requests: the batch goes once more, whole, on its next token.
+                    unsettled, cause = self._request_arxiv(unsettled, failed)
+                self._split_failed(unsettled, cause, failed)
+
+    def _request_arxiv(self, ids: list[str], failed: dict) -> tuple[list[str], str | None]:
+        """Send one batch request and cache what it settles. Returns the ids
+        left unsettled and the cause of their failure."""
+        outcomes = self._send("lookup_arxiv_ids", ids)
+        unsettled, cause = [], None
+        for arxiv_id in ids:
+            outcome = outcomes[arxiv_id]
+            key = _cache_key(self.provider, _arxiv_key(arxiv_id))
+            if not outcome.failed:
+                self.cache.put(key, _encode(outcome))
+                continue
+            unsettled.append(arxiv_id)
+            cause = outcome.cause
+            if len(ids) == 1:
+                failed[key] = outcome
+        return unsettled, cause
+
+    def _split_failed(self, ids: list[str], cause: str | None, failed: dict) -> None:
+        # The ids of a failed request are sent again in halves, so one
+        # failing id cannot take the others down with it. A 429, or two
+        # halves that both fail whole (an outage, not one bad id), ends the
+        # splitting: the ids left are looked up on the per-id path.
+        if len(ids) < 2 or cause == "rate_limited":
+            return
+        half = (len(ids) + 1) // 2
+        results = []
+        for part in (ids[:half], ids[half:]):
+            unsettled, part_cause = self._request_arxiv(part, failed)
+            if part_cause == "rate_limited":
+                return
+            results.append((part, unsettled, part_cause))
+        if all(unsettled == part for part, unsettled, _ in results):
+            return
+        for _, unsettled, part_cause in results:
+            self._split_failed(unsettled, part_cause, failed)
+
+
 class Resolver:
     """Routes lookups to providers with rate limiting and caching.
 
     Providers are consulted in list order; the first provider that
     implements an operation owns it. A FixtureProvider owner is read in
-    place. A network owner's Found and NotFound outcomes go into the
-    cache; without a configured one the resolver keeps an in-memory
-    LookupCache, so a key repeated within one run goes to the network once
-    either way. resolve_all is the one way in: it sends a key once for all
-    the ladders waiting on it.
+    place; each network provider has a _Lane, which caches its Found and
+    NotFound outcomes (in memory when no cache is given).
     """
 
     def __init__(
@@ -663,125 +742,27 @@ class Resolver:
         self._providers = list(providers)
         self.thresholds = thresholds or MatchThresholds()
         self.cache = cache if cache is not None else LookupCache()
-        self._buckets: dict[int, TokenBucket] = {}
-        for provider in self._providers:
-            if isinstance(provider, FixtureProvider):
-                continue
-            # A network provider's config names it in every cache key.
-            config = getattr(provider, "config", None)
-            if not isinstance(config, ProviderConfig):
-                raise TypeError(f"provider {provider!r} has no ProviderConfig as .config")
-            if config.rate_limit > 0:
-                self._buckets[id(provider)] = TokenBucket(rate=config.rate_limit)
+        network = [p for p in self._providers if not isinstance(p, FixtureProvider)]
+        self._lanes = {id(p): _Lane(p, self.cache) for p in network}
+        # The resolve_all calls under way; the last to end closes the clients.
+        self._live: set[_Run] = set()
+        self._live_lock = threading.Lock()
 
     def _provider_for(self, op: str):
         return next((p for p in self._providers if hasattr(p, op)), None)
 
-    def _wait_for_token(self, provider) -> None:
-        bucket = self._buckets.get(id(provider))
-        if bucket is not None:
-            bucket.acquire()
-
-    def _cached(self, key: str, provider) -> LookupOutcome | None:
-        """The outcome the cache holds under key, decoded as a fixture entry
-        is, or None. The cache never stores Unavailable, so a payload that
-        decodes to it (a row that does not parse) is a miss: the key is
-        looked up again, and the fresh row wins over the bad one."""
-        payload = self.cache.get(key)
-        if payload is None:
-            return None
-        outcome = _decode(payload, provider.config.name)
-        return None if outcome.failed else outcome
-
-    def _settle(self, op: str, args: tuple):
-        """(owner, cache key, outcome) of owner.op(*args), owner being the
-        first provider with op: Unavailable("no_provider") without one, a
-        fixture's answer, a network owner's failed arXiv request of this run
-        or cached outcome, or None when the key has to be sent."""
+    def _settle(self, op: str, args: tuple, failed: dict[str, LookupOutcome]):
+        """(lane, cache key, outcome) of the first provider with op: no_provider
+        without one, a fixture's answer, a network owner's outcome in failed
+        or the cache, or None when the key has to be sent on its lane."""
         provider = self._provider_for(op)
         if provider is None:
             return None, None, LookupOutcome.unavailable("no_provider")
         if isinstance(provider, FixtureProvider):
-            return provider, None, getattr(provider, op)(*args)
+            return None, None, getattr(provider, op)(*args)
+        lane = self._lanes[id(provider)]
         key = _cache_key(provider, _OPS[op](*args))
-        return provider, key, self._arxiv_failed.get(key) or self._cached(key, provider)
-
-    def _fetch(self, provider, key: str, op: str, args: tuple):
-        """provider.op(*args) on the provider's next token, cached under key
-        unless it is Unavailable. A lane job: _settle has already missed."""
-        self._wait_for_token(provider)
-        outcome = getattr(provider, op)(*args)
-        if not outcome.failed:
-            self.cache.put(key, _encode(outcome))
-        return outcome
-
-    def _pending_arxiv(self, citations) -> tuple[object, dict[str, str]]:
-        """The provider that batches arXiv lookups, and the arXiv ids of
-        citations that no cache entry settles by cache key, in order of first
-        appearance. Without a batching owner, (None, {}): no citation is read."""
-        provider = self._provider_for("lookup_arxiv")
-        if provider is None or not hasattr(provider, "lookup_arxiv_ids"):
-            return None, {}
-        pending: dict[str, str] = {}
-        for citation in citations:
-            for kind, value in _lookup_ids(citation):
-                if kind is IdentifierKind.ARXIV:
-                    key = _cache_key(provider, _arxiv_key(value))
-                    if key not in pending and self._cached(key, provider) is None:
-                        pending[key] = value
-        return provider, pending
-
-    def _fetch_arxiv(self, provider, ids: list[str]) -> None:
-        """Send ids, which no cache entry settles, ARXIV_BATCH_SIZE per
-        request, one rate-limit token each, and cache what they settle. A
-        batch refused with a 429 is sent once more, whole; one that failed
-        otherwise is split in halves. A ladder sends the rest one by one."""
-        for start in range(0, len(ids), ARXIV_BATCH_SIZE):
-            batch = ids[start : start + ARXIV_BATCH_SIZE]
-            unsettled, cause = self._request_arxiv(provider, batch)
-            if cause == "rate_limited" and len(batch) > 1:
-                # A 429 asks the client to slow down, not to send more
-                # requests: the batch goes once more, whole, on its next token.
-                unsettled, cause = self._request_arxiv(provider, unsettled)
-            self._split_failed(provider, unsettled, cause)
-
-    def _request_arxiv(self, provider, ids: list[str]) -> tuple[list[str], str | None]:
-        """Send one batch request and cache what it settles. Returns the ids
-        left unsettled and the cause of their failure."""
-        self._wait_for_token(provider)
-        outcomes = provider.lookup_arxiv_ids(ids)
-        unsettled = []
-        cause = None
-        for arxiv_id in ids:
-            outcome = outcomes[arxiv_id]
-            key = _cache_key(provider, _arxiv_key(arxiv_id))
-            if not outcome.failed:
-                self.cache.put(key, _encode(outcome))
-                continue
-            unsettled.append(arxiv_id)
-            cause = outcome.cause
-            if len(ids) == 1:
-                self._arxiv_failed[key] = outcome
-        return unsettled, cause
-
-    def _split_failed(self, provider, failed: list[str], cause: str | None) -> None:
-        # The ids of a failed request are sent again in halves, so one
-        # failing id cannot take the others down with it. A 429, or two
-        # halves that both fail whole (an outage, not one bad id), ends the
-        # splitting: the ids left are looked up on the per-id path.
-        if len(failed) < 2 or cause == "rate_limited":
-            return
-        half = (len(failed) + 1) // 2
-        results = []
-        for part in (failed[:half], failed[half:]):
-            unsettled, part_cause = self._request_arxiv(provider, part)
-            if part_cause == "rate_limited":
-                return
-            results.append((part, unsettled, part_cause))
-        if all(unsettled == part for part, unsettled, _ in results):
-            return
-        for _, unsettled, part_cause in results:
-            self._split_failed(provider, unsettled, part_cause)
+        return lane, key, failed.get(key) or lane.cached(key)
 
     def _ladder(self, citation: ParsedCitation) -> Generator[tuple, object, ResolutionBundle]:
         """The lookup ladder of one citation. It yields each op it needs as
@@ -849,91 +830,110 @@ class Resolver:
         """Resolve a whole bibliography: the resolver's one way to look
         anything up. The calling thread steps every citation's lookup ladder
         and answers in place each op _settle answers. Any other goes, by key,
-        to its owner's lane: each network provider's FIFO, served by up to
-        ``jobs`` threads, so ``jobs`` is the most requests one provider has
-        in flight at once. A lane job only waits for a token, sends and
-        caches; it looks nothing up first. A ladder asking for a key already
-        queued waits on that request. Of the ladders that waited on a key
-        which came back Unavailable, the first takes that outcome and each
-        other asks again, so sends its own request, as it would have alone.
-        The arXiv lane's first job is one batch of every arXiv id no cache
-        entry settles; it only saves requests, so after it, raised or not,
-        its ladders ask again.
+        to its owner's lane, served by up to ``jobs`` threads of this call. A
+        ladder asking for a key already queued waits on that request. Of the
+        ladders that waited on a key which came back Unavailable, the first
+        takes that outcome and each other asks again, as it would alone. The
+        arXiv lane's first job is one batch of every arXiv id no cache entry
+        settles; after it, its ladders ask again.
 
         Yields, in input order, each citation's bundle or the exception its
-        ladder or an op it waited on raised. When the iteration ends, early
-        or not, every lane thread has finished and the HTTP clients'
-        connections are closed.
+        ladder or an op it waited on raised. Calls may run at once on one
+        Resolver, sharing its cache and token buckets. When the iteration
+        ends, early or not, every lane thread of the call has ended; when the
+        last call under way ends, the HTTP clients' connections are closed.
         """
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        # arXiv ids whose own request failed in this run's batch, by cache
-        # key, so they are not sent again that run.
-        self._arxiv_failed: dict[str, LookupOutcome] = {}
-        ladders = [self._ladder(c) for c in citations]
-        results: dict[int, ResolutionBundle | Exception] = {}
+        yield from _Run(self, citations, jobs)
+
+
+class _Run:
+    """One resolve_all call: its ladders, the keys they wait on, their
+    results, its lane threads, and its arXiv ids whose own request failed."""
+
+    def __init__(self, resolver: Resolver, citations: Sequence[ParsedCitation], jobs: int):
+        self._resolver, self._citations, self._jobs = resolver, citations, jobs
+        self._ladders = [resolver._ladder(c) for c in citations]
+        self._results: dict[int, ResolutionBundle | Exception] = {}
         # Each key on a lane, with the (position, op, args) of its ladders.
-        waiting: dict[str, list[tuple[int, str, tuple]]] = {}
-        lanes: dict[int, ThreadPoolExecutor] = {}
-        done: queue.SimpleQueue = queue.SimpleQueue()
+        self._waiting: dict[str, list[tuple[int, str, tuple]]] = {}
+        self._pools: dict[_Lane, ThreadPoolExecutor] = {}
+        self._done: queue.SimpleQueue = queue.SimpleQueue()
+        self._arxiv_failed: dict[str, LookupOutcome] = {}
 
-        def queue_job(provider, keys, job, *args):
-            if id(provider) not in lanes:
-                from concurrent.futures import ThreadPoolExecutor
-
-                name = f"citeaudit-{provider.config.name}"
-                lanes[id(provider)] = ThreadPoolExecutor(jobs, thread_name_prefix=name)
-            future = lanes[id(provider)].submit(job, *args)
-            future.add_done_callback(lambda finished: done.put((keys, finished)))
-            return future
-
-        def step(i: int, outcome=None, asked: tuple | None = None) -> None:
-            """Send outcome to ladder i (or ask again), until it waits or ends."""
-            try:
-                while True:
-                    op, args = asked or ladders[i].send(outcome)
-                    provider, key, outcome = self._settle(op, args)
-                    if outcome is None:
-                        break
-                    asked = None
-            except StopIteration as stop:
-                results[i] = stop.value
-            except Exception as exc:  # noqa: BLE001 - reported as that citation's verdict
-                results[i] = exc
-            else:
-                if key not in waiting:
-                    waiting[key] = []
-                    queue_job(provider, (key,), self._fetch, provider, key, op, args)
-                waiting[key].append((i, op, args))
-
-        def finish(keys, future) -> None:
-            # The batch only saves requests: after it, its ladders ask again.
-            result = None if future is batch else future.exception() or future.result()
-            for key in keys:
-                for n, (i, op, args) in enumerate(waiting.pop(key, ())):
-                    if isinstance(result, Exception):
-                        results[i] = result
-                    elif result is None or (n and result.failed):
-                        step(i, asked=(op, args))
-                    else:
-                        step(i, result)
-
-        provider, pending = self._pending_arxiv(citations)
-        batch = None
+    def __iter__(self) -> Iterator[ResolutionBundle | Exception]:
+        resolver = self._resolver
+        with resolver._live_lock:
+            resolver._live.add(self)
         try:
-            if pending:
-                waiting.update((key, []) for key in pending)
-                ids = list(pending.values())
-                batch = queue_job(provider, list(pending), self._fetch_arxiv, provider, ids)
-            for i in range(len(citations)):
-                step(i)
-            for i in range(len(citations)):
-                while i not in results or not done.empty():
-                    finish(*done.get())
-                yield results.pop(i)
+            provider = resolver._provider_for("lookup_arxiv")
+            if hasattr(provider, "lookup_arxiv_ids"):
+                self._prefetch(resolver._lanes[id(provider)])
+            for i in range(len(self._ladders)):
+                self._step(i)
+            for i in range(len(self._ladders)):
+                while i not in self._results or not self._done.empty():
+                    self._finish(*self._done.get())
+                yield self._results.pop(i)
         finally:
-            for lane in lanes.values():
-                lane.shutdown(cancel_futures=True)
-            for p in self._providers:
-                if isinstance(p, _HttpClient):
-                    p.close()
+            for pool in self._pools.values():
+                pool.shutdown(cancel_futures=True)
+            with resolver._live_lock:
+                resolver._live.remove(self)
+                if not resolver._live:
+                    for provider in resolver._providers:
+                        if isinstance(provider, _HttpClient):
+                            provider.close()
+
+    def _prefetch(self, lane: _Lane) -> None:
+        """Queue one batch of the arXiv ids of the run that no cache entry
+        settles, in order of first appearance; their ladders wait on it."""
+        pending: dict[str, str] = {}
+        for citation in self._citations:
+            for kind, value in _lookup_ids(citation):
+                if kind is IdentifierKind.ARXIV:
+                    key = _cache_key(lane.provider, _arxiv_key(value))
+                    if key not in pending and lane.cached(key) is None:
+                        pending[key] = value
+        if pending:
+            self._waiting.update((key, []) for key in pending)
+            self._queue(lane, pending, lane.fetch_arxiv, [*pending.values()], self._arxiv_failed)
+
+    def _queue(self, lane: _Lane, keys, job, *args) -> None:
+        if lane not in self._pools:
+            from concurrent.futures import ThreadPoolExecutor
+
+            name = f"citeaudit-{lane.provider.config.name}"
+            self._pools[lane] = ThreadPoolExecutor(self._jobs, thread_name_prefix=name)
+        future = self._pools[lane].submit(job, *args)
+        future.add_done_callback(lambda finished: self._done.put((keys, finished)))
+
+    def _step(self, i: int, outcome=None, asked: tuple | None = None) -> None:
+        """Send outcome to ladder i (or ask again), until it waits or ends."""
+        try:
+            while True:
+                op, args = asked or self._ladders[i].send(outcome)
+                lane, key, outcome = self._resolver._settle(op, args, self._arxiv_failed)
+                if outcome is None:
+                    break
+                asked = None
+        except StopIteration as stop:
+            self._results[i] = stop.value
+        except Exception as exc:  # noqa: BLE001 - reported as that citation's verdict
+            self._results[i] = exc
+        else:
+            if key not in self._waiting:
+                self._queue(lane, (key,), lane.fetch, key, op, args)
+            self._waiting.setdefault(key, []).append((i, op, args))
+
+    def _finish(self, keys, future) -> None:
+        result = future.exception() or future.result()
+        for key in keys:
+            for n, (i, op, args) in enumerate(self._waiting.pop(key, ())):
+                if isinstance(result, Exception):
+                    self._results[i] = result
+                elif result is None or (n and result.failed):  # the batch returns None
+                    self._step(i, asked=(op, args))
+                else:
+                    self._step(i, result)

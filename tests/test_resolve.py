@@ -22,6 +22,7 @@ from citeaudit.ratelimit import TokenBucket
 from citeaudit.resolve import (
     DEFAULT_CACHE_TTL_SECONDS,
     ArxivClient,
+    CrossrefClient,
     FixtureProvider,
     LookupCache,
     LookupOutcome,
@@ -33,7 +34,7 @@ from citeaudit.resolve import (
     _decode,
 )
 from tests.conftest import classify_citation, make_citation, make_record
-from tests.http_fakes import FakeArxivSession, FakeResponse, Paper
+from tests.http_fakes import FakeArxivSession, FakeResponse, FakeWorksSession, Paper
 from tests.oracles import resolve_in_order
 
 
@@ -560,6 +561,7 @@ class TestResolver:
 
 
 _ARXIV = ProviderConfig(name="arxiv", base_endpoint="http://stub/api/query")
+_CROSSREF = ProviderConfig(name="crossref", base_endpoint="http://stub/crossref")
 
 
 def _papers(n: int) -> dict[str, Paper]:
@@ -949,6 +951,48 @@ class TestResolveAll:
         list(bundles)
         assert session.closed == 1
 
+    def test_concurrent_calls_on_one_resolver(self):
+        # One call is held mid-request at arXiv while a second call on the
+        # same Resolver runs to its end on another thread.
+        papers = _papers(3)
+        works = {"10.1000/a": Paper("A sample title", ("Ada Lovelace",), 2020)}
+        held_citations = _arxiv_citations(papers)
+        other_citations = [_doi_citation("10.1000/a")]
+
+        def resolver(arxiv_session, works_session):
+            crossref = CrossrefClient(_CROSSREF, session=works_session)
+            return Resolver(providers=[ArxivClient(_ARXIV, session=arxiv_session), crossref])
+
+        def alone(citations):
+            """The bundles of citations on a Resolver of their own, and the
+            requests they sent."""
+            sessions = FakeArxivSession(papers), FakeWorksSession(works)
+            bundles = list(resolver(*sessions).resolve_all(citations, 2))
+            return bundles, sum(len(session.requests) for session in sessions)
+
+        (held_alone, held_sent), (other_alone, other_sent) = map(
+            alone, (held_citations, other_citations)
+        )
+
+        arxiv, crossref = _GuardedHeldArxiv(papers), _GuardedWorks(works)
+        both = resolver(arxiv, crossref)
+        consumer, held = _consume(both, held_citations, 2)
+        try:
+            assert arxiv.entered.wait(timeout=5)
+            other = list(both.resolve_all(other_citations, 2))
+            # The held call is still live, so no client is closed yet.
+            assert arxiv.closes == crossref.closes == []
+        finally:
+            arxiv.release.set()
+            consumer.join(timeout=10)
+        assert not consumer.is_alive()
+        assert held == held_alone
+        assert other == other_alone
+        # Each session is closed once, when the last call ends, with no
+        # request in flight.
+        assert arxiv.closes == crossref.closes == [0]
+        assert len(arxiv.requests) + len(crossref.requests) <= held_sent + other_sent
+
     def test_fixture_runs_scan_once_and_start_no_prepass(self, monkeypatch):
         # A fixture owns lookup_arxiv without lookup_arxiv_ids: no batch, and
         # a fixture is read in place, so no lane and no thread.
@@ -986,6 +1030,41 @@ class _HeldArxivSession(FakeArxivSession):
             return super().get(url, params=params, timeout=timeout)
         finally:
             self.done.set()
+
+
+class _Guarded:
+    """A fake session mixin that counts the gets in flight and keeps, for
+    each close(), how many were in flight then. entered is set when a get
+    starts."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.entered = threading.Event()
+        self.in_flight = 0
+        self.closes: list[int] = []
+        self._lock = threading.Lock()
+
+    def get(self, url, params=None, timeout=None):
+        with self._lock:
+            self.in_flight += 1
+        self.entered.set()
+        try:
+            return super().get(url, params=params, timeout=timeout)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+    def close(self):
+        with self._lock:
+            self.closes.append(self.in_flight)
+
+
+class _GuardedHeldArxiv(_Guarded, _HeldArxivSession):
+    pass
+
+
+class _GuardedWorks(_Guarded, FakeWorksSession):
+    pass
 
 
 class _DoiProvider:
