@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import threading
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         description, passed = latest[number]
         tag = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"[{tag}] criterion {number}: {description}")
+
+
+@pytest.fixture(autouse=True)
+def no_lane_thread_outlives_its_test():
+    """Fail a test that leaves alive a citeaudit-* lane thread it started:
+    resolve_all ends every lane thread of a call when its iteration ends."""
+    before = set(threading.enumerate())
+    yield
+    left = [
+        t.name
+        for t in threading.enumerate()
+        if t not in before and t.name.startswith("citeaudit-")
+    ]
+    assert not left, f"lane threads still alive after the test: {left}"
 
 
 @pytest.fixture(scope="session")
