@@ -59,13 +59,43 @@ def _strip_latex(value: str) -> str:
     return re.sub(r"\s+", " ", value).strip()
 
 
+# A backslash with the character it escapes, or a group delimiter.
+_DELIMITER_RE = re.compile(r'\\.|[{}()"]', re.DOTALL)
+
+
+def _group_ends(text: str) -> dict[int, int]:
+    """The position of each group opener's closer, for every opener that has
+    one, found in one pass as _read_group reads a group: { and ( nest their
+    own kind, a " ends at the next " at the same brace depth, and a
+    backslash escapes the next character."""
+    ends: dict[int, int] = {}
+    open_at: dict[str, list[int]] = {"}": [], ")": []}
+    # The last " at each brace depth, counted from the start of the text.
+    quote_at: dict[int, int] = {}
+    depth = 0
+    for m in _DELIMITER_RE.finditer(text):
+        ch, pos = m.group(), m.start()
+        if ch in "{(":
+            open_at["}" if ch == "{" else ")"].append(pos)
+        elif ch in "})" and open_at[ch]:
+            ends[open_at[ch].pop()] = pos
+        elif ch == '"':
+            if depth in quote_at:
+                ends[quote_at[depth]] = pos
+            quote_at[depth] = pos
+        depth += (ch == "{") - (ch == "}")
+    return ends
+
+
 class _Scanner:
-    """Cursor over the raw file with line bookkeeping."""
+    """Cursor over the raw file with line bookkeeping, and the closer of
+    every group opener (group_ends), so no group is read twice."""
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
         self._line_starts = [0, *(m.end() for m in re.finditer("\n", text))]
+        self.group_ends = _group_ends(text)
 
     def location(self, pos: int) -> tuple[int, int]:
         line = bisect.bisect_right(self._line_starts, pos) - 1
@@ -99,25 +129,12 @@ def _read_group(sc: _Scanner, closer: str) -> str:
     """Read a delimited group; the cursor sits on its opener. {...} and (...)
     nest their own delimiters, "..." nests braces, and a backslash escapes
     the next character. Returns the text between the delimiters."""
-    text, start = sc.text, sc.pos
-    opener = sc.peek()
-    nest_open, nest_close = ("{", "}") if opener == '"' else (opener, closer)
-    depth = 0
-    pos = start + 1
-    while pos < len(text):
-        ch = text[pos]
-        if ch == "\\":
-            pos += 2
-            continue
-        if ch == closer and depth == 0:
-            sc.pos = pos + 1
-            return text[start + 1 : pos]
-        if ch == nest_open:
-            depth += 1
-        elif ch == nest_close:
-            depth -= 1
-        pos += 1
-    raise BibtexError(f"unterminated {opener}...{closer} group", start)
+    start = sc.pos
+    end = sc.group_ends.get(start)
+    if end is None:
+        raise BibtexError(f"unterminated {sc.peek()}...{closer} group", start)
+    sc.pos = end + 1
+    return sc.text[start + 1 : end]
 
 
 def _read_value(

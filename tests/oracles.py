@@ -7,7 +7,9 @@ bug in the optimized production code cannot hide in a shared shortcut.
 from __future__ import annotations
 
 import re
+from unittest import mock
 
+from citeaudit import bibtex
 from citeaudit.identifiers import _IN_TEXT, _clean, dedupe_identifiers, make_identifier
 from citeaudit.plaintext import _INITIAL_WORD_RE, _NON_BREAKING
 
@@ -118,3 +120,34 @@ def scan_identifiers_unfiltered(text: str) -> tuple[list, list[tuple[int, int]]]
             if value:
                 found.append(make_identifier(kind, value))
     return dedupe_identifiers(found), spans
+
+
+def _read_group_walking(sc, closer: str) -> str:
+    """bibtex._read_group as first written: it walks the group from its
+    opener, so a group that never closes is walked to the end of the text
+    each time one is read."""
+    text, start = sc.text, sc.pos
+    opener = sc.peek()
+    nest_open, nest_close = ("{", "}") if opener == '"' else (opener, closer)
+    depth = 0
+    pos = start + 1
+    while pos < len(text):
+        ch = text[pos]
+        if ch == "\\":
+            pos += 2
+            continue
+        if ch == closer and depth == 0:
+            sc.pos = pos + 1
+            return text[start + 1 : pos]
+        if ch == nest_open:
+            depth += 1
+        elif ch == nest_close:
+            depth -= 1
+        pos += 1
+    raise bibtex.BibtexError(f"unterminated {opener}...{closer} group", start)
+
+
+def parse_bibtex_walking(text: str):
+    """bibtex.parse_bibtex with every group read by _read_group_walking."""
+    with mock.patch.object(bibtex, "_read_group", _read_group_walking):
+        return bibtex.parse_bibtex(text)

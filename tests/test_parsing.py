@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from citeaudit.bibtex import parse_bibtex
 from citeaudit.model import IdentifierKind, Span
 from citeaudit.parsing import (
     FORMAT_BIBTEX,
@@ -12,7 +15,7 @@ from citeaudit.parsing import (
     parse_text,
 )
 from citeaudit.plaintext import _sentence_break
-from tests.oracles import sentence_break_rescanning
+from tests.oracles import parse_bibtex_walking, sentence_break_rescanning
 from tests.roundtrip import render, semantic_fields
 
 
@@ -247,6 +250,17 @@ class TestBibtex:
         text = "@article{k, title={A Title}, year={2020}}"
         report = parse_text(text)
         assert report.citations[0].raw_text == text
+
+    def test_unclosed_entries_are_read_in_linear_time(self):
+        # Each entry's value never closes, so every group runs to the end of
+        # the file; the reader must not walk it once per entry.
+        text = "".join(f"@article{{k{i}, title = {{Unclosed {i}\n" for i in range(8000))
+        started = time.perf_counter()
+        citations, warnings = parse_bibtex(text)
+        assert time.perf_counter() - started < 2
+        assert citations == []
+        assert len(warnings) == 8000
+        assert warnings[-1].message == "malformed @article entry: unterminated {...} group"
 
     def test_three_digit_year_warns(self):
         report = parse_text("@article{k, title={T}, year={202}}")
@@ -484,3 +498,20 @@ _break_pieces = st.sampled_from(
 )
 def test_sentence_break_matches_the_rescanning_oracle(masked, start):
     assert _sentence_break(masked, start) == sentence_break_rescanning(masked, start)
+
+
+# Tokens of BibTeX soup: entry heads and field starts, every delimiter
+# alone and escaped, macros and words, so groups open and close unbalanced.
+_bib_tokens = st.sampled_from(
+    [
+        "@article{k1, ", "@book(k2, ", "@comment", "@preamble{", "@string{x = ", "@",
+        "title = ", 'title = "', "author = {", " # ", "{", "}", "(", ")", '"',
+        "\\{", "\\}", "\\", '\\"', "\\(", "=", ",", " ", "\n",
+        "jan", "2020", "Ada and Bob", "x",
+    ]
+)
+
+
+@given(text=st.lists(_bib_tokens, max_size=60).map("".join))
+def test_bibtex_reader_matches_the_walking_oracle(text):
+    assert parse_bibtex(text) == parse_bibtex_walking(text)
