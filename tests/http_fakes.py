@@ -3,8 +3,11 @@
 A session is any object with ``get(url, params=, timeout=)`` that returns a
 reply with ``status_code``, ``text`` and ``json()``, or raises one of
 citeaudit.transport.TRANSPORT_ERRORS, as the stdlib transport does; and
-that has a ``close()``, which a client calls when ``Resolver.resolve_all``
-ends. These fakes hold no connection, so theirs does nothing."""
+that has a ``close()``. ``Resolver.resolve_all`` may run concurrently on
+one Resolver; lane threads end with each call, and a client's ``close()``
+is called when the last live call on its Resolver ends, never under
+another call's request. These fakes hold no connection, so theirs does
+nothing."""
 from __future__ import annotations
 
 import json
