@@ -744,8 +744,8 @@ class Resolver:
         self.cache = cache if cache is not None else LookupCache()
         network = [p for p in self._providers if not isinstance(p, FixtureProvider)]
         self._lanes = {id(p): _Lane(p, self.cache) for p in network}
-        # The resolve_all calls under way; the last to end closes the clients.
-        self._live: set[_Run] = set()
+        # How many resolve_all calls are under way; the last to end closes the clients.
+        self._live = 0
         self._live_lock = threading.Lock()
 
     def _provider_for(self, op: str):
@@ -865,7 +865,7 @@ class _Run:
     def __iter__(self) -> Iterator[ResolutionBundle | Exception]:
         resolver = self._resolver
         with resolver._live_lock:
-            resolver._live.add(self)
+            resolver._live += 1
         try:
             provider = resolver._provider_for("lookup_arxiv")
             if hasattr(provider, "lookup_arxiv_ids"):
@@ -880,7 +880,7 @@ class _Run:
             for pool in self._pools.values():
                 pool.shutdown(cancel_futures=True)
             with resolver._live_lock:
-                resolver._live.remove(self)
+                resolver._live -= 1
                 if not resolver._live:
                     for provider in resolver._providers:
                         if isinstance(provider, _HttpClient):

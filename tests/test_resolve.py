@@ -993,6 +993,31 @@ class TestResolveAll:
         assert arxiv.closes == crossref.closes == [0]
         assert len(arxiv.requests) + len(crossref.requests) <= held_sent + other_sent
 
+    def test_many_concurrent_calls_close_no_session_under_a_request(self):
+        # More calls than cores on one Resolver, switching often: each call
+        # yields what it yields alone, and the session is closed only when
+        # no request is in flight on it.
+        papers = _papers(16)
+        ids = list(papers)
+        citations = [_arxiv_citations([ids[0], *ids[2 * n : 2 * n + 2]]) for n in range(8)]
+        alone = [
+            list(Resolver([ArxivClient(_ARXIV, session=FakeArxivSession(papers))]).resolve_all(c, 2))
+            for c in citations
+        ]
+        session = _GuardedSlowArxiv(papers)
+        resolver = Resolver([ArxivClient(_ARXIV, session=session)])
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            calls = [_consume(resolver, c, 2) for c in citations]
+            for consumer, _ in calls:
+                consumer.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(consumer.is_alive() for consumer, _ in calls)
+        assert [bundles for _, bundles in calls] == alone
+        assert session.closes and not any(session.closes)
+
     def test_fixture_runs_scan_once_and_start_no_prepass(self, monkeypatch):
         # A fixture owns lookup_arxiv without lookup_arxiv_ids: no batch, and
         # a fixture is read in place, so no lane and no thread.
@@ -1057,6 +1082,19 @@ class _Guarded:
     def close(self):
         with self._lock:
             self.closes.append(self.in_flight)
+
+
+class _SlowArxivSession(FakeArxivSession):
+    """Takes a millisecond over each request, so that a close() from
+    another call has a request in flight to land under."""
+
+    def get(self, url, params=None, timeout=None):
+        time.sleep(0.001)
+        return super().get(url, params=params, timeout=timeout)
+
+
+class _GuardedSlowArxiv(_Guarded, _SlowArxivSession):
+    pass
 
 
 class _GuardedHeldArxiv(_Guarded, _HeldArxivSession):
