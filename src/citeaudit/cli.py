@@ -200,6 +200,25 @@ def _final_exit(verdicts, fail_on: str) -> int:
     return code
 
 
+def _check_out(out: str | None, *read: str | None) -> None:
+    """Refuse an --out that names a file the command reads, before anything
+    is opened for writing: the report would replace it."""
+    for path in read:
+        if out and path and _same_file(out, path):
+            raise UsageError(f"--out {out}: the command reads this file; it would be overwritten")
+
+
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return Path(a).resolve() == Path(b).resolve()
+
+
+def _cache_path(args: argparse.Namespace) -> str | None:
+    return os.environ.get("CITE_AUDIT_CACHE") if args.cache is None else args.cache
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -218,7 +237,7 @@ def _runtime(args: argparse.Namespace):
     runtime = _build_runtime(
         args.offline,
         args.fixtures,
-        os.environ.get("CITE_AUDIT_CACHE") if args.cache is None else args.cache,
+        _cache_path(args),
         args.config,
         args.vocab,
         {key: getattr(args, key) for key in _THRESHOLD_KEYS},
@@ -232,6 +251,8 @@ def _runtime(args: argparse.Namespace):
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Verify every reference in a .bib or .txt bibliography."""
+    read = (args.input_file, args.fixtures, args.config, args.vocab, _cache_path(args))
+    _check_out(args.out, *read)
     with _runtime(args) as (resolver, classifier_config):
         if args.out:
             # Opened for append, as --cache is: a path that cannot be written
@@ -272,6 +293,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from .analytics import CorpusError, load_corpus, render_summary, summarize
     from .data import load_packaged_corpus
 
+    _check_out(args.out, args.corpus)
     try:
         rows = load_corpus(args.corpus) if args.corpus else load_packaged_corpus()
     except CorpusError as exc:

@@ -11,14 +11,13 @@ import contextlib
 import json
 import math
 import queue
-import re
 import threading
 import time
-from collections.abc import Generator, Iterator, Sequence
+from collections.abc import Callable, Generator, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TypeVar
 from urllib.parse import quote
 
 if TYPE_CHECKING:
@@ -40,6 +39,7 @@ from .model import (
 from .ratelimit import TokenBucket
 
 DEFAULT_CACHE_TTL_SECONDS = 30 * 24 * 3600
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -302,23 +302,6 @@ def _typed(value, kind, default=_REQUIRED):
     return value
 
 
-def _send(
-    session: HttpSession, url: str, timeout: float, params: dict | None = None
-) -> Reply | str:
-    """session.get's reply, or the Unavailable cause when the request itself
-    fails: "timeout" for a timeout, "connection" for any other failure
-    (refused, reset, truncated, a bad URL, a body that does not decode, a
-    redirect loop)."""
-    from .transport import TRANSPORT_ERRORS
-
-    try:
-        return session.get(url, params=params, timeout=timeout)
-    except TimeoutError:
-        return "timeout"
-    except TRANSPORT_ERRORS:
-        return "connection"
-
-
 class _HttpClient:
     """A provider reached over HTTP through one session."""
 
@@ -332,18 +315,36 @@ class _HttpClient:
         opens a new one."""
         self._session.close()
 
-    def _get(self, url: str, params: dict | None = None) -> Reply | str:
-        """The 200 reply, or the Unavailable cause: _send's "timeout" or
-        "connection", "rate_limited" for a 429, "http_5xx", or
-        "http_<status>" for any other status."""
-        resp = _send(self._session, url, self.config.timeout, params)
-        if isinstance(resp, str) or resp.status_code == 200:
-            return resp
-        if resp.status_code == 429:
+    def _get(self, url: str, params: dict | None, read: Callable[[Reply], T]) -> T | str:
+        """read(reply) for a 200 reply; otherwise the Unavailable cause:
+        "timeout", "connection" for any other failed request (refused, reset,
+        truncated, a bad URL, a body that does not decode, a redirect loop),
+        "rate_limited" for a 429, "http_5xx", "http_<status>" for any other
+        status, or "bad_response" when read raises ValueError (a reply that
+        does not parse, or _BadPayload)."""
+        from .transport import TRANSPORT_ERRORS
+
+        try:
+            reply = self._session.get(url, params=params, timeout=self.config.timeout)
+        except TimeoutError:
+            return "timeout"
+        except TRANSPORT_ERRORS:
+            return "connection"
+        if reply.status_code == 429:
             return "rate_limited"
-        if resp.status_code >= 500:
+        if reply.status_code >= 500:
             return "http_5xx"
-        return f"http_{resp.status_code}"
+        if reply.status_code != 200:
+            return f"http_{reply.status_code}"
+        try:
+            return read(reply)
+        except ValueError:
+            return "bad_response"
+
+
+def _outcome(result: LookupOutcome | str) -> LookupOutcome:
+    """_get's result as an outcome: a cause is Unavailable."""
+    return LookupOutcome.unavailable(result) if isinstance(result, str) else result
 
 
 class CrossrefClient(_HttpClient):
@@ -351,18 +352,12 @@ class CrossrefClient(_HttpClient):
     NotFound: the one HTTP status that is evidence about the work."""
 
     def lookup_doi(self, doi: str) -> LookupOutcome:
-        resp = self._get(f"{self.config.base_endpoint.rstrip('/')}/works/{quote(doi, safe='')}")
-        if resp == "http_404":
-            return LookupOutcome.not_found()
-        if isinstance(resp, str):
-            return LookupOutcome.unavailable(resp)
-        try:
-            return LookupOutcome.found(self._record(resp.json(), doi))
-        except ValueError:  # undecodable JSON, or _BadPayload
-            return LookupOutcome.unavailable("bad_response")
+        url = f"{self.config.base_endpoint.rstrip('/')}/works/{quote(doi, safe='')}"
+        result = self._get(url, None, lambda reply: self._read(reply, doi))
+        return LookupOutcome.not_found() if result == "http_404" else _outcome(result)
 
-    def _record(self, body, doi: str) -> ResolvedRecord:
-        message = _typed(_typed(body, dict).get("message"), dict)
+    def _read(self, reply: Reply, doi: str) -> LookupOutcome:
+        message = _typed(_typed(reply.json(), dict).get("message"), dict)
         titles = _typed(message.get("title"), list, [])
         container = _typed(message.get("container-title"), list, [])
         authors = []
@@ -377,7 +372,7 @@ class CrossrefClient(_HttpClient):
         parts = _typed(issued.get("date-parts"), list, [])
         first = _typed(parts[0] if parts else None, list, [])
         year = _typed(first[0] if first else None, int, None)
-        return ResolvedRecord(
+        record = ResolvedRecord(
             provider=self.name,
             title=_typed(titles[0] if titles else None, str, ""),
             authors=tuple(authors),
@@ -389,18 +384,16 @@ class CrossrefClient(_HttpClient):
             ),
             provenance_query=_doi_key(doi),
         )
+        return LookupOutcome.found(record)
 
 
 _ATOM_NS = {"atom": "http://www.w3.org/2005/Atom"}
 
 
-_ARXIV_VERSION_RE = re.compile(r"v\d+$")
-
-
-def _arxiv_match_key(arxiv_id: str) -> str:
+def _arxiv_match_key(arxiv_id: str) -> str | None:
     """The form in which a requested id and an Atom entry's id are compared:
-    lowercased, without a version suffix."""
-    return _ARXIV_VERSION_RE.sub("", arxiv_id.lower())
+    the lookup form of the lowercased id, or None when the grammar rejects it."""
+    return make_identifier(IdentifierKind.ARXIV, arxiv_id.lower()).normalized
 
 
 class ArxivClient(_HttpClient):
@@ -420,34 +413,29 @@ class ArxivClient(_HttpClient):
         NotFound: the API reports a malformed id that way.
         """
         ids = list(arxiv_ids)
+        params = {"id_list": ",".join(ids), "max_results": len(ids)}
+        outcomes = self._get(self.config.base_endpoint, params, lambda r: self._read_feed(r, ids))
+        if isinstance(outcomes, str):
+            return {i: LookupOutcome.unavailable(outcomes) for i in ids}
+        return outcomes
 
-        def unavailable(cause: str) -> dict[str, LookupOutcome]:
-            return {i: LookupOutcome.unavailable(cause) for i in ids}
-
-        resp = self._get(
-            self.config.base_endpoint,
-            {"id_list": ",".join(ids), "max_results": len(ids)},
-        )
-        if isinstance(resp, str):
-            return unavailable(resp)
+    def _read_feed(self, reply: Reply, ids: list[str]) -> dict[str, LookupOutcome]:
         from xml.etree import ElementTree
 
         try:
-            entries = ElementTree.fromstring(resp.text).findall("atom:entry", _ATOM_NS)
-        except ElementTree.ParseError:
-            return unavailable("bad_response")
+            entries = ElementTree.fromstring(reply.text).findall("atom:entry", _ATOM_NS)
+        except ElementTree.ParseError as exc:
+            raise _BadPayload(exc) from exc
         if len(ids) == 1:
             return {ids[0]: self._entry_outcome(entries[0] if entries else None, ids[0])}
-        wanted = {_arxiv_match_key(i) for i in ids}
+        wanted = {_arxiv_match_key(i) for i in ids} - {None}
         by_key: dict[str, ElementTree.Element] = {}
         for entry in entries:
-            if _is_error_entry(entry):
-                return unavailable("bad_response")
             entry_id = entry.findtext("atom:id", default="", namespaces=_ATOM_NS)
             _, sep, tail = entry_id.partition("/abs/")
             key = _arxiv_match_key(tail)
-            if not sep or key not in wanted:
-                return unavailable("bad_response")
+            if _is_error_entry(entry) or not sep or key not in wanted:
+                raise _BadPayload(f"entry {entry_id!r} answers no requested id")
             by_key.setdefault(key, entry)
         return {i: self._entry_outcome(by_key.get(_arxiv_match_key(i)), i) for i in ids}
 
@@ -490,14 +478,11 @@ class OpenAlexClient(_HttpClient):
     """Title and author-year search against an OpenAlex-style works index."""
 
     def _search(self, params: dict, query: str) -> LookupOutcome:
-        resp = self._get(f"{self.config.base_endpoint.rstrip('/')}/works", params)
-        if isinstance(resp, str):
-            return LookupOutcome.unavailable(resp)
-        try:
-            results = _typed(_typed(resp.json(), dict).get("results"), list)
+        def read(reply: Reply) -> LookupOutcome:
+            results = _typed(_typed(reply.json(), dict).get("results"), list)
             return LookupOutcome(tuple(self._record(w, query) for w in results))
-        except ValueError:  # undecodable JSON, or _BadPayload
-            return LookupOutcome.unavailable("bad_response")
+
+        return _outcome(self._get(f"{self.config.base_endpoint.rstrip('/')}/works", params, read))
 
     def _record(self, work, query: str) -> ResolvedRecord:
         work = _typed(work, dict)
@@ -660,14 +645,14 @@ class _Lane:
         outcome = _decode(payload, self.provider.config.name)
         return None if outcome.failed else outcome
 
-    def _send(self, op: str, *args):
+    def _call(self, op: str, *args):
         if self._bucket is not None:
             self._bucket.acquire()
         return getattr(self.provider, op)(*args)
 
     def fetch(self, key: str, op: str, args: tuple) -> LookupOutcome:
         """provider.op(*args), cached under key unless it is Unavailable."""
-        outcome = self._send(op, *args)
+        outcome = self._call(op, *args)
         if not outcome.failed:
             self.cache.put(key, _encode(outcome))
         return outcome
@@ -690,7 +675,7 @@ class _Lane:
     def _request_arxiv(self, ids: list[str], failed: dict) -> tuple[list[str], str | None]:
         """Send one batch request and cache what it settles. Returns the ids
         left unsettled and the cause of their failure."""
-        outcomes = self._send("lookup_arxiv_ids", ids)
+        outcomes = self._call("lookup_arxiv_ids", ids)
         unsettled, cause = [], None
         for arxiv_id in ids:
             outcome = outcomes[arxiv_id]

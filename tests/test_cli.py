@@ -1065,6 +1065,53 @@ class TestUnwritableOut:
         assert out.read_text(encoding="utf-8") == "earlier report\n"
 
 
+class TestOutNeverOverwritesAnInput:
+    """An --out that names a file the command reads is a usage error, raised
+    before anything is opened for writing: every file keeps its bytes."""
+
+    @pytest.fixture
+    def inputs(self, fixtures_path, tmp_path) -> dict[str, Path]:
+        files = {
+            "input": ("refs.txt", (DATA / "exemplars.txt").read_bytes()),
+            "fixtures": ("fx.json", Path(fixtures_path).read_bytes()),
+            "config": ("c.ini", b"[classifier]\n"),
+            "vocab": ("vocab.txt", b"deep\nlearning\n"),
+            "cache": ("lookups.jsonl", b""),
+        }
+        for name, content in files.values():
+            (tmp_path / name).write_bytes(content)
+        return {role: tmp_path / name for role, (name, _) in files.items()}
+
+    @pytest.mark.parametrize("role", ["input", "fixtures", "config", "vocab", "cache"])
+    @pytest.mark.parametrize("spelling", ["same", "roundabout"])
+    def test_verify(self, inputs, role, spelling, capsys):
+        before = {path: path.read_bytes() for path in inputs.values()}
+        out = inputs[role]
+        if spelling == "roundabout":
+            (out.parent / "sub").mkdir()
+            out = out.parent / "sub" / ".." / out.name
+        args = ["verify", str(inputs["input"])]
+        for option in ("fixtures", "config", "vocab", "cache"):
+            args += [f"--{option}", str(inputs[option])]
+        assert main([*args, "--out", str(out)]) == EXIT_USAGE
+        assert f"--out {out}" in capsys.readouterr().err
+        assert {path: path.read_bytes() for path in inputs.values()} == before
+
+    def test_verify_cache_from_the_environment(self, inputs, monkeypatch):
+        before = inputs["cache"].read_bytes()
+        monkeypatch.setenv("CITE_AUDIT_CACHE", str(inputs["cache"]))
+        args = ["verify", str(inputs["input"]), "--fixtures", str(inputs["fixtures"])]
+        assert main([*args, "--out", str(inputs["cache"])]) == EXIT_USAGE
+        assert inputs["cache"].read_bytes() == before
+
+    def test_stats(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_bytes(b"paper_id,citation_text,primary,secondary,notes\nP01,c,TF,SH,\n")
+        assert main(["stats", str(corpus), "--out", str(corpus)]) == EXIT_USAGE
+        assert f"--out {corpus}" in capsys.readouterr().err
+        assert corpus.read_bytes() == b"paper_id,citation_text,primary,secondary,notes\nP01,c,TF,SH,\n"
+
+
 class TestFixtureRunsOpenNoCache:
     """Fixtures are read in place: a --fixtures run neither writes nor reads
     the lookup cache, so a fixture's answers never become evidence for a

@@ -1,16 +1,20 @@
 """What the benchmark relies on in src/, checked here and not only in a
-benchmark run: bench/tracer.py patches citeaudit's modules by attribute
-name, and the fixture files bench/generate.py writes, like the packaged one,
-are read by the provider's decoder."""
+benchmark run: bench/child.py builds the CLI's runtime through
+citeaudit.cli._build_runtime, bench/tracer.py patches citeaudit's modules by
+attribute name, and the fixture files bench/generate.py writes, like the
+packaged one, are read by the provider's decoder."""
 from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from citeaudit.cli import main
 from citeaudit.resolve import _decode
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,3 +56,32 @@ def test_every_stored_fixture_entry_decodes(source):
     assert outcomes
     refused = [key for key, entry in outcomes.items() if _decode(entry, "fixture").failed]
     assert refused == []
+
+
+def test_child_entry_points_report_what_the_cli_reports(tmp_path):
+    # Every benchmark rep runs child.py setup, and --trace 1 runs child.py
+    # pipeline; both call cli._build_runtime and rebind cli.FixtureProvider
+    # and cli.LookupCache.
+    bibliography = str(ROOT / "tests" / "data" / "exemplars.txt")
+    fixtures = str(DATA / "fixtures.json")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "bibliography": bibliography, "fixtures": fixtures, "cache": None, "config": None,
+        "jobs": 2, "report": str(tmp_path / "report.json"), "metrics": str(tmp_path / "m.json"),
+    }), encoding="utf-8")
+    expected = tmp_path / "cli.json"
+    main(["verify", bibliography, "--format", "json", "--jobs", "2", "--fixtures", fixtures,
+          "--out", str(expected)])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    for mode in (["setup"], ["pipeline"], ["pipeline", "--trace"]):
+        (tmp_path / "report.json").unlink(missing_ok=True)
+        run = subprocess.run(
+            [sys.executable, str(ROOT / "bench" / "child.py"), *mode, "--spec", str(spec)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 0, (mode, run.stderr)
+        if mode == ["setup"]:
+            assert run.stdout == "ready\n"
+        else:
+            assert (tmp_path / "report.json").read_bytes() == expected.read_bytes(), mode

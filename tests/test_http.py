@@ -20,10 +20,17 @@ import pytest
 
 import citeaudit
 from citeaudit.report import EXIT_OK
-from citeaudit.resolve import _new_session, _send
+from citeaudit.resolve import ProviderConfig, _HttpClient, _new_session
 from citeaudit.transport import MAX_REDIRECTS
 
 _PROXY_VARS = ("http_proxy", "https_proxy", "no_proxy", "all_proxy")
+
+
+def _send(session, url: str, timeout: float, params: dict | None = None):
+    """The reply to a GET through the clients' request path, or its
+    Unavailable cause."""
+    client = _HttpClient(ProviderConfig(name="http", timeout=timeout), session)
+    return client._get(url, params, lambda reply: reply)
 
 
 @pytest.fixture(autouse=True)

@@ -104,6 +104,18 @@ class TestArxivGrammar:
         ident = make_identifier(ARXIV, "2107.13586v3")
         assert ident.normalized == "2107.13586"
 
+    @pytest.mark.parametrize(
+        "value, normalized",
+        [
+            ("hep-th/9711200v3", "hep-th/9711200"),
+            ("arXiv:hep-th/9711200v2", "hep-th/9711200"),
+            ("math.GT/0309136v1", "math.gt/0309136"),
+        ],
+    )
+    def test_old_style_version_split_out(self, value, normalized):
+        ident = make_identifier(ARXIV, value)
+        assert (ident.syntax, ident.normalized) == (IdentifierSyntax.VALID, normalized)
+
     def test_prefixes_stripped(self):
         for raw in ("arXiv:2107.13586", "https://arxiv.org/abs/2107.13586"):
             assert strip_identifier_prefix(ARXIV, raw) == "2107.13586"
@@ -263,6 +275,28 @@ class TestGrammarProperties:
     def test_generated_dois_accepted(self, registrant, suffix):
         value = f"10.{registrant}/{suffix}"
         assert syntax_of(DOI, value) is IdentifierSyntax.VALID
+
+    @given(
+        bare=st.builds(
+            "{:04d}.{:0{}d}".format,
+            st.integers(0, 9999),
+            st.integers(0, 99999),
+            st.sampled_from([4, 5]),
+        )
+        | st.builds(
+            "{}{}/{:07d}".format,
+            st.sampled_from(["hep-th", "math", "cs", "astro-ph", "cond-mat", "q-bio"]),
+            st.sampled_from(["", ".GT", ".ai", ".CO"]),
+            st.integers(0, 9999999),
+        ),
+        version=st.integers(1, 999),
+        prefix=st.sampled_from(["", "arXiv:", "https://arxiv.org/abs/"]),
+    )
+    def test_version_is_dropped_from_the_lookup_form(self, bare, version, prefix):
+        plain = make_identifier(ARXIV, bare)
+        versioned = make_identifier(ARXIV, f"{prefix}{bare}v{version}")
+        assert (plain.syntax, versioned.syntax) == (IdentifierSyntax.VALID, IdentifierSyntax.VALID)
+        assert versioned.normalized == plain.normalized
 
     @given(yymm=st.integers(0, 9999), number=st.integers(0, 99999))
     def test_dot_mutation_rejected(self, yymm, number):

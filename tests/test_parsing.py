@@ -376,6 +376,16 @@ class TestPlaintext:
         report = parse_text("[1] A. Archer. Title words. Venue, 2019.")
         assert report.citations[0].raw_text.startswith("A. Archer")
 
+    def test_et_al_alone_is_no_author(self):
+        (c,) = parse_text("et al. (2020). A title about things.", format="plaintext").citations
+        assert (c.authors, c.title, c.year) == ((), "A title about things", 2020)
+
+    def test_apa_title_may_run_to_the_end_of_the_text(self):
+        report = parse_text("Smith, J. (2021). Title with no final period", format="plaintext")
+        (c,) = report.citations
+        assert (c.title, c.year) == ("Title with no final period", 2021)
+        assert [a.surname for a in c.authors] == ["smith"]
+
 
 class TestRoundTrip:
     def _assert_round_trip(self, text: str, format: str):

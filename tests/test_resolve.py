@@ -17,7 +17,7 @@ from citeaudit.data import packaged_fixture_provider
 from citeaudit.identifiers import make_identifier
 from citeaudit.matching import profile_match
 from citeaudit.model import IdentifierKind, VerdictStatus, normalize_name
-from citeaudit.parsing import parse_file
+from citeaudit.parsing import parse_file, parse_text
 from citeaudit.ratelimit import TokenBucket
 from citeaudit.resolve import (
     DEFAULT_CACHE_TTL_SECONDS,
@@ -34,7 +34,15 @@ from citeaudit.resolve import (
     _decode,
 )
 from tests.conftest import classify_citation, make_citation, make_record
-from tests.http_fakes import FakeArxivSession, FakeResponse, FakeWorksSession, Paper
+from tests.http_fakes import (
+    FakeArxivSession,
+    FakeResponse,
+    FakeWorksSession,
+    Paper,
+    ReplySession,
+    atom_entry,
+    atom_feed,
+)
 from tests.oracles import resolve_in_order
 
 
@@ -808,6 +816,20 @@ class TestArxivDoi:
         list(resolver.resolve_all(citations, jobs=1))
         assert session.requests == [{"id_list": ",".join(ids), "max_results": 3}]
 
+    def test_versioned_old_style_eprint_is_asked_for_bare(self):
+        bib = (
+            "@article{k, author = {Alan Turing}, title = {Strings on branes}, year = {1997},\n"
+            "  eprint = {hep-th/9711200v3}}\n"
+        )
+        session = FakeArxivSession(
+            {"hep-th/9711200": Paper("Strings on branes", ("Alan Turing",), 1997)}
+        )
+        resolver = Resolver(providers=[ArxivClient(_ARXIV, session=session)])
+        (bundle,) = resolver.resolve_all(parse_text(bib, format="bibtex").citations, jobs=1)
+        assert session.requests == [{"id_list": "hep-th/9711200", "max_results": 1}]
+        ((label, outcome),) = bundle.identifier_outcomes
+        assert (label, outcome.status) == ("arxiv:hep-th/9711200", LookupStatus.FOUND)
+
 
 class TestResolveAll:
     def test_bundles_in_input_order(self):
@@ -1336,12 +1358,15 @@ class _PureProvider:
     """A network provider that owns ops and answers each as a pure function
     of its (op, args): fates[key] picks the work it names ("match"),
     another work ("other"), NotFound or no records, Unavailable, or a
-    raise. sent lists each call; each one first sleeps delays[key]."""
+    raise. A "flaky" key alone is not pure: its first request is
+    Unavailable and every later one is its "match" outcome. sent lists each
+    call; each one first sleeps delays[key]."""
 
     def __init__(self, name, ops, fates, delays=None):
         self.config = ProviderConfig(name=name)
         self.sent: list = []
         self._fates, self._delays = fates, delays or {}
+        self._asked: set = set()
         for op in ops:
             setattr(self, op, lambda *args, op=op: self._answer(op, args))
 
@@ -1352,6 +1377,9 @@ class _PureProvider:
 
     def _outcome(self, op, args):
         fate = self._fates[op, args]
+        if fate == "flaky":
+            fate = "match" if (op, args) in self._asked else "unavailable"
+            self._asked.add((op, args))
         if fate == "raise":
             raise RuntimeError(f"{op}{args} raised")
         # The work the key names; for an author-year key, the year's work.
@@ -1400,7 +1428,7 @@ def _providers(fates, delays=None, batch_fates=()) -> list:
 
 
 @st.composite
-def _bibliographies(draw):
+def _bibliographies(draw, fate_choices=_FATES):
     n = draw(st.integers(1, 8))
     pick = st.sampled_from(_WORKS)
     citations = [
@@ -1416,7 +1444,7 @@ def _bibliographies(draw):
         )
         for i in range(n)
     ]
-    fates = {key: draw(st.sampled_from(_FATES)) for key in _KEYS}
+    fates = {key: draw(st.sampled_from(fate_choices)) for key in _KEYS}
     delays = {key: draw(st.sampled_from((0, 0.0002, 0.001))) for key in _KEYS}
     batch_fates = draw(st.lists(st.sampled_from(_BATCH_FATES), max_size=3))
     return citations, fates, delays, batch_fates
@@ -1425,6 +1453,46 @@ def _bibliographies(draw):
 def _comparable(results) -> list:
     """results with each exception as its type and message."""
     return [(type(r), str(r)) if isinstance(r, Exception) else r for r in results]
+
+
+class _AskCountingResolver(Resolver):
+    """A Resolver that counts, by (op, args), the ladders that ask for each key."""
+
+    def __init__(self, providers):
+        super().__init__(providers)
+        self.asks: dict = {}
+
+    def _ladder(self, citation):
+        ladder = super()._ladder(citation)
+        outcome = None
+        while True:
+            try:
+                op, args = ladder.send(outcome)
+            except StopIteration as stop:
+                return stop.value
+            self.asks[op, args] = self.asks.get((op, args), 0) + 1
+            outcome = yield op, args
+
+
+def _can_give(fates, op, args) -> list:
+    """Every outcome a _PureProvider may answer (op, args) with."""
+    fate = fates[op, args]
+    return [
+        _PureProvider("probe", (), {(op, args): f})._outcome(op, args)
+        for f in (("unavailable", "match") if fate == "flaky" else (fate,))
+    ]
+
+
+def _asked_outcomes(citation, bundle):
+    """(op, args, outcome) of each lookup the bundle holds."""
+    for label, outcome in bundle.identifier_outcomes:
+        kind, value = label.split(":", 1)
+        yield ("lookup_doi" if kind == "doi" else "lookup_arxiv"), (value,), outcome
+    if bundle.title_search is not None:
+        yield "search_title", (citation.title,), bundle.title_search
+    if bundle.author_search is not None:
+        surname = citation.authors[0].surname
+        yield "search_author_year", (surname, citation.year), bundle.author_search
 
 
 class TestReferenceModel:
@@ -1457,6 +1525,50 @@ class TestReferenceModel:
             t for t in threading.enumerate()
             if t not in before and t.name.startswith("citeaudit-")
         ]
+
+    @settings(max_examples=40)
+    @given(case=_bibliographies(_FATES + ("flaky",)), jobs=st.integers(1, 8))
+    def test_flaky_keys_keep_the_lane_invariants(self, case, jobs):
+        # Which ladder meets a flaky key's Unavailable first depends on
+        # timing, so no sequential model applies; these hold however the
+        # lanes interleave.
+        citations, fates, delays, batch_fates = case
+        providers = _providers(fates, delays, batch_fates)
+        resolver = _AskCountingResolver(providers)
+        for citation, result in zip(citations, resolver.resolve_all(citations, jobs)):
+            if isinstance(result, Exception):
+                assert any(
+                    fates[op, args] == "raise" and str(result) == f"{op}{args} raised"
+                    for op, args in _KEYS
+                )
+                continue
+            for op, args, outcome in _asked_outcomes(citation, result):
+                assert outcome in _can_give(fates, op, args), (op, args)
+        sent = [key for p in providers for key in p.sent]
+        for key in set(sent):
+            assert sent.count(key) <= resolver.asks[key], key
+        arxiv = providers[-1]
+        assert not arxiv.settled & {args[0] for _, args in arxiv.sent}
+
+
+def test_resolve_citation_raises_what_its_ladder_raised():
+    doi = ("lookup_doi", ("10.1000/w0",))
+    provider = _PureProvider("dois", ("lookup_doi",), {doi: "raise"})
+    citation = make_citation(identifiers=(make_identifier(IdentifierKind.DOI, "10.1000/w0"),))
+    with pytest.raises(RuntimeError, match=r"lookup_doi\('10.1000/w0',\) raised"):
+        Resolver([provider]).resolve_citation(citation)
+
+
+def test_arxiv_entry_the_reader_cannot_read_is_no_internal_error():
+    # str.isdigit accepts "²" and int() refuses it: a ValueError while the
+    # reply is read makes it a bad_response, as a malformed reply is.
+    reply = atom_feed(atom_entry("http://arxiv.org/abs/2101.00001v1", "T", year="²021"))
+    resolver = Resolver([ArxivClient(_ARXIV, session=ReplySession(reply))])
+    citation = make_citation(identifiers=(make_identifier(IdentifierKind.ARXIV, "2101.00001"),))
+    ((_, outcome),) = resolver.resolve_citation(citation).identifier_outcomes
+    assert outcome == LookupOutcome.unavailable("bad_response")
+    verdict = classify_citation(citation, resolver, ClassifierConfig())
+    assert (verdict.status, verdict.cause) == (VerdictStatus.UNVERIFIABLE, "provider_unavailable")
 
 
 class TestResolutionBundle:
