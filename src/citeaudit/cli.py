@@ -201,22 +201,14 @@ def _final_exit(verdicts, fail_on: str) -> int:
 
 
 def _check_out(out: str | None, *read: str | None) -> None:
-    """Refuse an --out that names a file the command reads, before anything
-    is opened for writing: the report would replace it."""
-    for path in read:
-        if out and path and _same_file(out, path):
+    """Refuse an --out that names a file the command reads: the report would replace it."""
+    for path in filter(None, read if out else ()):
+        try:
+            same = os.path.samefile(out, path)
+        except OSError:  # one of them does not exist yet
+            same = Path(out).resolve() == Path(path).resolve()
+        if same:
             raise UsageError(f"--out {out}: the command reads this file; it would be overwritten")
-
-
-def _same_file(a: str, b: str) -> bool:
-    try:
-        return os.path.samefile(a, b)
-    except OSError:  # one of them does not exist yet
-        return Path(a).resolve() == Path(b).resolve()
-
-
-def _cache_path(args: argparse.Namespace) -> str | None:
-    return os.environ.get("CITE_AUDIT_CACHE") if args.cache is None else args.cache
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -228,16 +220,20 @@ def _emit(text: str, out: str | None) -> None:
 
 @contextmanager
 def _runtime(args: argparse.Namespace):
-    """_build_runtime called with the options _runtime_options declares.
+    """_build_runtime called with the options _runtime_options declares,
+    once _check_out has passed: nothing is opened for writing before it.
 
     What is built by then (modules, the fixture store, the vocabulary)
     lives for the whole command, so the collector's generations are frozen
     until it ends: collections traverse only what the run allocates.
     """
+    cache = os.environ.get("CITE_AUDIT_CACHE") if args.cache is None else args.cache
+    read = (getattr(args, "input_file", None), args.fixtures, args.config, args.vocab, cache)
+    _check_out(getattr(args, "out", None), *read)
     runtime = _build_runtime(
         args.offline,
         args.fixtures,
-        _cache_path(args),
+        cache,
         args.config,
         args.vocab,
         {key: getattr(args, key) for key in _THRESHOLD_KEYS},
@@ -251,8 +247,6 @@ def _runtime(args: argparse.Namespace):
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Verify every reference in a .bib or .txt bibliography."""
-    read = (args.input_file, args.fixtures, args.config, args.vocab, _cache_path(args))
-    _check_out(args.out, *read)
     with _runtime(args) as (resolver, classifier_config):
         if args.out:
             # Opened for append, as --cache is: a path that cannot be written

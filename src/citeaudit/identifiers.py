@@ -22,12 +22,10 @@ from .model import (
 _DOI_RE = re.compile(r"^10\.\d{4,9}(?:\.\d+)*/\S+$")
 
 # arXiv new style: YYMM.NNNN or YYMM.NNNNN, optional "vN" version.
-_ARXIV_NEW_RE = re.compile(r"^(\d{4}\.\d{4,5})(v\d+)?$")
+_ARXIV_NEW_RE = re.compile(r"(\d{4}\.\d{4,5})(v\d+)?")
 # arXiv old style: archive name (letters/dashes, optional ".XX" subject class),
 # "/", exactly 7 digits, optional "vN" version.
-_ARXIV_OLD_RE = re.compile(
-    r"^([a-z][a-z-]*(?:\.[a-z]{2})?/\d{7})(v\d+)?$", re.IGNORECASE
-)
+_ARXIV_OLD_RE = re.compile(r"([a-z][a-z-]*(?:\.[a-z]{2})?/\d{7})(v\d+)?", re.IGNORECASE)
 
 _DOI_PREFIX_RE = re.compile(r"^(?:doi:\s*|(?:https?://)?(?:dx\.)?doi\.org/)", re.IGNORECASE)
 _ARXIV_PREFIX_RE = re.compile(
@@ -61,7 +59,7 @@ def _apply_grammar(kind: IdentifierKind, value: str) -> tuple[IdentifierSyntax, 
         if _DOI_RE.match(value):
             normalized = value.lower()
     elif kind is IdentifierKind.ARXIV:
-        m = _ARXIV_NEW_RE.match(value) or _ARXIV_OLD_RE.match(value)
+        m = _ARXIV_NEW_RE.fullmatch(value) or _ARXIV_OLD_RE.fullmatch(value)
         if m:
             normalized = m.group(1).lower()
     else:
